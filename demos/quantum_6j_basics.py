@@ -39,9 +39,9 @@ print("tuple (2,4,6,4,6,4) admissible:",
 
 # ---------------------------------------------------------------------
 # 3. Evaluating the symbol.  sixj_log returns the value as
-#    (log magnitude, quarter-turn phase); for admissible tuples the
-#    symbol is real, and small cases can be cross-checked against the
-#    direct product/sum formula.
+#    (log magnitude, quarter-turn phase); an admissible symbol is either
+#    real or purely imaginary, and small cases can be cross-checked
+#    against the direct product/sum formula.
 
 t = sv.ColorSixTuple((2, 4, 6, 4, 6, 4), lvl)
 q = sv.sixj_log(t)
@@ -50,12 +50,16 @@ print(f"\n6j(2,4,6,4,6,4) at r=31: log|.| = {q.log_mag:.12f}, "
 print(f"  as a float: {q.value():+.12e}")
 print(f"  direct evaluation: {sv.sixj_exact_small(t).real:+.12e}")
 
-# Some admissible tuples have an imaginary square root in the Delta
-# factors; those raise rather than returning a garbage real part.
+# For some admissible tuples the Delta factors and the i^{-sum a}
+# prefactor leave a purely imaginary symbol; sixj_log refuses those
+# rather than returning a garbage real part.  The direct formula shows
+# the imaginary value.
+imag = sv.ColorSixTuple((0, 0, 0, 1, 1, 1), lvl)
 try:
-    sv.sixj_log(sv.ColorSixTuple((2, 2, 2, 2, 2, 26), lvl))
+    sv.sixj_log(imag)
 except ArithmeticError as e:
     print(f"\nimaginary symbol is refused: {e}")
+print(f"  direct evaluation: {sv.sixj_exact_small(imag):.12f}")
 
 # ---------------------------------------------------------------------
 # 4. Symmetries.  Face moves and quad moves act on the colors; the
@@ -64,19 +68,23 @@ except ArithmeticError as e:
 base = sv.ColorSixTuple((2, 4, 6, 4, 6, 4), lvl)
 m0 = sv.sixj_log(base).log_mag
 print("\nmagnitude under the three quad moves:")
-for k in range(3):
+for k in (1, 2, 3):
     moved = sv.change_colors_quad(base, k)
     print(f"  quad {k}: colors {moved.colors} -> "
           f"log|.| = {sv.sixj_log(moved).log_mag:.12f} (base {m0:.12f})")
 print("magnitude under the four face moves:")
-for k in range(4):
+for k in (1, 2, 3, 4):
     moved = sv.change_colors_face(base, k)
     print(f"  face {k}: colors {moved.colors} -> "
           f"log|.| = {sv.sixj_log(moved).log_mag:.12f}")
 
 # ---------------------------------------------------------------------
-# 5. The highest-growth coloring.  big_colors picks the admissible
-#    coloring nearest to the hyperbolic regime for a given level.
+# 5. Big colors.  big_colors lists the (0-based) indices of the colors
+#    above (r-2)/2; canonicalize applies face and quad moves until at
+#    most one big color, or one big opposite pair, is left, keeping |6j|.
 
-big = sv.big_colors(sv.ColorSixTuple((0,) * 6, sv.OddLevel(101)))
-print("\nbig_colors at r = 101:", big)
+moved = sv.change_colors_face(base, 1)
+print(f"\nbig_colors of {moved.colors}: {sv.big_colors(moved)}")
+canon = sv.canonicalize(moved)
+print(f"canonicalized to {canon.colors}: big_colors {sv.big_colors(canon)}, "
+      f"log|.| = {sv.sixj_log(canon).log_mag:.12f} (base {m0:.12f})")

@@ -21,7 +21,7 @@ import sys
 
 from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, AlphaSixTuple, AngleSixTuple,
                    admissible, classify, cofactor_matrix, gram_from_angles,
-                   signature, strictly_admissible)
+                   signature, strictly_admissible, tol_sign)
 from .graphs import PrismSpec, prism_conjecture_check
 from .growth import GrowthPlan, fit_growth, growth_series
 from .qnum import OddLevel
@@ -129,14 +129,6 @@ def _sig_list(G, tol):
     return [s.pos, s.neg, s.zero]
 
 
-def _sign_int(x: float, tol: float) -> int:
-    if x > tol:
-        return 1
-    if x < -tol:
-        return -1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
@@ -157,7 +149,7 @@ def cmd_classify(args) -> int:
         "signature": _sig_list(G, args.tol),
         "class": classify(alpha, args.tol).tag.value if adm else None,
         "cofactors": cof.tolist(),
-        "cofactor_signs": [[_sign_int(cof[i, j], args.tol) for j in range(4)]
+        "cofactor_signs": [[tol_sign(cof[i, j], args.tol) for j in range(4)]
                            for i in range(4)],
     }
     _emit_json(out)
@@ -240,7 +232,7 @@ def cmd_growth(args) -> int:
     theta = _theta(args)
     alpha = AlphaSixTuple.from_theta(theta, args.mu)
     plan = GrowthPlan(alpha, tuple(_r_list(args)))
-    samples = growth_series(plan, workers=args.workers)
+    samples = growth_series(plan)
     if args.format == "csv":
         _emit_csv(("r", "log_abs", "scaled", "sign"),
                   [(s.r, s.log_abs, s.scaled, s.sign) for s in samples])
@@ -291,8 +283,7 @@ def cmd_prism(args) -> int:
             argparse.ArgumentTypeError) as exc:
         print(f"error: cannot read prism spec: {exc}", file=sys.stderr)
         return 2
-    check = prism_conjecture_check(spec, tuple(_r_list(args)),
-                                   workers=args.workers)
+    check = prism_conjecture_check(spec, tuple(_r_list(args)))
     if args.format == "csv":
         _emit_csv(("r", "log_abs", "scaled", "sign"),
                   [(s.r, s.log_abs, s.scaled, s.sign) for s in check.samples])
@@ -356,14 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="numerical tolerance (default %(default)g)")
-    common.add_argument("--workers", type=int, default=None,
-                        help="worker threads for level scans")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format for streaming commands "
                              "(default %(default)s)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized operations (reserved; the "
-                             "current subcommands are deterministic)")
     common.add_argument("--mu", type=mu_literal, default=(-1,) * 6,
                         metavar="SIGNS",
                         help="six +/- signs choosing alpha = pi + mu*theta "

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .qnum import TWO_PI
+
 FOUR_PI = 4.0 * math.pi
 
 # Default relative tolerance for eigenvalue / cofactor sign decisions.
@@ -53,6 +54,14 @@ EDGE_COMPLEMENT = ((2, 3), (1, 3), (0, 3), (0, 1), (0, 2), (1, 2))
 # row and column i of the Gram matrix replaces exactly these angles by
 # pi - theta and is a congruence (signature preserved).
 FACEPAIR_TRIPLES = ((0, 1, 5), (0, 2, 4), (1, 2, 3), (3, 4, 5))
+
+# Row/column indices of the sixteen 3x3 minors, stacked as (4, 4, 3, 3),
+# and the checkerboard signs (-1)^(i+j) that turn them into cofactors.
+_KEEP = np.array([[j for j in range(4) if j != i] for i in range(4)])
+_MINOR_ROWS = _KEEP[:, None, :, None]
+_MINOR_COLS = _KEEP[None, :, None, :]
+_CHECKERBOARD = np.array([[(-1.0) ** (i + j) for j in range(4)]
+                          for i in range(4)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +165,15 @@ class GeometryClass:
     signature: Signature
 
 
+def tol_sign(x: float, tol: float) -> int:
+    """+1 / -1 when x lies above tol / below -tol, else 0."""
+    if x > tol:
+        return 1
+    if x < -tol:
+        return -1
+    return 0
+
+
 def _triple_sums(values, triple):
     i, j, k = triple
     return values[i] + values[j] + values[k]
@@ -163,14 +181,7 @@ def _triple_sums(values, triple):
 
 def admissible(alpha: AlphaSixTuple) -> bool:
     """Closed admissibility: triangle-type inequalities at all vertices."""
-    al = alpha.alpha
-    for (i, j, k) in ANGLE_VERTEX_TRIPLES:
-        s = al[i] + al[j] + al[k]
-        if s > FOUR_PI:
-            return False
-        if s - 2 * al[i] < 0 or s - 2 * al[j] < 0 or s - 2 * al[k] < 0:
-            return False
-    return True
+    return bool(_admissible_mask(np.array([alpha.alpha]))[0])
 
 
 def strictly_admissible(alpha: AlphaSixTuple) -> bool:
@@ -198,44 +209,32 @@ def gram_from_angles(theta: AngleSixTuple) -> GramMatrix:
 
 def gram_from_alpha(alpha: AlphaSixTuple) -> GramMatrix:
     """Same matrix through cos alpha = -cos theta; branch-independent."""
-    m = np.eye(4)
-    for edge, (i, j) in enumerate(EDGE_TO_FACEPAIR):
-        m[i, j] = m[j, i] = math.cos(alpha.alpha[edge])
-    return GramMatrix(m)
+    return GramMatrix(_gram_batch(np.array([alpha.alpha]))[0])
 
 
 def signature(G: GramMatrix, tol: float = DEFAULT_TOL) -> Signature:
     """Eigenvalue sign counts with threshold tol * (spectral norm)."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    eig = np.linalg.eigvalsh(G.mat)
-    scale = float(np.max(np.abs(eig)))
-    thr = tol * scale if scale > 0 else tol
-    pos = int(np.sum(eig > thr))
-    neg = int(np.sum(eig < -thr))
+    pos, neg = (int(x) for x in signature_batch(G.mat[None], tol)[0])
     return Signature(pos, neg, 4 - pos - neg)
 
 
 def cofactor_matrix(mat: np.ndarray) -> np.ndarray:
-    """All sixteen signed cofactors, by direct 3x3 minors."""
+    """All sixteen signed cofactors, by direct 3x3 minors.
+
+    One stacked determinant call over the (4,4,3,3) minors; never
+    det(G) * inv(G), which loses accuracy as det G -> 0.
+    """
     m = np.asarray(mat, dtype=np.float64)
-    out = np.empty((4, 4))
-    rows = [np.delete(np.arange(4), i) for i in range(4)]
-    for i in range(4):
-        for j in range(4):
-            minor = m[np.ix_(rows[i], rows[j])]
-            out[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-    return out
+    return _CHECKERBOARD * np.linalg.det(m[_MINOR_ROWS, _MINOR_COLS])
 
 
 def cofactor(G: GramMatrix, i: int, j: int) -> float:
     """Signed (i,j) cofactor, indices 1..4."""
     if not (1 <= i <= 4 and 1 <= j <= 4):
         raise ValueError("cofactor indices must be in 1..4")
-    rows = np.delete(np.arange(4), i - 1)
-    cols = np.delete(np.arange(4), j - 1)
-    minor = G.mat[np.ix_(rows, cols)]
-    return float((-1) ** (i + j) * np.linalg.det(minor))
+    return float(cofactor_matrix(G.mat)[i - 1, j - 1])
 
 
 def classify(alpha: AlphaSixTuple, tol: float = DEFAULT_TOL) -> GeometryClass:
@@ -291,8 +290,9 @@ def hyperideal_by_bonahon_bao(theta: AngleSixTuple) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rejection samplers (vectorized).  Used by the statistical checks: draw
-# alpha uniformly from [0, 2 pi]^6 and keep the admissible rows.
+# Batched cores over (n,6) alpha rows, which admissible, gram_from_alpha
+# and signature call with one row, and the rejection samplers built on
+# them: draw alpha uniformly from [0, 2 pi]^6 and keep the admissible rows.
 
 
 def _admissible_mask(al: np.ndarray, margin: float = 0.0) -> np.ndarray:
@@ -326,7 +326,12 @@ def _gram_batch(al: np.ndarray) -> np.ndarray:
 
 
 def signature_batch(gram: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """(n,2) array of (pos, neg) eigenvalue counts of stacked 4x4 matrices."""
+    """(n,2) array of (pos, neg) eigenvalue counts of stacked 4x4 matrices.
+
+    The threshold is tol * (spectral norm), floored at tol * 1e-30; a
+    Gram matrix (unit diagonal) has spectral norm >= 1, so the floor
+    never binds there.
+    """
     eig = np.linalg.eigvalsh(gram)
     thr = tol * np.max(np.abs(eig), axis=1, keepdims=True)
     thr = np.maximum(thr, tol * 1e-30)
@@ -371,8 +376,3 @@ def sample_hyperbolic_alpha(n: int, rng=None, strict: bool = True,
         keep = keep[(sig[:, 0] == 3) & (sig[:, 1] == 1)]
         out = np.concatenate([out, keep], axis=0)
     return out[:n]
-
-
-def alpha_rows_to_theta(al: np.ndarray) -> np.ndarray:
-    """theta = |pi - alpha| rowwise."""
-    return np.abs(math.pi - np.asarray(al))

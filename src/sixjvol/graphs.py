@@ -22,14 +22,12 @@ converge to Vol(P).
 from __future__ import annotations
 
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .gram import AngleSixTuple
-from .growth import (GrowthFit, GrowthSample, LevelSkipped, _nearest_even,
-                     fit_growth)
-from .qnum import TWO_PI, OddLevel, QuarterPhaseLog, _level, quantum_integer
+from .growth import (GrowthFit, GrowthSample, even_colors, fit_growth,
+                     scan_levels)
+from .qnum import OddLevel, QuarterPhaseLog, _level, quantum_integer
 from .sixj import ColorSixTuple, sixj_log
 from .volfun import volume
 
@@ -162,12 +160,8 @@ def prism_volume(p: PrismSpec, mu=(-1, -1, -1, -1, -1, -1)) -> float:
 
 def prism_colors_for_r(p: PrismSpec, r: int) -> tuple[int, ...]:
     """Even rounding of the nine limit angles pi - theta at level r."""
-    if r < 5 or r % 2 == 0:
-        raise ValueError("level must be an odd integer >= 5")
     angles = p.vertical + p.base_b + p.base_c
-    top = r - 3
-    return tuple(min(max(_nearest_even(r * (math.pi - t) / TWO_PI), 0), top)
-                 for t in angles)
+    return even_colors([math.pi - t for t in angles], r)
 
 
 @dataclass(frozen=True)
@@ -178,17 +172,7 @@ class PrismCheck:
     samples: tuple[GrowthSample, ...]
 
 
-def _prism_sample(p: PrismSpec, graph: BlowUpGraph, r: int) -> GrowthSample:
-    col = prism_colors_for_r(p, r)
-    val = bracket_blowup(graph, col, OddLevel(r))
-    if val.is_zero:
-        return GrowthSample(r, -math.inf, -math.inf, 0)
-    return GrowthSample(r, val.log_mag, TWO_PI * val.log_mag / r,
-                        val.real_sign())
-
-
-def prism_conjecture_check(p: PrismSpec, r_list,
-                           workers: int | None = None) -> PrismCheck:
+def prism_conjecture_check(p: PrismSpec, r_list) -> PrismCheck:
     """Scaled bracket logs across levels vs the prism volume.
 
     Fits c0 + c1 log(r)/r + c2/r to (2 pi / r) ln|<prism, col_r>| and
@@ -196,17 +180,9 @@ def prism_conjecture_check(p: PrismSpec, r_list,
     LevelSkipped warning.
     """
     graph = prism_graph()
-    rl = tuple(int(r) for r in r_list)
-    samples: list[GrowthSample] = []
-    with ThreadPoolExecutor(max_workers=max(1, workers or 8)) as pool:
-        futs = {r: pool.submit(_prism_sample, p, graph, r) for r in rl}
-        for r in rl:
-            try:
-                samples.append(futs[r].result())
-            except Exception as exc:  # noqa: BLE001 - per-level isolation
-                warnings.warn(f"level r={r} skipped: {exc}", LevelSkipped,
-                              stacklevel=2)
-    samples.sort(key=lambda s: s.r)
+    samples = scan_levels(
+        [int(r) for r in r_list],
+        lambda r: bracket_blowup(graph, prism_colors_for_r(p, r), OddLevel(r)))
     fit = fit_growth(samples)
     vol = prism_volume(p)
     return PrismCheck(fit, vol, abs(fit.c0 - vol), tuple(samples))

@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gram import (DEFAULT_TOL, AlphaSixTuple, AngleSixTuple, cofactor_matrix,
                    gram_from_angles, signature)
-from .qnum import TWO_PI
-from .sixj import ColorSixTuple, is_admissible_tuple, sixj_log
+from .qnum import TWO_PI, OddLevel
+from .sixj import ColorSixTuple, sixj_log
 from .tetra import edge_length_tuple
 from .volfun import volume
 
@@ -76,6 +75,16 @@ def _nearest_even(x: float) -> int:
     return lo if (x - lo) <= (lo + 2 - x) else lo + 2
 
 
+def even_colors(angles, r: int) -> tuple[int, ...]:
+    """Even rounding of r*a/(2*pi) for each limit angle a, clamped to
+    the even colors of level r."""
+    if r < 5 or r % 2 == 0:
+        raise ValueError("level must be an odd integer >= 5")
+    top = r - 3  # largest even value in the color range [0, r-2]
+    return tuple(min(max(_nearest_even(r * a / TWO_PI), 0), top)
+                 for a in angles)
+
+
 def colors_for_r(alpha: AlphaSixTuple, r: int) -> ColorSixTuple:
     """The even rounding of r*alpha/(2*pi), verified r-admissible.
 
@@ -83,51 +92,44 @@ def colors_for_r(alpha: AlphaSixTuple, r: int) -> ColorSixTuple:
     triangle-type inequalities can still break near the admissibility
     boundary at small r, which is reported rather than repaired.
     """
-    if r < 5 or r % 2 == 0:
-        raise ValueError("level must be an odd integer >= 5")
-    top = r - 3  # largest even value in the color range [0, r-2]
-    colors = tuple(min(max(_nearest_even(r * a / TWO_PI), 0), top)
-                   for a in alpha.alpha)
-    if not is_admissible_tuple(colors, r):
+    colors = even_colors(alpha.alpha, r)
+    try:
+        return ColorSixTuple(colors, OddLevel(r))
+    except ValueError as exc:
         raise ValueError(f"no admissible rounding at this level: r={r}, "
-                         f"colors={colors}")
-    return ColorSixTuple(colors, _as_level(r))
+                         f"colors={colors}") from exc
 
 
-def _as_level(r: int):
-    from .qnum import OddLevel
-    return OddLevel(r)
+def scan_levels(r_list, evaluate) -> list[GrowthSample]:
+    """Growth samples of evaluate(r) -> QuarterPhaseLog, ordered by r.
+
+    A level whose evaluation fails is skipped with a LevelSkipped
+    warning attributed to the scan's caller.
+    """
+    out: list[GrowthSample] = []
+    for r in r_list:
+        try:
+            val = evaluate(r)
+            if val.is_zero:
+                out.append(GrowthSample(r, -math.inf, -math.inf, 0))
+            else:
+                out.append(GrowthSample(r, val.log_mag,
+                                        TWO_PI * val.log_mag / r,
+                                        val.real_sign()))
+        except Exception as exc:  # noqa: BLE001 - per-level isolation
+            warnings.warn(f"level r={r} skipped: {exc}", LevelSkipped,
+                          stacklevel=3)
+    return sorted(out, key=lambda s: s.r)
 
 
-def _sample_one(alpha: AlphaSixTuple, r: int) -> GrowthSample:
-    t = colors_for_r(alpha, r)
-    val = sixj_log(t)
-    if val.is_zero:
-        return GrowthSample(r, -math.inf, -math.inf, 0)
-    return GrowthSample(r, val.log_mag, TWO_PI * val.log_mag / r,
-                        val.real_sign())
-
-
-def growth_series(plan: GrowthPlan, workers: int | None = None) -> list[GrowthSample]:
+def growth_series(plan: GrowthPlan) -> list[GrowthSample]:
     """Evaluate the 6j growth samples for every level in the plan.
 
-    Levels run concurrently (the per-level state is independent);
-    failing levels are skipped with a LevelSkipped warning and the
-    output is ordered by r.
+    Failing levels are skipped with a LevelSkipped warning; the output
+    is ordered by r.
     """
-    if workers is None:
-        workers = 8
-    out: list[GrowthSample] = []
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futs = {r: pool.submit(_sample_one, plan.alpha, r)
-                for r in plan.r_list}
-        for r in plan.r_list:
-            try:
-                out.append(futs[r].result())
-            except Exception as exc:  # noqa: BLE001 - per-level isolation
-                warnings.warn(f"level r={r} skipped: {exc}", LevelSkipped,
-                              stacklevel=2)
-    return sorted(out, key=lambda s: s.r)
+    return scan_levels(plan.r_list,
+                       lambda r: sixj_log(colors_for_r(plan.alpha, r)))
 
 
 def fit_growth(samples: list[GrowthSample]) -> GrowthFit:

@@ -19,8 +19,9 @@ with T the four vertex half-sums, Q the three quadrilateral half-sums,
 z from max T to min Q, and [m]! = 0 killing every term with z > r-2.
 Delta(a,b,c) = sqrt([x]![y]![w]!/[T+1]!) under the convention
 sqrt(x) = i*sqrt(|x|) for negative x, so a Delta factor is either real
-or purely imaginary; the i^{-sum a} prefactor always restores a real
-symbol (phase 0 or 2 in quarter turns).
+or purely imaginary, and so is the symbol: for some admissible tuples
+the i^{-sum a} prefactor and the imaginary Delta factors leave an odd
+number of quarter turns.
 
 The z-sum is evaluated in log space: terms are scaled by the maximum
 log-magnitude and the signed exponentials summed pairwise, since terms
@@ -48,7 +49,10 @@ OPPOSITE_PAIRS = ((0, 3), (1, 4), (2, 5))
 
 def is_admissible_triple(a1: int, a2: int, a3: int, level) -> bool:
     """True iff (a1,a2,a3) is r-admissible (False on out-of-range colors)."""
-    r = _level(level).r
+    return _triple_ok(a1, a2, a3, _level(level).r)
+
+
+def _triple_ok(a1: int, a2: int, a3: int, r: int) -> bool:
     for a in (a1, a2, a3):
         if not 0 <= a <= r - 2:
             return False
@@ -60,9 +64,12 @@ def is_admissible_triple(a1: int, a2: int, a3: int, level) -> bool:
 
 
 def is_admissible_tuple(colors, level) -> bool:
+    r = _level(level).r
     a = tuple(colors)
-    return all(is_admissible_triple(a[i], a[j], a[k], level)
-               for (i, j, k) in VERTEX_TRIPLES)
+    for (i, j, k) in VERTEX_TRIPLES:
+        if not _triple_ok(a[i], a[j], a[k], r):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -176,9 +183,9 @@ def _zsum_signed_log(tab, T, Q, r: int) -> QuarterPhaseLog:
 def sixj_log(t: ColorSixTuple) -> QuarterPhaseLog:
     """The quantum 6j-symbol of an r-admissible 6-tuple, in log space.
 
-    The result is always real: phase 0 or 2.  The i^{-sum a} prefactor
-    can be imaginary on its own (sum a need not be even); the parity of
-    imaginary Delta factors always compensates.
+    Returns real symbols only (phase 0 or 2).  The i^{-sum a} prefactor
+    and the imaginary Delta factors can leave an odd phase, i.e. a
+    purely imaginary symbol; such tuples raise ArithmeticError.
     """
     tab = level_tables(t.level)
     a = t.colors

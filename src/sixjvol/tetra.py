@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, EDGE_TO_FACEPAIR, GramMatrix,
-                   cofactor_matrix, signature)
+                   cofactor_matrix, signature, tol_sign)
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -108,14 +108,6 @@ class GeneralizedTetrahedron:
     case: CaseLabel
 
 
-def _cof_sign(c: float, tol: float) -> int:
-    if c > tol:
-        return 1
-    if c < -tol:
-        return -1
-    return 0
-
-
 def vertex_type(G: GramMatrix, i: int, tol: float = DEFAULT_TOL) -> VertexType:
     """Vertex i (1..4) by the sign of the diagonal cofactor cof_ii.
 
@@ -124,9 +116,7 @@ def vertex_type(G: GramMatrix, i: int, tol: float = DEFAULT_TOL) -> VertexType:
     """
     if i not in (1, 2, 3, 4):
         raise ValueError("vertex index must be 1..4")
-    rows = np.delete(np.arange(4), i - 1)
-    c = float(np.linalg.det(G.mat[np.ix_(rows, rows)]))
-    s = _cof_sign(c, tol)
+    s = tol_sign(cofactor_matrix(G.mat)[i - 1, i - 1], tol)
     if s > 0:
         return VertexType.REGULAR
     if s < 0:
@@ -136,7 +126,7 @@ def vertex_type(G: GramMatrix, i: int, tol: float = DEFAULT_TOL) -> VertexType:
 
 def _distance_from_cofactors(cii: float, cjj: float, cij: float,
                              tol: float) -> EdgeDistance:
-    si, sj = _cof_sign(cii, tol), _cof_sign(cjj, tol)
+    si, sj = tol_sign(cii, tol), tol_sign(cjj, tol)
     if si == 0 or sj == 0:
         # An ideal endpoint is infinitely far from everything else.
         kind = (DistanceKind.VERTEX_PLANE if (si < 0 or sj < 0)
@@ -187,7 +177,10 @@ def edge_length(G: GramMatrix, i: int, j: int,
 
 def edge_length_tuple(G: GramMatrix, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
     """The six signed edge lengths in edge order (l_1..l_6)."""
-    cof = cofactor_matrix(G.mat)
+    return _edge_lengths(cofactor_matrix(G.mat), tol)
+
+
+def _edge_lengths(cof: np.ndarray, tol: float) -> tuple[float, ...]:
     out = []
     for e in range(6):
         k, l = EDGE_COMPLEMENT[e]
@@ -331,10 +324,13 @@ def case_label(G: GramMatrix, tol: float = DEFAULT_TOL) -> CaseLabel:
     lexicographically) set of change-of-angles operations that lands on
     a listed pattern.
     """
-    cof = cofactor_matrix(G.mat)
-    diag_sign = [_cof_sign(cof[i, i], tol) for i in range(4)]
+    return _case_from_cofactors(cofactor_matrix(G.mat), tol)
+
+
+def _case_from_cofactors(cof: np.ndarray, tol: float) -> CaseLabel:
+    diag_sign = [tol_sign(cof[i, i], tol) for i in range(4)]
     case_no = 1 + sum(1 for d in diag_sign if d < 0)
-    base = {p: _cof_sign(cof[p[0], p[1]], tol) for p in _PAIRS}
+    base = {p: tol_sign(cof[p[0], p[1]], tol) for p in _PAIRS}
     for sub in _SUBSETS:
         flipped = {
             (i, j): (-v if (i in sub) != (j in sub) else v)
@@ -379,7 +375,7 @@ def reconstruct(G: GramMatrix,
     types = []
     for i in range(4):
         w = u_rows @ cof[i]
-        s = _cof_sign(cof[i, i], tol)
+        s = tol_sign(cof[i, i], tol)
         if s == 0:
             verts.append(MinkowskiVector(w))
             types.append(VertexType.IDEAL)
@@ -394,8 +390,8 @@ def reconstruct(G: GramMatrix,
         normals=normals,
         vertices=tuple(verts),
         vertex_types=tuple(types),
-        edge_lengths=edge_length_tuple(G, tol),
-        case=case_label(G, tol),
+        edge_lengths=_edge_lengths(cof, tol),
+        case=_case_from_cofactors(cof, tol),
     )
 
 

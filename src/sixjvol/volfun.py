@@ -31,26 +31,40 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
 
 from .gram import (ANGLE_VERTEX_TRIPLES, DEFAULT_TOL, AlphaSixTuple,
                    AngleSixTuple, cofactor_matrix, gram_from_alpha,
-                   gram_from_angles, signature)
+                   gram_from_angles, signature, tol_sign)
+from .qnum import TWO_PI
 from .tetra import edge_length_tuple
 
-TWO_PI = 2.0 * math.pi
-
 ALPHA_QUADS = ((0, 1, 3, 4), (0, 2, 3, 5), (1, 2, 4, 5))
+
+
+def _zeta_even_over_pi_powers(count: int) -> list[Fraction]:
+    """Exact zeta(2n) / pi^{2n} = |B_2n| 2^{2n-1} / (2n)! for n = 1..count.
+
+    Euler's convolution of the Bernoulli numbers,
+    (n + 1/2) zeta(2n) = sum_{k=1}^{n-1} zeta(2k) zeta(2n-2k), from
+    zeta(2) = pi^2 / 6.
+    """
+    out = [Fraction(1, 6)]
+    for n in range(2, count + 1):
+        conv = sum(out[k - 1] * out[n - k - 1] for k in range(1, n))
+        out.append(conv / (n + Fraction(1, 2)))
+    return out
+
 
 # Coefficients of the Lobachevsky power series
 #   Lambda(t) = t - t log(2t) + t * sum_{n>=1} c_n (t/pi)^{2n},
 # with c_n = zeta(2n) / (n (2n+1)); c_n -> 1/(n(2n+1)) so ~4^-n decay
 # of the terms on [0, pi/2] gives full double precision by n ~ 25.
-_LOB_COEFF = [float(_riemann_zeta(2 * n)) / (n * (2 * n + 1))
-              for n in range(1, 40)]
+_LOB_COEFF = [float(z / (n * (2 * n + 1))) * math.pi ** (2 * n)
+              for n, z in enumerate(_zeta_even_over_pi_powers(39), start=1)]
 
 
 def _lob_series(t: float) -> float:
@@ -312,7 +326,7 @@ def schlafli_residual(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1),
     if signature(G, tol).as_pair() != (3, 1):
         raise ValueError("not a generalized hyperbolic tetrahedron")
     cof = cofactor_matrix(G.mat)
-    base_types = tuple(_diag_sign(cof, i, tol) for i in range(4))
+    base_types = tuple(tol_sign(cof[i, i], tol) for i in range(4))
     if any(t == 0 for t in base_types):
         raise ValueError("Schlafli residual requires non-ideal vertices")
     lengths = edge_length_tuple(G, tol)
@@ -329,18 +343,9 @@ def schlafli_residual(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1),
             if signature(g2, tol).as_pair() != (3, 1):
                 raise ValueError("step crosses stratum")
             c2 = cofactor_matrix(g2.mat)
-            if tuple(_diag_sign(c2, i, tol) for i in range(4)) != base_types:
+            if tuple(tol_sign(c2[i, i], tol) for i in range(4)) != base_types:
                 raise ValueError("step crosses stratum")
             vols.append(volume(t2, mu, tol))
         deriv = (vols[0] - vols[1]) / (2.0 * h)
         out.append(deriv + lengths[k] / 2.0)
     return tuple(out)
-
-
-def _diag_sign(cof: np.ndarray, i: int, tol: float) -> int:
-    c = cof[i, i]
-    if c > tol:
-        return 1
-    if c < -tol:
-        return -1
-    return 0

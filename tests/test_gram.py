@@ -109,6 +109,26 @@ def test_cofactor_examples():
         sv.cofactor(G0, 0, 1)
 
 
+def test_cofactor_matrix_equals_sixteen_minor_determinants(rng):
+    keep = [[j for j in range(4) if j != i] for i in range(4)]
+
+    def by_minors(m):
+        return np.array([[(-1) ** (i + j)
+                          * np.linalg.det(m[np.ix_(keep[i], keep[j])])
+                          for j in range(4)] for i in range(4)])
+
+    mats = [sv.gram_from_alpha(sv.AlphaSixTuple.from_alpha(row)).mat
+            for row in sv.sample_admissible_alpha(500, rng)]
+    # near-singular: the regular Euclidean tetrahedron (det G = 0), perturbed
+    flat = math.acos(1.0 / 3.0)
+    for eps in np.logspace(-15, -6, 200):
+        theta = flat + eps * rng.standard_normal(6)
+        mats.append(sv.gram_from_angles(sv.AngleSixTuple(tuple(theta))).mat)
+    assert min(abs(np.linalg.det(m)) for m in mats) < 1e-13
+    for m in mats:
+        assert np.array_equal(sv.cofactor_matrix(m), by_minors(m))
+
+
 def test_cofactor_signs_of_the_regular_example():
     # One positive opposite pair {G_12, G_34}; the other four off-
     # diagonal cofactors negative; all diagonal cofactors positive.

@@ -92,10 +92,10 @@ def test_growth_series_example_scaled_values():
         assert s.scaled == pytest.approx(2 * PI * s.log_abs / s.r, rel=1e-12)
 
 
-def test_growth_series_deterministic_across_workers():
+def test_growth_series_deterministic_across_calls():
     plan = sv.GrowthPlan(alpha_of((PI / 6,) * 6), tuple(range(101, 302, 50)))
-    a = sv.growth_series(plan, workers=1)
-    b = sv.growth_series(plan, workers=8)
+    a = sv.growth_series(plan)
+    b = sv.growth_series(plan)
     assert a == b
 
 

@@ -3,6 +3,10 @@ the closed-form volume, the maximization route, and the Schlafli check."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,25 @@ def test_lobachevsky_special_values():
     assert sv.lobachevsky(PI / 2) == pytest.approx(0.0, abs=1e-14)
     assert sv.lobachevsky(PI / 6) == pytest.approx(0.5074708032048268,
                                                   abs=1e-12)
+
+
+def test_lobachevsky_coefficients_match_zeta():
+    from scipy.special import zeta
+    from sixjvol.volfun import _LOB_COEFF
+    assert len(_LOB_COEFF) == 39
+    for n, c in enumerate(_LOB_COEFF, start=1):
+        assert c == pytest.approx(float(zeta(2 * n)) / (n * (2 * n + 1)),
+                                  rel=1e-14)
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, sixjvol, sixjvol.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_lobachevsky_against_quadrature(rng):
