@@ -41,6 +41,7 @@ DEFAULT_TOL = 1e-9
 # Vertex triples in edge indices (0-based); same combinatorics as the
 # color tuples in sixj.
 ANGLE_VERTEX_TRIPLES = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4))
+_VERTEX_INDEX = np.array(ANGLE_VERTEX_TRIPLES)
 
 # Edge index -> unordered pair of Gram indices (faces meeting there).
 EDGE_TO_FACEPAIR = ((0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 3))
@@ -306,12 +307,10 @@ def _admissible_mask(al: np.ndarray, margin: float = 0.0) -> np.ndarray:
     if margin > 0.0:
         ok &= np.all((al > margin) & (al < TWO_PI - margin)
                      & (np.abs(al - math.pi) > margin), axis=1)
-    for (i, j, k) in ANGLE_VERTEX_TRIPLES:
-        s = al[:, i] + al[:, j] + al[:, k]
-        ok &= s <= FOUR_PI - margin
-        ok &= (s - 2 * al[:, i] >= margin)
-        ok &= (s - 2 * al[:, j] >= margin)
-        ok &= (s - 2 * al[:, k] >= margin)
+    tri = al[:, _VERTEX_INDEX]  # (n, 4, 3): the three edges at each vertex
+    s = tri[:, :, 0] + tri[:, :, 1] + tri[:, :, 2]
+    ok &= (s <= FOUR_PI - margin).all(axis=1)
+    ok &= (s[:, :, None] - 2 * tri >= margin).all(axis=(1, 2))
     return ok
 
 

@@ -69,20 +69,20 @@ class GrowthFit:
     residual_rms: float
 
 
-def _nearest_even(x: float) -> int:
-    """Even integer nearest to x, ties broken downward."""
-    lo = 2 * math.floor(x / 2.0)
-    return lo if (x - lo) <= (lo + 2 - x) else lo + 2
-
-
 def even_colors(angles, r: int) -> tuple[int, ...]:
-    """Even rounding of r*a/(2*pi) for each limit angle a, clamped to
-    the even colors of level r."""
+    """Even rounding of r*a/(2*pi) for each limit angle a: the nearest
+    even integer, ties broken downward, clamped to the even colors of
+    level r."""
     if r < 5 or r % 2 == 0:
         raise ValueError("level must be an odd integer >= 5")
     top = r - 3  # largest even value in the color range [0, r-2]
-    return tuple(min(max(_nearest_even(r * a / TWO_PI), 0), top)
-                 for a in angles)
+    out = []
+    for a in angles:
+        x = r * a / TWO_PI
+        lo = 2 * math.floor(x / 2.0)
+        c = lo if x - lo <= lo + 2 - x else lo + 2
+        out.append(0 if c < 0 else (top if c > top else c))
+    return tuple(out)
 
 
 def colors_for_r(alpha: AlphaSixTuple, r: int) -> ColorSixTuple:
@@ -104,7 +104,8 @@ def scan_levels(r_list, evaluate) -> list[GrowthSample]:
     """Growth samples of evaluate(r) -> QuarterPhaseLog, ordered by r.
 
     A level whose evaluation fails is skipped with a LevelSkipped
-    warning attributed to the scan's caller.
+    warning attributed to the scan's caller, and a debug event on the
+    "sixjvol" logger whose arguments are r and the reason.
     """
     out: list[GrowthSample] = []
     for r in r_list:
@@ -117,6 +118,11 @@ def scan_levels(r_list, evaluate) -> list[GrowthSample]:
                                         TWO_PI * val.log_mag / r,
                                         val.real_sign()))
         except Exception as exc:  # noqa: BLE001 - per-level isolation
+            # imported here: logging adds ~5 ms to every process start
+            # and is needed only once a level is skipped
+            import logging
+            logging.getLogger("sixjvol").debug("level r=%d skipped: %s",
+                                               r, exc)
             warnings.warn(f"level r={r} skipped: {exc}", LevelSkipped,
                           stacklevel=3)
     return sorted(out, key=lambda s: s.r)

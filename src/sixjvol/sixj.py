@@ -25,7 +25,12 @@ number of quarter turns.
 
 The z-sum is evaluated in log space: terms are scaled by the maximum
 log-magnitude and the signed exponentials summed pairwise, since terms
-span hundreds of orders of magnitude at r ~ 2000.
+span hundreds of orders of magnitude at r ~ 2000.  Over the range
+z = lo..hi-1 every factor of the terms is one contiguous slice of the
+level's log-factorial and sign-count tables: [z+1]! and [z-T_i]! read
+increasing slices, [Q_j-z]! a reversed one, so a symbol costs a fixed
+number of numpy operations and builds no index arrays.  The four Delta
+factors read their sixteen factorial entries with one index array.
 """
 
 from __future__ import annotations
@@ -53,14 +58,12 @@ def is_admissible_triple(a1: int, a2: int, a3: int, level) -> bool:
 
 
 def _triple_ok(a1: int, a2: int, a3: int, r: int) -> bool:
-    for a in (a1, a2, a3):
-        if not 0 <= a <= r - 2:
-            return False
-    if (a1 + a2 + a3) % 2 != 0:
-        return False
-    if a1 + a2 + a3 > 2 * (r - 2):
-        return False
-    return a1 + a2 - a3 >= 0 and a2 + a3 - a1 >= 0 and a3 + a1 - a2 >= 0
+    top = r - 2
+    s = a1 + a2 + a3
+    return (0 <= a1 <= top and 0 <= a2 <= top and 0 <= a3 <= top
+            and s % 2 == 0 and s <= 2 * top
+            and a1 + a2 - a3 >= 0 and a2 + a3 - a1 >= 0
+            and a3 + a1 - a2 >= 0)
 
 
 def is_admissible_tuple(colors, level) -> bool:
@@ -92,17 +95,17 @@ class ColorSixTuple:
     level: OddLevel
 
     def __post_init__(self) -> None:
-        colors = tuple(int(a) for a in self.colors)
+        colors = tuple(map(int, self.colors))
         object.__setattr__(self, "colors", colors)
         if len(colors) != 6:
             raise ValueError("need exactly six colors")
+        r = _level(self.level).r
         for (i, j, k) in VERTEX_TRIPLES:
-            if not is_admissible_triple(colors[i], colors[j], colors[k],
-                                        self.level):
+            if not _triple_ok(colors[i], colors[j], colors[k], r):
                 raise ValueError(
                     f"inadmissible tuple: vertex triple "
                     f"({colors[i]},{colors[j]},{colors[k]}) at indices "
-                    f"({i + 1},{j + 1},{k + 1}) fails at r={self.level.r}")
+                    f"({i + 1},{j + 1},{k + 1}) fails at r={r}")
 
     def replaced(self, flips) -> "ColorSixTuple":
         """Copy with colors at the given indices flipped to r-2-a."""
@@ -134,50 +137,73 @@ class SumBounds:
         return SumBounds(T, Q)
 
 
-def _delta_log(tab, a: int, b: int, c: int) -> QuarterPhaseLog:
-    """Delta(a,b,c) from the level's factorial tables; phase in {0,1,2,3}."""
-    x = (a + b - c) // 2
-    y = (b + c - a) // 2
-    w = (c + a - b) // 2
-    s = (a + b + c) // 2
-    lm_x, px = tab.fact(x)
-    lm_y, py = tab.fact(y)
-    lm_w, pw = tab.fact(w)
-    lm_d, pd = tab.fact(s + 1)
-    log_rad = lm_x + lm_y + lm_w - lm_d
-    rad_negative = (px + py + pw + pd) & 1
-    # sqrt of the radicand: half the log-magnitude; a negative radicand
-    # contributes a single quarter turn (sqrt(x) = i sqrt|x|).
-    return QuarterPhaseLog(0.5 * log_rad, 1 if rad_negative else 0)
+def _delta_logs(tab, triples) -> tuple[float, int]:
+    """Summed log|Delta| over the triples and their quarter turns.
+
+    Delta(a,b,c) = sqrt([x]![y]![w]!/[s+1]!), so each triple reads four
+    factorial entries; all of them are read with one index array.  A
+    negative radicand contributes a single quarter turn (sqrt(x) =
+    i sqrt|x|).
+    """
+    idx = []
+    for a, b, c in triples:
+        idx += ((a + b - c) // 2, (b + c - a) // 2, (c + a - b) // 2,
+                (a + b + c) // 2 + 1)
+    idx = np.array(idx)
+    lf = tab.logfact[idx].tolist()
+    nc = tab.negcount[idx].tolist()
+    log_mag, turns = 0.0, 0
+    for n in range(0, len(idx), 4):
+        log_mag += 0.5 * (lf[n] + lf[n + 1] + lf[n + 2] - lf[n + 3])
+        turns += (nc[n] + nc[n + 1] + nc[n + 2] + nc[n + 3]) & 1
+    return log_mag, turns
 
 
 def delta_triple(triple: ColorTriple) -> QuarterPhaseLog:
     """Delta(a1,a2,a3) = sqrt([x]![y]![w]! / [T+1]!), imaginary-root convention."""
     tab = level_tables(triple.level)
-    return _delta_log(tab, triple.a1, triple.a2, triple.a3)
+    return QuarterPhaseLog(
+        *_delta_logs(tab, ((triple.a1, triple.a2, triple.a3),)))
 
 
-def _zsum_signed_log(tab, T, Q, r: int) -> QuarterPhaseLog:
-    """The alternating z-sum as a QuarterPhaseLog (phase 0 or 2)."""
-    zmin = max(T)
-    zmax = min(min(Q), r - 2)  # [z+1]! = 0 for z > r-2
-    z = np.arange(zmin, zmax + 1)
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _zsum_signed_log(tab, T, Q, r: int) -> tuple[float, int]:
+    """The alternating z-sum as (log-magnitude, phase 0 or 2).
+
+    Every factor of a term is a contiguous slice of the level's tables
+    over z in [lo, hi): [z+1]! reads [lo+1, hi+1), [z-T_i]! reads
+    [lo-T_i, hi-T_i) and [Q_j-z]! the reversed slice from Q_j-lo down
+    to Q_j-hi+1.  An exactly zero sum returns (-inf, 0).
+    """
+    lo = max(T)
+    hi = min(min(Q), r - 2) + 1  # [z+1]! = 0 for z > r-2
     lf = tab.logfact
     nc = tab.negcount
-    log_mag = lf[z + 1].copy()
-    parity = nc[z + 1] + z
+    rev = [(Qj - lo, Qj - hi if Qj >= hi else None) for Qj in Q]
+    log_mag = lf[lo + 1:hi + 1] - lf[lo - T[0]:hi - T[0]]
+    for Ti in T[1:]:
+        log_mag -= lf[lo - Ti:hi - Ti]
+    for start, stop in rev:  # stop None: the slice ends at index 0
+        log_mag -= lf[start:stop:-1]
+    # Sign parity: z plus every factor's negcount.  negcount is
+    # nondecreasing, so a slice whose largest entry is 0 adds nothing.
+    parity = nc[lo + 1:hi + 1] + np.arange(lo, hi)
     for Ti in T:
-        log_mag -= lf[z - Ti]
-        parity = parity + nc[z - Ti]
-    for Qj in Q:
-        log_mag -= lf[Qj - z]
-        parity = parity + nc[Qj - z]
-    signs = 1.0 - 2.0 * (parity & 1)
-    m = float(np.max(log_mag))
-    total = float(np.sum(signs * np.exp(log_mag - m)))  # pairwise summation
+        if nc[hi - Ti - 1]:
+            parity += nc[lo - Ti:hi - Ti]
+    for start, stop in rev:
+        if nc[start]:
+            parity += nc[start:stop:-1]
+    m = float(log_mag.max())
+    log_mag -= m
+    terms = np.exp(log_mag, out=log_mag)
+    terms *= _SIGNS[parity & 1]
+    total = float(terms.sum())  # pairwise summation
     if total == 0.0:
-        return QuarterPhaseLog.zero()
-    return QuarterPhaseLog(m + math.log(abs(total)), 0 if total > 0.0 else 2)
+        return -math.inf, 0
+    return m + math.log(abs(total)), 0 if total > 0.0 else 2
 
 
 def sixj_log(t: ColorSixTuple) -> QuarterPhaseLog:
@@ -190,15 +216,17 @@ def sixj_log(t: ColorSixTuple) -> QuarterPhaseLog:
     tab = level_tables(t.level)
     a = t.colors
     bounds = SumBounds.of(t)
-    out = QuarterPhaseLog(0.0, (-sum(a)) % 4)
-    for (i, j, k) in VERTEX_TRIPLES:
-        out = out * _delta_log(tab, a[i], a[j], a[k])
-    out = out * _zsum_signed_log(tab, bounds.T, bounds.Q, t.level.r)
-    if not out.is_zero and out.phase % 2 != 0:
+    zlog, zphase = _zsum_signed_log(tab, bounds.T, bounds.Q, t.level.r)
+    if zlog == -math.inf:
+        return QuarterPhaseLog.zero()
+    dlog, turns = _delta_logs(
+        tab, [(a[i], a[j], a[k]) for (i, j, k) in VERTEX_TRIPLES])
+    phase = (-sum(a) + turns + zphase) % 4
+    if phase % 2 != 0:
         raise ArithmeticError(
             f"6j phase parity broken for {a} at r={t.level.r}: "
-            f"phase={out.phase}")
-    return out
+            f"phase={phase}")
+    return QuarterPhaseLog(dlog + zlog, phase)
 
 
 def sixj_exact_small(t: ColorSixTuple) -> complex:

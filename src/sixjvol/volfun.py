@@ -9,8 +9,8 @@ tetrahedron are implemented:
   hyperbolic case, and the root z = (-B + sqrt(disc))/(2A) lies on the
   unit circle and pins xi in [pi, 2 pi) through e^{-2 i xi} = z.
 
-* `volume_by_max`: when at least one vertex is hyperideal, the same
-  number is the maximum of the strictly concave
+* `volume_by_max`: for admissible alpha with at least one hyperideal
+  vertex, the same number is the maximum of the strictly concave
 
       V(xi) = sum_of_deltas + Lambda(2 pi - xi)
               + sum_i Lambda(xi - tau_i) + sum_j Lambda(eta_j - xi)
@@ -37,8 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gram import (ANGLE_VERTEX_TRIPLES, DEFAULT_TOL, AlphaSixTuple,
-                   AngleSixTuple, cofactor_matrix, gram_from_alpha,
-                   gram_from_angles, signature, tol_sign)
+                   AngleSixTuple, admissible, cofactor_matrix,
+                   gram_from_alpha, gram_from_angles, signature, tol_sign)
 from .qnum import TWO_PI
 from .tetra import edge_length_tuple
 
@@ -284,11 +284,14 @@ def volume_by_max(alpha: AlphaSixTuple,
                   tol: float = DEFAULT_TOL) -> MaxResult:
     """(xi0, vol): maximize V over I = [max tau, min(eta, 2 pi)].
 
-    Valid when at least one vertex is hyperideal (some diagonal cofactor
-    negative); V is then strictly concave on I with s' running from
-    +inf to -inf, and 60 derivative-sign bisections pin the argmax to
-    |I| * 2^-60.
+    Valid for admissible alpha with at least one hyperideal vertex (some
+    diagonal cofactor negative); V is then strictly concave on I with s'
+    running from +inf to -inf, and 60 derivative-sign bisections pin the
+    argmax to |I| * 2^-60.  Other alpha raise ValueError: off the
+    admissible region the maximum need not be the volume.
     """
+    if not admissible(alpha):
+        raise ValueError("maximization formula requires admissible alpha")
     cof = cofactor_matrix(gram_from_alpha(alpha).mat)
     if not any(cof[i, i] < -tol for i in range(4)):
         raise ValueError(

@@ -161,11 +161,28 @@ def test_criterion_08_schlafli_residuals():
            f"{worst:.2e} (tol 1e-5)")
 
 
-def _random_admissible_colors(rng, r):
-    while True:
-        cand = tuple(int(c) for c in rng.integers(0, r - 1, size=6))
-        if sv.is_admissible_tuple(cand, r):
-            return cand
+def _admissible_color_rows(c, r):
+    """Mask of the r-admissible rows of an (n, 6) array of colors that
+    already lie in [0, r-2]."""
+    ok = np.ones(c.shape[0], dtype=bool)
+    for i, j, k in sv.VERTEX_TRIPLES:
+        s = c[:, i] + c[:, j] + c[:, k]
+        ok &= (s % 2 == 0) & (s <= 2 * (r - 2))
+        ok &= (s >= 2 * c[:, i]) & (s >= 2 * c[:, j]) & (s >= 2 * c[:, k])
+    return ok
+
+
+def _random_admissible_colors(rng, r, pool):
+    """A uniform r-admissible 6-tuple by rejection: uniform candidates are
+    drawn 4096 at a time and filtered, and the accepted rows are handed
+    out in draw order; pool[r] keeps the rows not yet used."""
+    rows = pool.setdefault(r, [])
+    while not rows:
+        cand = rng.integers(0, r - 1, size=(4096, 6))
+        rows.extend(reversed(cand[_admissible_color_rows(cand, r)].tolist()))
+    colors = tuple(rows.pop())
+    assert sv.is_admissible_tuple(colors, r)
+    return colors
 
 
 def _log_abs_via(t):
@@ -183,12 +200,18 @@ def _log_abs_via(t):
 def test_criterion_09_oracle_equivalence():
     rng = np.random.default_rng(3009)
     levels = [int(r) for r in range(7, 102, 2)]
+    for r in (7, 101):  # the block filter is the library's admissibility
+        cand = rng.integers(0, r - 1, size=(2000, 6))
+        assert (_admissible_color_rows(cand, r).tolist()
+                == [sv.is_admissible_tuple(c, r) for c in cand.tolist()])
+    pool = {}
     worst = 0.0
     imaginary = 0
     move_worst = 0.0
     for n in range(10_000):
         r = levels[int(rng.integers(0, len(levels)))]
-        t = sv.tuple_of(_random_admissible_colors(rng, r), sv.OddLevel(r))
+        t = sv.tuple_of(_random_admissible_colors(rng, r, pool),
+                        sv.OddLevel(r))
         ref = sv.sixj_exact_small(t)
         try:
             val = sv.sixj_log(t)

@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,10 +283,12 @@ def test_lobachevsky_table_json(capsys):
 # ------------------------------------------------------------ entry points
 
 def test_module_invocation_runs():
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "sixjvol.cli", "volume",
          "0", "0", "0", "0", "0", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vol"] == pytest.approx(3.663862376708876)
 

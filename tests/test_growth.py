@@ -1,6 +1,7 @@
 """Growth-rate experiments: color roundings, scaled log-magnitude series,
 extrapolation fits, and the sharper magnitude prediction."""
 
+import logging
 import math
 import warnings
 
@@ -79,6 +80,23 @@ def test_growth_series_skips_bad_levels_with_warning():
     skipped = [w for w in caught if issubclass(w.category, sv.LevelSkipped)]
     assert len(skipped) == 3
     assert [s.r for s in out] == [101, 105, 109]
+
+
+def test_growth_series_logs_skipped_levels(caplog):
+    al = sv.AlphaSixTuple.from_alpha((6.2, PI, PI, PI, PI, PI))
+    plan = sv.GrowthPlan(al, (7, 101, 103, 105, 107, 109))
+    caplog.set_level(logging.DEBUG, logger="sixjvol")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sv.growth_series(plan)
+    events = [rec for rec in caplog.records if rec.name == "sixjvol"]
+    assert [rec.levelno for rec in events] == [logging.DEBUG] * 3
+    assert [rec.args[0] for rec in events] == [7, 103, 107]
+    # the warnings stay, one per logged level, with the same reason
+    skipped = [str(w.message) for w in caught
+               if issubclass(w.category, sv.LevelSkipped)]
+    assert [rec.getMessage() for rec in events] == skipped
+    assert all("no admissible rounding" in str(rec.args[1]) for rec in events)
 
 
 def test_growth_series_example_scaled_values():

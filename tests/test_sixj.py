@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 import sixjvol as sv
@@ -161,6 +162,103 @@ def test_sixj_imaginary_symbols_raise_with_oracle_witness():
     z2 = sv.sixj_exact_small(t2)
     assert z2.real == pytest.approx(0.0, abs=1e-12)
     assert z2.imag == pytest.approx(-0.8177906627673199, rel=1e-9)
+
+
+def index_array_sixj_log(t):
+    """Reference 6j in log space with plain index arrays.
+
+    Delta factors come from scalar `LevelTables.fact` reads and the
+    z-sum gathers every factor through z-dependent index arrays; the
+    floating-point operations and their order are those of the sliced
+    kernel, so the two must agree exactly.
+    """
+    r = t.level.r
+    a = t.colors
+    tab = sv.level_tables(t.level)
+    out = sv.QuarterPhaseLog(0.0, (-sum(a)) % 4)
+    for i, j, k in sv.VERTEX_TRIPLES:
+        ns = ((a[i] + a[j] - a[k]) // 2, (a[j] + a[k] - a[i]) // 2,
+              (a[k] + a[i] - a[j]) // 2, (a[i] + a[j] + a[k]) // 2 + 1)
+        facts = [tab.fact(n) for n in ns]
+        log_rad = facts[0][0] + facts[1][0] + facts[2][0] - facts[3][0]
+        out = out * sv.QuarterPhaseLog(0.5 * log_rad,
+                                       sum(p for _, p in facts) & 1)
+    b = sv.SumBounds.of(t)
+    z = np.arange(max(b.T), min(min(b.Q), r - 2) + 1)
+    lf, nc = tab.logfact, tab.negcount
+    log_mag = lf[z + 1].copy()
+    parity = nc[z + 1] + z
+    for ti in b.T:
+        log_mag -= lf[z - ti]
+        parity = parity + nc[z - ti]
+    for qj in b.Q:
+        log_mag -= lf[qj - z]
+        parity = parity + nc[qj - z]
+    signs = 1.0 - 2.0 * (parity & 1)
+    m = float(np.max(log_mag))
+    total = float(np.sum(signs * np.exp(log_mag - m)))
+    if total == 0.0:
+        return sv.QuarterPhaseLog.zero()
+    out = out * sv.QuarterPhaseLog(m + math.log(abs(total)),
+                                   0 if total > 0.0 else 2)
+    if out.phase % 2 != 0:
+        raise ArithmeticError(f"6j phase parity broken for {a} at r={r}: "
+                              f"phase={out.phase}")
+    return out
+
+
+def kernel_edge_tuples(r):
+    """Admissible tuples at level r: every one for r <= 7, else a seeded
+    draw from colors at the ends and the middle of [0, r-2], plus
+    tuples built to hit the clamp, both extreme colors, and a [z-T_1]!
+    slice that crosses the step of negcount at (r-1)/2."""
+    if r <= 7:
+        cands = itertools.product(range(r - 1), repeat=6)
+    else:
+        h = (r - 1) // 2
+        palette = sorted({0, 1, 2, 3, h - 2, h - 1, h, h + 1, h + 2,
+                          2 * r // 3, r - 5, r - 4, r - 3, r - 2})
+        rnd = random.Random(r)
+        c = 2 * ((r - 2) // 3)  # T = 3c/2 <= r-2 < 2c = Q: zmax clamped
+        b = (r + 3) // 2  # small face (2,2,2) opposite big colors b
+        cands = [(0,) * 6, (c,) * 6, (0, r - 2, r - 2, 0, r - 2, r - 2),
+                 (2, 2, 2, b, b, b)]
+        cands += [tuple(rnd.choice(palette) for _ in range(6))
+                  for _ in range(4000)]
+    return [c for c in cands if sv.is_admissible_tuple(c, r)]
+
+
+@pytest.mark.parametrize("r", [5, 7, 101, 2001])
+def test_sixj_kernel_matches_index_array_reference(r):
+    # Edge cases of the sliced z-sum: a reversed [Q_j - z]! slice ending
+    # at index 0 (Q_j = zmax), zmax clamped to r-2 (min Q > r-2), a
+    # single term (zmin = zmax), colors 0 and r-2 in one tuple, and a
+    # negcount slice that starts at 0 and ends above it.
+    seen = set()
+    for c in kernel_edge_tuples(r):
+        t = sv.tuple_of(c, r)
+        b = sv.SumBounds.of(t)
+        zmin, zmax = max(b.T), min(min(b.Q), r - 2)
+        seen.add("Q_j = zmax" if min(b.Q) <= r - 2 else "clamped")
+        if zmin == zmax:
+            seen.add("single term")
+        if 0 in c and r - 2 in c:
+            seen.add("colors 0 and r-2")
+        if any(zmin - ti <= (r - 1) // 2 < zmax - ti for ti in b.T):
+            seen.add("negcount step")
+        try:
+            want = index_array_sixj_log(t)
+        except ArithmeticError as exc:
+            with pytest.raises(ArithmeticError) as got:
+                sv.sixj_log(t)
+            assert str(got.value) == str(exc)
+            continue
+        got = sv.sixj_log(t)
+        assert (got.log_mag, got.phase) == (want.log_mag, want.phase), c
+    want = {"Q_j = zmax", "clamped", "single term", "colors 0 and r-2"}
+    if r > 7:  # no admissible tuple at r <= 7 has a step inside a slice
+        want.add("negcount step")
+    assert seen == want
 
 
 def test_sixj_oracle_level_cap():

@@ -258,6 +258,19 @@ def test_volume_by_max_requires_hyperideal_vertex():
         sv.volume_by_max(al)
 
 
+def test_volume_by_max_refuses_non_admissible_alpha():
+    # Gram signature (3,1) with a hyperideal vertex, but the vertex
+    # inequalities fail: the maximum of V here is 0.28 while `volume`
+    # gives -3.02, so the maximisation route must refuse the row.
+    al = sv.AlphaSixTuple.from_alpha((2.7, 6.0, 5.6, 5.2, 2.5, 3.1))
+    assert not sv.admissible(al)
+    assert sv.signature(sv.gram_from_alpha(al)).as_pair() == (3, 1)
+    cof = sv.cofactor_matrix(sv.gram_from_alpha(al).mat)
+    assert any(cof[i, i] < -1e-6 for i in range(4))
+    with pytest.raises(ValueError, match="requires admissible alpha"):
+        sv.volume_by_max(al)
+
+
 # ---------------------------------------------------------------- big U and V
 
 def test_big_u_at_origin_closed_form():
