@@ -14,14 +14,15 @@ hyperbolic geometry, ...), 2 parse/usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
 import sys
 
-from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, AlphaSixTuple, AngleSixTuple,
-                   admissible, classify, cofactor_matrix, gram_from_angles,
-                   signature, strictly_admissible, tol_sign)
+from .gram import (EDGE_COMPLEMENT, AlphaSixTuple, AngleSixTuple, admissible,
+                   classify, cofactor_matrix, gram_from_angles, signature,
+                   strictly_admissible, tol_sign)
 from .graphs import PrismSpec, prism_conjecture_check
 from .growth import GrowthPlan, fit_growth, growth_series
 from .qnum import OddLevel
@@ -124,8 +125,8 @@ def _theta(args) -> AngleSixTuple:
     return AngleSixTuple(tuple(args.angles))
 
 
-def _sig_list(G, tol):
-    s = signature(G, tol)
+def _sig_list(G):
+    s = signature(G)
     return [s.pos, s.neg, s.zero]
 
 
@@ -146,10 +147,10 @@ def cmd_classify(args) -> int:
         "admissible": adm,
         "strictly_admissible": strictly_admissible(alpha),
         "gram": G.mat.tolist(),
-        "signature": _sig_list(G, args.tol),
-        "class": classify(alpha, args.tol).tag.value if adm else None,
+        "signature": _sig_list(G),
+        "class": classify(alpha).tag.value if adm else None,
         "cofactors": cof.tolist(),
-        "cofactor_signs": [[tol_sign(cof[i, j], args.tol) for j in range(4)]
+        "cofactor_signs": [[tol_sign(cof[i, j]) for j in range(4)]
                            for i in range(4)],
     }
     _emit_json(out)
@@ -160,18 +161,18 @@ def cmd_tetra(args) -> int:
     theta = _theta(args)
     alpha = AlphaSixTuple.from_theta(theta, args.mu)
     G = gram_from_angles(theta)
-    t = reconstruct(G, args.tol)
+    t = reconstruct(G)
     kinds = []
     for e in range(6):
         k, l = EDGE_COMPLEMENT[e]
-        d = distance(G, k + 1, l + 1, args.tol)
+        d = distance(G, k + 1, l + 1)
         kinds.append({"kind": d.kind.value, "ideal": d.ideal})
     out = {
         "theta": list(theta.theta),
         "alpha": list(alpha.alpha),
         "mu": list(args.mu),
         "gram": G.mat.tolist(),
-        "signature": _sig_list(G, args.tol),
+        "signature": _sig_list(G),
         "case": str(t.case),
         "case_operations": list(t.case.operations),
         "vertex_types": [v.value for v in t.vertex_types],
@@ -187,12 +188,12 @@ def cmd_tetra(args) -> int:
 def cmd_volume(args) -> int:
     theta = _theta(args)
     alpha = AlphaSixTuple.from_theta(theta, args.mu)
-    vol = volume(theta, args.mu, args.tol)
-    data = critical_xi(alpha, args.tol)
+    vol = volume(theta, args.mu)
+    data = critical_xi(alpha)
     G = gram_from_angles(theta)
     lengths = None
-    if signature(G, args.tol).as_pair() == (3, 1):
-        lengths = list(edge_length_tuple(G, args.tol))
+    if signature(G).as_pair() == (3, 1):
+        lengths = list(edge_length_tuple(G))
     out = {
         "theta": list(theta.theta),
         "alpha": list(alpha.alpha),
@@ -228,36 +229,43 @@ def _r_list(args) -> range:
     return range(args.r_start, args.r_end + 1, args.r_step)
 
 
+_SAMPLE_FIELDS = ("r", "log_abs", "scaled", "sign")
+
+
+def _emit_series(args, samples, summary) -> int:
+    """Write level samples as CSV rows, or as one JSON object that holds
+    the level range, the samples and the fields of summary(); summary is
+    called for JSON output only."""
+    rows = [tuple(getattr(s, f) for f in _SAMPLE_FIELDS) for s in samples]
+    if args.format == "csv":
+        _emit_csv(_SAMPLE_FIELDS, rows)
+        return 0
+    out = summary()
+    out.update(r_start=args.r_start, r_end=args.r_end, r_step=args.r_step,
+               samples=[dict(zip(_SAMPLE_FIELDS, row)) for row in rows])
+    _emit_json(out)
+    return 0
+
+
 def cmd_growth(args) -> int:
     theta = _theta(args)
     alpha = AlphaSixTuple.from_theta(theta, args.mu)
     plan = GrowthPlan(alpha, tuple(_r_list(args)))
     samples = growth_series(plan)
-    if args.format == "csv":
-        _emit_csv(("r", "log_abs", "scaled", "sign"),
-                  [(s.r, s.log_abs, s.scaled, s.sign) for s in samples])
-        return 0
-    fit = fit_growth(samples)
-    try:
-        vol = volume(theta, args.mu, args.tol)
-        gap = abs(fit.c0 - vol)
-    except ValueError:
-        vol = None
-        gap = None
-    out = {
-        "theta": list(theta.theta),
-        "alpha": list(alpha.alpha),
-        "mu": list(args.mu),
-        "r_start": args.r_start, "r_end": args.r_end, "r_step": args.r_step,
-        "samples": [{"r": s.r, "log_abs": s.log_abs, "scaled": s.scaled,
-                     "sign": s.sign} for s in samples],
-        "fit": {"c0": fit.c0, "c1": fit.c1, "c2": fit.c2,
-                "residual_rms": fit.residual_rms},
-        "vol": vol,
-        "gap": gap,
-    }
-    _emit_json(out)
-    return 0
+
+    def summary():
+        fit = fit_growth(samples)
+        try:
+            vol = volume(theta, args.mu)
+            gap = abs(fit.c0 - vol)
+        except ValueError:
+            vol = None
+            gap = None
+        return {"theta": list(theta.theta), "alpha": list(alpha.alpha),
+                "mu": list(args.mu), "fit": dataclasses.asdict(fit),
+                "vol": vol, "gap": gap}
+
+    return _emit_series(args, samples, summary)
 
 
 def _load_prism_spec(path: str) -> PrismSpec:
@@ -284,29 +292,15 @@ def cmd_prism(args) -> int:
         print(f"error: cannot read prism spec: {exc}", file=sys.stderr)
         return 2
     check = prism_conjecture_check(spec, tuple(_r_list(args)))
-    if args.format == "csv":
-        _emit_csv(("r", "log_abs", "scaled", "sign"),
-                  [(s.r, s.log_abs, s.scaled, s.sign) for s in check.samples])
-        return 0
-    out = {
-        "vertical": list(spec.vertical),
-        "base_b": list(spec.base_b),
-        "base_c": list(spec.base_c),
-        "r_start": args.r_start, "r_end": args.r_end, "r_step": args.r_step,
-        "samples": [{"r": s.r, "log_abs": s.log_abs, "scaled": s.scaled,
-                     "sign": s.sign} for s in check.samples],
-        "fit": {"c0": check.fit.c0, "c1": check.fit.c1, "c2": check.fit.c2,
-                "residual_rms": check.fit.residual_rms},
-        "vol": check.vol,
-        "gap": check.gap,
-    }
-    _emit_json(out)
-    return 0
+    return _emit_series(args, check.samples, lambda: {
+        "vertical": list(spec.vertical), "base_b": list(spec.base_b),
+        "base_c": list(spec.base_c), "fit": dataclasses.asdict(check.fit),
+        "vol": check.vol, "gap": check.gap})
 
 
 def cmd_schlafli(args) -> int:
     theta = _theta(args)
-    res = schlafli_residual(theta, args.mu, h=args.h, tol=args.tol)
+    res = schlafli_residual(theta, args.mu, h=args.h)
     G = gram_from_angles(theta)
     out = {
         "theta": list(theta.theta),
@@ -314,7 +308,7 @@ def cmd_schlafli(args) -> int:
         "h": args.h,
         "residuals": list(res),
         "max_abs": max(abs(x) for x in res),
-        "edge_lengths": list(edge_length_tuple(G, args.tol)),
+        "edge_lengths": list(edge_length_tuple(G)),
     }
     _emit_json(out)
     return 0
@@ -345,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum 6j-symbols, generalized hyperbolic tetrahedra, "
                     "volumes, and growth-rate checks.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="numerical tolerance (default %(default)g)")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format for streaming commands "
                              "(default %(default)s)")

@@ -35,7 +35,14 @@ from .qnum import TWO_PI
 
 FOUR_PI = 4.0 * math.pi
 
-# Default relative tolerance for eigenvalue / cofactor sign decisions.
+# The one threshold of every sign decision in the package.  Relative, as
+# DEFAULT_TOL * (spectral norm), for Gram eigenvalues (the signature).
+# Absolute for cofactors (vertex types, case labels, edge-length signs,
+# segment sides) and for det G and the flat-family |A|, |B| test of the
+# critical-point quadratic: Gram entries are cosines, so these are O(1).
+# The arccosh argument may fall below 1 by DEFAULT_TOL before the Gram
+# data count as inconsistent, and the reconstruction self-check allows
+# 100 * DEFAULT_TOL.
 DEFAULT_TOL = 1e-9
 
 # Vertex triples in edge indices (0-based); same combinatorics as the
@@ -166,11 +173,11 @@ class GeometryClass:
     signature: Signature
 
 
-def tol_sign(x: float, tol: float) -> int:
-    """+1 / -1 when x lies above tol / below -tol, else 0."""
-    if x > tol:
+def tol_sign(x: float) -> int:
+    """+1 / -1 when x lies above DEFAULT_TOL / below -DEFAULT_TOL, else 0."""
+    if x > DEFAULT_TOL:
         return 1
-    if x < -tol:
+    if x < -DEFAULT_TOL:
         return -1
     return 0
 
@@ -213,11 +220,9 @@ def gram_from_alpha(alpha: AlphaSixTuple) -> GramMatrix:
     return GramMatrix(_gram_batch(np.array([alpha.alpha]))[0])
 
 
-def signature(G: GramMatrix, tol: float = DEFAULT_TOL) -> Signature:
-    """Eigenvalue sign counts with threshold tol * (spectral norm)."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    pos, neg = (int(x) for x in signature_batch(G.mat[None], tol)[0])
+def signature(G: GramMatrix) -> Signature:
+    """Eigenvalue sign counts, relative to the spectral norm."""
+    pos, neg = (int(x) for x in signature_batch(G.mat[None])[0])
     return Signature(pos, neg, 4 - pos - neg)
 
 
@@ -238,11 +243,11 @@ def cofactor(G: GramMatrix, i: int, j: int) -> float:
     return float(cofactor_matrix(G.mat)[i - 1, j - 1])
 
 
-def classify(alpha: AlphaSixTuple, tol: float = DEFAULT_TOL) -> GeometryClass:
+def classify(alpha: AlphaSixTuple) -> GeometryClass:
     """Geometric class of an admissible tuple, from the Gram signature."""
     if not admissible(alpha):
         raise ValueError("tuple not admissible")
-    sig = signature(gram_from_alpha(alpha), tol)
+    sig = signature(gram_from_alpha(alpha))
     pair = sig.as_pair()
     if pair == (4, 0):
         tag = GeometryTag.SPHERICAL
@@ -324,19 +329,40 @@ def _gram_batch(al: np.ndarray) -> np.ndarray:
     return g
 
 
-def signature_batch(gram: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def signature_batch(gram: np.ndarray) -> np.ndarray:
     """(n,2) array of (pos, neg) eigenvalue counts of stacked 4x4 matrices.
 
-    The threshold is tol * (spectral norm), floored at tol * 1e-30; a
-    Gram matrix (unit diagonal) has spectral norm >= 1, so the floor
-    never binds there.
+    An eigenvalue counts as zero within DEFAULT_TOL * (spectral norm),
+    a threshold floored at DEFAULT_TOL * 1e-30; a Gram matrix (unit
+    diagonal) has spectral norm >= 1, so the floor never binds there.
     """
     eig = np.linalg.eigvalsh(gram)
-    thr = tol * np.max(np.abs(eig), axis=1, keepdims=True)
-    thr = np.maximum(thr, tol * 1e-30)
+    thr = DEFAULT_TOL * np.max(np.abs(eig), axis=1, keepdims=True)
+    thr = np.maximum(thr, DEFAULT_TOL * 1e-30)
     pos = np.sum(eig > thr, axis=1)
     neg = np.sum(eig < -thr, axis=1)
     return np.stack([pos, neg], axis=1)
+
+
+def _sample_alpha(n: int, rng, margin: float, row_filter=None) -> np.ndarray:
+    """The first n admissible rows (with `margin`) of uniform draws that
+    also pass row_filter, a mask function on an (m,6) array."""
+    if rng is None:
+        rng = np.random.default_rng()
+    out = np.empty((0, 6))
+    while out.shape[0] < n:
+        batch = rng.uniform(0.0, TWO_PI, size=(max(4 * n, 20000), 6))
+        keep = batch[_admissible_mask(batch, margin)]
+        if row_filter is not None:
+            keep = keep[row_filter(keep)]
+        out = np.concatenate([out, keep], axis=0)
+    return out[:n]
+
+
+def _hyperbolic_rows(al: np.ndarray) -> np.ndarray:
+    """Mask of the (n,6) alpha rows whose Gram signature is (3,1)."""
+    sig = signature_batch(_gram_batch(al))
+    return (sig[:, 0] == 3) & (sig[:, 1] == 1)
 
 
 def sample_admissible_alpha(n: int, rng=None, strict: bool = False,
@@ -347,31 +373,10 @@ def sample_admissible_alpha(n: int, rng=None, strict: bool = False,
     equality case, so the rows are strictly admissible with room to
     spare.
     """
-    if rng is None:
-        rng = np.random.default_rng()
-    out = np.empty((0, 6))
-    m = margin if strict else 0.0
-    while out.shape[0] < n:
-        batch = rng.uniform(0.0, TWO_PI, size=(max(4 * n, 20000), 6))
-        keep = batch[_admissible_mask(batch, m)]
-        out = np.concatenate([out, keep], axis=0)
-    return out[:n]
+    return _sample_alpha(n, rng, margin if strict else 0.0)
 
 
 def sample_hyperbolic_alpha(n: int, rng=None, strict: bool = True,
-                            margin: float = 1e-6,
-                            tol: float = DEFAULT_TOL) -> np.ndarray:
+                            margin: float = 1e-6) -> np.ndarray:
     """n admissible alpha rows whose Gram signature is (3,1)."""
-    if rng is None:
-        rng = np.random.default_rng()
-    out = np.empty((0, 6))
-    m = margin if strict else 0.0
-    while out.shape[0] < n:
-        batch = rng.uniform(0.0, TWO_PI, size=(max(4 * n, 20000), 6))
-        keep = batch[_admissible_mask(batch, m)]
-        if keep.shape[0] == 0:
-            continue
-        sig = signature_batch(_gram_batch(keep), tol)
-        keep = keep[(sig[:, 0] == 3) & (sig[:, 1] == 1)]
-        out = np.concatenate([out, keep], axis=0)
-    return out[:n]
+    return _sample_alpha(n, rng, margin if strict else 0.0, _hyperbolic_rows)

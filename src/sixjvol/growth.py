@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import (DEFAULT_TOL, AlphaSixTuple, AngleSixTuple, cofactor_matrix,
-                   gram_from_angles, signature)
+from .gram import (AlphaSixTuple, AngleSixTuple, cofactor_matrix,
+                   gram_from_angles, signature, tol_sign)
 from .qnum import TWO_PI, OddLevel
 from .sixj import ColorSixTuple, sixj_log
 from .tetra import edge_length_tuple
@@ -154,8 +154,7 @@ def fit_growth(samples: list[GrowthSample]) -> GrowthFit:
     return GrowthFit(float(coef[0]), float(coef[1]), float(coef[2]), rms)
 
 
-def _per_level_geometry(theta: AngleSixTuple, mu, r: int,
-                        tol: float = DEFAULT_TOL):
+def _per_level_geometry(theta: AngleSixTuple, mu, r: int):
     """Angles, signs, Gram data at the rounded colors of level r."""
     alpha = AlphaSixTuple.from_theta(theta, mu)
     t = colors_for_r(alpha, r)
@@ -166,35 +165,33 @@ def _per_level_geometry(theta: AngleSixTuple, mu, r: int,
     return t, theta_r, mu_r
 
 
-def asymp2_log_prediction(theta: AngleSixTuple, mu, r: int,
-                          tol: float = DEFAULT_TOL) -> float:
+def asymp2_log_prediction(theta: AngleSixTuple, mu, r: int) -> float:
     """ln of the predicted |6j| magnitude at level r.
 
     Uses the per-level rounded angles: the sqrt(2)*pi/r^{3/2} prefactor,
     the half-sum of signed edge lengths, the quarter-power of -det G,
     and the exponential of (r/2pi) times the volume, all in log space.
     """
-    _, theta_r, mu_r = _per_level_geometry(theta, mu, r, tol)
+    _, theta_r, mu_r = _per_level_geometry(theta, mu, r)
     G = gram_from_angles(theta_r)
-    if signature(G, tol).as_pair() != (3, 1):
+    if signature(G).as_pair() != (3, 1):
         raise ValueError(f"no hyperbolic geometry at level r={r}")
     cof = cofactor_matrix(G.mat)
-    diag = [cof[i, i] for i in range(4)]
-    if any(abs(c) <= tol for c in diag):
+    diag_signs = [tol_sign(cof[i, i]) for i in range(4)]
+    if 0 in diag_signs:
         raise ValueError("prediction undefined at ideal vertex")
-    if not any(c < -tol for c in diag):
+    if -1 not in diag_signs:
         raise ValueError(f"no hyperideal vertex at level r={r}")
-    lengths = edge_length_tuple(G, tol)
+    lengths = edge_length_tuple(G)
     det_g = float(np.linalg.det(G.mat))
-    vol = volume(theta_r, mu_r, tol)
+    vol = volume(theta_r, mu_r)
     return (0.5 * math.log(2.0) + math.log(math.pi) - 1.5 * math.log(r)
             - 0.5 * sum(m * l for m, l in zip(mu_r, lengths))
             - 0.25 * math.log(-det_g)
             + (r / TWO_PI) * vol)
 
 
-def asymp2_prediction(theta: AngleSixTuple, mu, r: int,
-                      tol: float = DEFAULT_TOL) -> float:
+def asymp2_prediction(theta: AngleSixTuple, mu, r: int) -> float:
     """The predicted |6j| magnitude itself; inf when it overflows doubles."""
-    lp = asymp2_log_prediction(theta, mu, r, tol)
+    lp = asymp2_log_prediction(theta, mu, r)
     return math.exp(lp) if lp < 709.0 else math.inf

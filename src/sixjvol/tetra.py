@@ -108,25 +108,25 @@ class GeneralizedTetrahedron:
     case: CaseLabel
 
 
-def vertex_type(G: GramMatrix, i: int, tol: float = DEFAULT_TOL) -> VertexType:
+# Sign of the diagonal cofactor cof_ii -> type of vertex i.
+_VERTEX_TYPE_OF_SIGN = {1: VertexType.REGULAR, 0: VertexType.IDEAL,
+                        -1: VertexType.HYPERIDEAL}
+
+
+def vertex_type(G: GramMatrix, i: int) -> VertexType:
     """Vertex i (1..4) by the sign of the diagonal cofactor cof_ii.
 
-    Gram entries are cosines, so cofactors are O(1); tol is an absolute
-    threshold for "ideal".
+    Gram entries are cosines, so cofactors are O(1) and "ideal" is an
+    absolute threshold.
     """
     if i not in (1, 2, 3, 4):
         raise ValueError("vertex index must be 1..4")
-    s = tol_sign(cofactor_matrix(G.mat)[i - 1, i - 1], tol)
-    if s > 0:
-        return VertexType.REGULAR
-    if s < 0:
-        return VertexType.HYPERIDEAL
-    return VertexType.IDEAL
+    return _VERTEX_TYPE_OF_SIGN[tol_sign(cofactor_matrix(G.mat)[i - 1, i - 1])]
 
 
-def _distance_from_cofactors(cii: float, cjj: float, cij: float,
-                             tol: float) -> EdgeDistance:
-    si, sj = tol_sign(cii, tol), tol_sign(cjj, tol)
+def _distance_from_cofactors(cii: float, cjj: float,
+                             cij: float) -> EdgeDistance:
+    si, sj = tol_sign(cii), tol_sign(cjj)
     if si == 0 or sj == 0:
         # An ideal endpoint is infinitely far from everything else.
         kind = (DistanceKind.VERTEX_PLANE if (si < 0 or sj < 0)
@@ -137,7 +137,7 @@ def _distance_from_cofactors(cii: float, cjj: float, cij: float,
                 else DistanceKind.PLANE_PLANE)
         arg = abs(cij) / math.sqrt(cii * cjj)
         if arg < 1.0:
-            if arg < 1.0 - max(tol, 1e-12):
+            if arg < 1.0 - DEFAULT_TOL:
                 raise ValueError(
                     f"inconsistent Gram data: arccosh argument {arg} < 1")
             arg = 1.0
@@ -146,8 +146,7 @@ def _distance_from_cofactors(cii: float, cjj: float, cij: float,
     return EdgeDistance(math.asinh(arg), DistanceKind.VERTEX_PLANE)
 
 
-def distance(G: GramMatrix, i: int, j: int,
-             tol: float = DEFAULT_TOL) -> EdgeDistance:
+def distance(G: GramMatrix, i: int, j: int) -> EdgeDistance:
     """Hyperbolic distance between endpoints i and j (1..4, i != j).
 
     Point-point and plane-plane pairs use arccosh, mixed pairs arcsinh,
@@ -157,11 +156,16 @@ def distance(G: GramMatrix, i: int, j: int,
         raise ValueError("need two distinct indices in 1..4")
     cof = cofactor_matrix(G.mat)
     return _distance_from_cofactors(cof[i - 1, i - 1], cof[j - 1, j - 1],
-                                    cof[i - 1, j - 1], tol)
+                                    cof[i - 1, j - 1])
 
 
-def edge_length(G: GramMatrix, i: int, j: int,
-                tol: float = DEFAULT_TOL) -> float:
+def _signed_length(cof: np.ndarray, k: int, l: int) -> float:
+    """Distance of the pair {k,l} (0-based), negative unless cof_kl > 0."""
+    d = _distance_from_cofactors(cof[k, k], cof[l, l], cof[k, l]).d
+    return d if tol_sign(cof[k, l]) > 0 else -d
+
+
+def edge_length(G: GramMatrix, i: int, j: int) -> float:
     """Signed length of the edge between faces i and j (1..4).
 
     The magnitude is the distance of the complementary pair {k,l}; the
@@ -170,27 +174,19 @@ def edge_length(G: GramMatrix, i: int, j: int,
     if i == j or i not in (1, 2, 3, 4) or j not in (1, 2, 3, 4):
         raise ValueError("need two distinct indices in 1..4")
     k, l = (x for x in range(4) if x not in (i - 1, j - 1))
-    cof = cofactor_matrix(G.mat)
-    d = _distance_from_cofactors(cof[k, k], cof[l, l], cof[k, l], tol)
-    return d.d if cof[k, l] > tol else -d.d
+    return _signed_length(cofactor_matrix(G.mat), k, l)
 
 
-def edge_length_tuple(G: GramMatrix, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
+def edge_length_tuple(G: GramMatrix) -> tuple[float, ...]:
     """The six signed edge lengths in edge order (l_1..l_6)."""
-    return _edge_lengths(cofactor_matrix(G.mat), tol)
+    return _edge_lengths(cofactor_matrix(G.mat))
 
 
-def _edge_lengths(cof: np.ndarray, tol: float) -> tuple[float, ...]:
-    out = []
-    for e in range(6):
-        k, l = EDGE_COMPLEMENT[e]
-        d = _distance_from_cofactors(cof[k, k], cof[l, l], cof[k, l], tol)
-        out.append(d.d if cof[k, l] > tol else -d.d)
-    return tuple(out)
+def _edge_lengths(cof: np.ndarray) -> tuple[float, ...]:
+    return tuple(_signed_length(cof, k, l) for k, l in EDGE_COMPLEMENT)
 
 
-def segment_side(G: GramMatrix, i: int, j: int,
-                 tol: float = DEFAULT_TOL) -> SegmentSide:
+def segment_side(G: GramMatrix, i: int, j: int) -> SegmentSide:
     """For two hyperideal endpoints: which side of the edge line meets H^3.
 
     SegmentMeets when cof_ij >= sqrt(cof_ii cof_jj), ComplementMeets for
@@ -201,12 +197,12 @@ def segment_side(G: GramMatrix, i: int, j: int,
         raise ValueError("need two distinct indices in 1..4")
     cof = cofactor_matrix(G.mat)
     cii, cjj, cij = cof[i - 1, i - 1], cof[j - 1, j - 1], cof[i - 1, j - 1]
-    if not (cii < -tol and cjj < -tol):
+    if not (tol_sign(cii) < 0 and tol_sign(cjj) < 0):
         raise ValueError("segment side is defined for hyperideal endpoints")
     root = math.sqrt(cii * cjj)
-    if cij >= root - tol:
+    if cij >= root - DEFAULT_TOL:
         return SegmentSide.SEGMENT_MEETS
-    if cij <= -root + tol:
+    if cij <= -root + DEFAULT_TOL:
         return SegmentSide.COMPLEMENT_MEETS
     raise ValueError("line misses the ball")
 
@@ -316,7 +312,7 @@ def _match_case(diag_sign, off_sign) -> str | None:
     return None
 
 
-def case_label(G: GramMatrix, tol: float = DEFAULT_TOL) -> CaseLabel:
+def case_label(G: GramMatrix) -> CaseLabel:
     """The case label "1a".."5c" of the cofactor sign pattern.
 
     The case number is 1 + (number of hyperideal vertices); the letter
@@ -324,13 +320,13 @@ def case_label(G: GramMatrix, tol: float = DEFAULT_TOL) -> CaseLabel:
     lexicographically) set of change-of-angles operations that lands on
     a listed pattern.
     """
-    return _case_from_cofactors(cofactor_matrix(G.mat), tol)
+    return _case_from_cofactors(cofactor_matrix(G.mat))
 
 
-def _case_from_cofactors(cof: np.ndarray, tol: float) -> CaseLabel:
-    diag_sign = [tol_sign(cof[i, i], tol) for i in range(4)]
+def _case_from_cofactors(cof: np.ndarray) -> CaseLabel:
+    diag_sign = [tol_sign(cof[i, i]) for i in range(4)]
     case_no = 1 + sum(1 for d in diag_sign if d < 0)
-    base = {p: tol_sign(cof[p[0], p[1]], tol) for p in _PAIRS}
+    base = {p: tol_sign(cof[p[0], p[1]]) for p in _PAIRS}
     for sub in _SUBSETS:
         flipped = {
             (i, j): (-v if (i in sub) != (j in sub) else v)
@@ -348,8 +344,7 @@ def _case_from_cofactors(cof: np.ndarray, tol: float) -> CaseLabel:
 # Reconstruction.
 
 
-def reconstruct(G: GramMatrix,
-                tol: float = DEFAULT_TOL) -> GeneralizedTetrahedron:
+def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     """Factor G through the (3,1) form and assemble the tetrahedron.
 
     The eigendecomposition G = Q diag(lambda) Q^T gives U with rows
@@ -358,7 +353,7 @@ def reconstruct(G: GramMatrix,
     from the cofactor combinations, normalized to <v,v> = +-1 away from
     ideal vertices and left lightlike at them.
     """
-    sig = signature(G, tol)
+    sig = signature(G)
     if sig.as_pair() != (3, 1):
         raise ValueError(
             f"not a generalized hyperbolic tetrahedron: signature "
@@ -375,29 +370,26 @@ def reconstruct(G: GramMatrix,
     types = []
     for i in range(4):
         w = u_rows @ cof[i]
-        s = tol_sign(cof[i, i], tol)
-        if s == 0:
-            verts.append(MinkowskiVector(w))
-            types.append(VertexType.IDEAL)
-        else:
-            verts.append(MinkowskiVector(w / math.sqrt(abs(cof[i, i] * det))))
-            types.append(VertexType.REGULAR if s > 0
-                         else VertexType.HYPERIDEAL)
+        s = tol_sign(cof[i, i])
+        if s != 0:
+            w = w / math.sqrt(abs(cof[i, i] * det))
+        verts.append(MinkowskiVector(w))
+        types.append(_VERTEX_TYPE_OF_SIGN[s])
 
-    _check_reconstruction(G, normals, verts, types, det, tol)
+    _check_reconstruction(G, normals, verts, types, det)
     return GeneralizedTetrahedron(
         gram=G,
         normals=normals,
         vertices=tuple(verts),
         vertex_types=tuple(types),
-        edge_lengths=_edge_lengths(cof, tol),
-        case=_case_from_cofactors(cof, tol),
+        edge_lengths=_edge_lengths(cof),
+        case=_case_from_cofactors(cof),
     )
 
 
-def _check_reconstruction(G, normals, verts, types, det, tol) -> None:
+def _check_reconstruction(G, normals, verts, types, det) -> None:
     """Verify the defining inner-product identities before returning."""
-    check = max(1e-9, 100 * tol)
+    check = 100 * DEFAULT_TOL
     for i in range(4):
         for j in range(4):
             got = minkowski_dot(normals[i], normals[j])

@@ -201,7 +201,7 @@ def _xi_from_root(z: complex) -> float:
     return x + math.pi
 
 
-def critical_xi(alpha: AlphaSixTuple, tol: float = DEFAULT_TOL) -> CriticalData:
+def critical_xi(alpha: AlphaSixTuple) -> CriticalData:
     """Solve the critical-point quadratic for xi and xi_star.
 
     Requires det G < 0 (hyperbolic case); the flat family with
@@ -223,14 +223,14 @@ def critical_xi(alpha: AlphaSixTuple, tol: float = DEFAULT_TOL) -> CriticalData:
     disc = B * B - 4.0 * (A * C).real  # A C = |A|^2 is real
 
     det_g = float(np.linalg.det(gram_from_alpha(alpha).mat))
-    if abs(A) <= tol and abs(B) <= tol:
+    if abs(A) <= DEFAULT_TOL and abs(B) <= DEFAULT_TOL:
         # Flat family: the quadratic vanishes identically and so does
         # the xi-dependence of V; report the midpoint root z = -1.
         xi = 1.5 * math.pi
         return CriticalData(A=A, B=B, C=C, disc=disc, z=-1.0 + 0.0j,
                             z_star=-1.0 + 0.0j, xi=xi, xi_star=xi,
                             degenerate=True)
-    if det_g >= -tol:
+    if tol_sign(det_g) >= 0:
         raise ValueError("no hyperbolic critical point")
     root = 1j * math.sqrt(abs(disc))  # disc < 0 here; sqrt(x) = i sqrt|x|
     z = (-B + root) / (2.0 * A)
@@ -239,15 +239,14 @@ def critical_xi(alpha: AlphaSixTuple, tol: float = DEFAULT_TOL) -> CriticalData:
                         xi=_xi_from_root(z), xi_star=_xi_from_root(z_star))
 
 
-def volume(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1),
-           tol: float = DEFAULT_TOL) -> float:
+def volume(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1)) -> float:
     """Vol = V(xi(alpha)) with alpha_k = pi + mu_k theta_k.
 
     Branch-invariant: any of the 64 sign vectors gives the same value.
     Flat configurations (degenerate quadratic) get volume 0.
     """
     alpha = AlphaSixTuple.from_theta(theta, mu)
-    data = critical_xi(alpha, tol)
+    data = critical_xi(alpha)
     return big_V(alpha, data.xi)
 
 
@@ -280,8 +279,7 @@ class MaxResult(NamedTuple):
     vol: float
 
 
-def volume_by_max(alpha: AlphaSixTuple,
-                  tol: float = DEFAULT_TOL) -> MaxResult:
+def volume_by_max(alpha: AlphaSixTuple) -> MaxResult:
     """(xi0, vol): maximize V over I = [max tau, min(eta, 2 pi)].
 
     Valid for admissible alpha with at least one hyperideal vertex (some
@@ -293,7 +291,7 @@ def volume_by_max(alpha: AlphaSixTuple,
     if not admissible(alpha):
         raise ValueError("maximization formula requires admissible alpha")
     cof = cofactor_matrix(gram_from_alpha(alpha).mat)
-    if not any(cof[i, i] < -tol for i in range(4)):
+    if not any(tol_sign(cof[i, i]) < 0 for i in range(4)):
         raise ValueError(
             "maximization formula requires a hyperideal vertex "
             "(no negative diagonal cofactor)")
@@ -316,8 +314,7 @@ def volume_by_max(alpha: AlphaSixTuple,
 
 
 def schlafli_residual(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1),
-                      h: float = 1e-4,
-                      tol: float = DEFAULT_TOL) -> tuple[float, ...]:
+                      h: float = 1e-4) -> tuple[float, ...]:
     """Central-difference check of dVol/dtheta_k = -l_k/2.
 
     Returns the six residuals (dVol/dtheta_k + l_k/2); requires a
@@ -326,13 +323,13 @@ def schlafli_residual(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1),
     vertex-type signs).
     """
     G = gram_from_angles(theta)
-    if signature(G, tol).as_pair() != (3, 1):
+    if signature(G).as_pair() != (3, 1):
         raise ValueError("not a generalized hyperbolic tetrahedron")
     cof = cofactor_matrix(G.mat)
-    base_types = tuple(tol_sign(cof[i, i], tol) for i in range(4))
+    base_types = tuple(tol_sign(cof[i, i]) for i in range(4))
     if any(t == 0 for t in base_types):
         raise ValueError("Schlafli residual requires non-ideal vertices")
-    lengths = edge_length_tuple(G, tol)
+    lengths = edge_length_tuple(G)
     out = []
     for k in range(6):
         vols = []
@@ -343,12 +340,12 @@ def schlafli_residual(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1),
                 raise ValueError("step crosses stratum: angle leaves [0, pi]")
             t2 = AngleSixTuple(tuple(th))
             g2 = gram_from_angles(t2)
-            if signature(g2, tol).as_pair() != (3, 1):
+            if signature(g2).as_pair() != (3, 1):
                 raise ValueError("step crosses stratum")
             c2 = cofactor_matrix(g2.mat)
-            if tuple(tol_sign(c2[i, i], tol) for i in range(4)) != base_types:
+            if tuple(tol_sign(c2[i, i]) for i in range(4)) != base_types:
                 raise ValueError("step crosses stratum")
-            vols.append(volume(t2, mu, tol))
+            vols.append(volume(t2, mu))
         deriv = (vols[0] - vols[1]) / (2.0 * h)
         out.append(deriv + lengths[k] / 2.0)
     return tuple(out)

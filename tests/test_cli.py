@@ -1,5 +1,6 @@
 """Command-line frontend: subcommand outputs, formats, exit codes."""
 
+import inspect
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import sixjvol
 from sixjvol.cli import main
 
 PI = math.pi
@@ -88,6 +90,16 @@ def test_mu_flag_changes_alpha(capsys):
     doc = json.loads(out)
     assert doc["mu"] == [1] * 6
     assert doc["alpha"][0] == pytest.approx(PI + PI / 6)
+
+
+def test_no_tolerance_option(capsys):
+    code, _, err = run(capsys, ["classify"] + PI6 + ["--tol", "1e-6"])
+    assert code == 2
+    assert "unrecognized arguments" in err
+    for name in sixjvol.__all__:
+        obj = getattr(sixjvol, name)
+        if inspect.isfunction(obj):
+            assert "tol" not in inspect.signature(obj).parameters, name
 
 
 def test_mu_flag_validation(capsys):

@@ -180,3 +180,12 @@ def test_asymp2_requires_hyperbolic_and_hyperideal():
                                  101)
     with pytest.raises(ValueError, match="no hyperideal vertex at level"):
         sv.asymp2_log_prediction(sv.AngleSixTuple(THETA_E), (-1,) * 6, 101)
+    # Colours (10, 42, 52, 32, 32, 32) at r = 101: a_1 + a_2 = a_3 makes
+    # the rounded vertex (1,2,3) exactly Euclidean, i.e. ideal.
+    th = sv.AngleSixTuple((2.5194950984234974, 0.5287829218913513,
+                           0.09331463327494482) + (1.150880477057647,) * 3)
+    mu = (-1, -1, 1, -1, -1, -1)
+    assert sv.colors_for_r(sv.AlphaSixTuple.from_theta(th, mu), 101).colors \
+        == (10, 42, 52, 32, 32, 32)
+    with pytest.raises(ValueError, match="prediction undefined at ideal vertex"):
+        sv.asymp2_log_prediction(th, mu, 101)

@@ -326,3 +326,9 @@ def test_schlafli_residual_error_paths():
     tiny = sv.AngleSixTuple((5e-5, PI / 6, PI / 6, PI / 6, PI / 6, PI / 6))
     with pytest.raises(ValueError, match=r"angle leaves \[0, pi\]"):
         sv.schlafli_residual(tiny, h=1e-4)
+    # 2e-5 from the ideal pi/3 tetrahedron, a step of h = 1e-4 flips the
+    # sign of the diagonal cofactors at two vertices.
+    for off in (2e-5, -2e-5):
+        near_ideal = sv.AngleSixTuple((PI / 3 + off,) * 6)
+        with pytest.raises(ValueError, match="step crosses stratum$"):
+            sv.schlafli_residual(near_ideal, h=1e-4)
