@@ -20,11 +20,11 @@ from .graphs import (BlowUpGraph, BlowUpMove, PrismCheck, PrismSpec,
                      bracket_blowup, loop_value, prism_colors_for_r,
                      prism_conjecture_check, prism_graph, prism_volume)
 from .growth import (GrowthFit, GrowthPlan, GrowthSample, LevelSkipped,
-                     asymp2_log_prediction, asymp2_prediction, colors_for_r,
-                     fit_growth, growth_series)
-from .qnum import (LevelTables, OddLevel, QuarterPhaseLog, level_tables,
-                   log_brace_factorial, log_quantum_factorial,
-                   quantum_integer)
+                     asymp2_log_prediction, colors_for_r, fit_growth,
+                     growth_series)
+from .qnum import (TABLE_CACHE_BYTES, LevelTables, OddLevel, QuarterPhaseLog,
+                   TableCacheInfo, level_tables, log_brace_factorial,
+                   log_quantum_factorial, quantum_integer, table_cache_info)
 from .sixj import (FACE_TRIPLES, OPPOSITE_PAIRS, QUAD_MOVES, VERTEX_TRIPLES,
                    ColorSixTuple, ColorTriple, SumBounds, big_colors,
                    canonicalize, change_colors_face, change_colors_quad,
@@ -52,10 +52,10 @@ __all__ = [
     "bracket_blowup", "loop_value", "prism_colors_for_r",
     "prism_conjecture_check", "prism_graph", "prism_volume",
     "GrowthFit", "GrowthPlan", "GrowthSample", "LevelSkipped",
-    "asymp2_log_prediction", "asymp2_prediction", "colors_for_r",
-    "fit_growth", "growth_series",
-    "LevelTables", "OddLevel", "QuarterPhaseLog", "level_tables",
-    "log_brace_factorial", "log_quantum_factorial", "quantum_integer",
+    "asymp2_log_prediction", "colors_for_r", "fit_growth", "growth_series",
+    "TABLE_CACHE_BYTES", "LevelTables", "OddLevel", "QuarterPhaseLog",
+    "TableCacheInfo", "level_tables", "log_brace_factorial",
+    "log_quantum_factorial", "quantum_integer", "table_cache_info",
     "FACE_TRIPLES", "OPPOSITE_PAIRS", "QUAD_MOVES", "VERTEX_TRIPLES",
     "ColorSixTuple", "ColorTriple", "SumBounds", "big_colors",
     "canonicalize", "change_colors_face", "change_colors_quad",

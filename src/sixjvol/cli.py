@@ -20,16 +20,17 @@ import math
 import re
 import sys
 
-from .gram import (EDGE_COMPLEMENT, AlphaSixTuple, AngleSixTuple, admissible,
-                   classify, cofactor_matrix, gram_from_angles, signature,
+from .gram import (AlphaSixTuple, AngleSixTuple, admissible, classify,
+                   cofactor_matrix, gram_from_angles, signature,
                    strictly_admissible, tol_sign)
 from .graphs import PrismSpec, prism_conjecture_check
 from .growth import GrowthPlan, fit_growth, growth_series
 from .qnum import OddLevel
 from .sixj import tuple_of
 from .sixj import sixj_log as _sixj_log
-from .tetra import distance, edge_length_tuple, reconstruct
-from .volfun import (critical_xi, lobachevsky, schlafli_residual, volume)
+from .tetra import edge_length_tuple, reconstruct
+from .volfun import (big_V, critical_xi, lobachevsky, schlafli_residual,
+                     volume)
 
 _PI_FORM = re.compile(r"^pi(?:\*(-?\d+))?(?:/(-?\d+))?$")
 
@@ -164,8 +165,7 @@ def cmd_tetra(args) -> int:
     t = reconstruct(G)
     kinds = []
     for e in range(6):
-        k, l = EDGE_COMPLEMENT[e]
-        d = distance(G, k + 1, l + 1)
+        d = t.edge_distance(e)
         kinds.append({"kind": d.kind.value, "ideal": d.ideal})
     out = {
         "theta": list(theta.theta),
@@ -188,8 +188,8 @@ def cmd_tetra(args) -> int:
 def cmd_volume(args) -> int:
     theta = _theta(args)
     alpha = AlphaSixTuple.from_theta(theta, args.mu)
-    vol = volume(theta, args.mu)
     data = critical_xi(alpha)
+    vol = big_V(alpha, data.xi)
     G = gram_from_angles(theta)
     lengths = None
     if signature(G).as_pair() == (3, 1):

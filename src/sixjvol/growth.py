@@ -189,9 +189,3 @@ def asymp2_log_prediction(theta: AngleSixTuple, mu, r: int) -> float:
             - 0.5 * sum(m * l for m, l in zip(mu_r, lengths))
             - 0.25 * math.log(-det_g)
             + (r / TWO_PI) * vol)
-
-
-def asymp2_prediction(theta: AngleSixTuple, mu, r: int) -> float:
-    """The predicted |6j| magnitude itself; inf when it overflows doubles."""
-    lp = asymp2_log_prediction(theta, mu, r)
-    return math.exp(lp) if lp < 709.0 else math.inf

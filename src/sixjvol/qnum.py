@@ -19,8 +19,9 @@ exactly, with floating point confined to magnitudes.
 from __future__ import annotations
 
 import math
-import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,17 +109,24 @@ class QuarterPhaseLog:
 
 
 class LevelTables:
-    """Per-level prefix-sum caches, built once and then read-only.
+    """Per-level tables, built once and then read-only.
 
-    Arrays are indexed by n = 0 .. r-1:
+    Two arrays, indexed by n = 0 .. r-1, nine bytes per entry:
 
-      brace_prefix[n] = sum_{k=1..n} log|2 sin(2 pi k / r)|   (= log|{n}!|)
-      logfact[n]      = sum_{k=1..n} log|[k]|                 (= log|[n]!|)
-      negcount[n]     = #{k <= n : [k] < 0}
+      logfact[n]   = sum_{k=1..n} log|[k]|             (float64, log|[n]!|)
+      negparity[n] = #{k <= n : [k] < 0} mod 2         (uint8)
 
-    [k] < 0 exactly for k > r/2 (r odd, so never equality); the n = r-1
-    slot exists because Delta denominators reach [T+1]! with T+1 = r-1
-    and the 6j z-sum queries [z+1]! at z = r-2.
+    [k] < 0 exactly for k > (r-1)/2 (r odd, so never k = r/2); the
+    parity is therefore 0 up to (r-1)/2 and (n - (r-1)/2) mod 2 above
+    it.  Unlike the count it is not monotone in n, so a reader that
+    skips all-zero stretches must test the index against (r-1)/2, not
+    an entry.  The brace factorials are log|{n}!| = logfact[n] +
+    n * log_sin1, with the scalar log_sin1 = log(2 sin(2 pi / r)).  The
+    n = r-1 slot exists because Delta denominators reach [T+1]! with
+    T+1 = r-1 and the 6j z-sum queries [z+1]! at z = r-2.
+
+    Tables are shared through `level_tables`, which keeps the most
+    recently used levels within TABLE_CACHE_BYTES of `nbytes`.
     """
 
     def __init__(self, level: OddLevel):
@@ -128,30 +136,71 @@ class LevelTables:
         with np.errstate(divide="ignore"):
             log2sin = np.log(np.abs(2.0 * np.sin(TWO_PI * k / r)))
         log2sin[0] = 0.0  # unused slot; keeps cumsum aligned
-        self.brace_prefix = np.cumsum(log2sin)
-        log_sin1 = math.log(2.0 * math.sin(TWO_PI / r))
-        self.logfact = self.brace_prefix - k * log_sin1
-        self.negcount = np.cumsum(np.arange(0, r) > r / 2).astype(np.int64)
+        self.log_sin1 = math.log(2.0 * math.sin(TWO_PI / r))
+        self.logfact = np.cumsum(log2sin)
+        self.logfact -= k * self.log_sin1
+        self.negparity = np.zeros(r, dtype=np.uint8)
+        self.negparity[(r + 1) // 2::2] = 1
+
+    @property
+    def nbytes(self) -> int:
+        return self.logfact.nbytes + self.negparity.nbytes
 
     def fact(self, n: int) -> tuple[float, int]:
         """(log|[n]!|, sign parity) for 0 <= n <= r-1."""
-        return float(self.logfact[n]), int(self.negcount[n]) & 1
+        return float(self.logfact[n]), int(self.negparity[n])
 
 
-_tables: dict[int, LevelTables] = {}
-_tables_lock = threading.Lock()
+# Bound on the summed `nbytes` of the cached tables.  It holds every
+# level of a scan over r = 101..2001 (951 tables, about 8.6 MiB), so such
+# a scan never rebuilds, and caps a deep scan near r = 10^4 (about 90 KiB
+# a level) at some 180 levels.
+TABLE_CACHE_BYTES = 16 * 2**20
+
+_tables: OrderedDict[int, LevelTables] = OrderedDict()
+_hits = _misses = _evictions = _bytes = 0
+
+
+class TableCacheInfo(NamedTuple):
+    """Counters of the level-table cache; `levels` runs from the least to
+    the most recently used level."""
+
+    hits: int
+    misses: int
+    evictions: int
+    bytes: int
+    levels: tuple[int, ...]
+
+
+def table_cache_info() -> TableCacheInfo:
+    """A snapshot of the level-table cache counters."""
+    return TableCacheInfo(_hits, _misses, _evictions, _bytes, tuple(_tables))
 
 
 def level_tables(level) -> LevelTables:
-    """Shared per-level cache; safe for concurrent readers."""
+    """The tables of one level, from a least-recently-used cache.
+
+    A miss builds the tables and then evicts the least recently used
+    levels until the cached bytes are within TABLE_CACHE_BYTES; the
+    level just built always stays.  Callers are serial: the cache takes
+    no lock.
+    """
+    global _hits, _misses, _evictions, _bytes
     lv = _level(level)
-    tab = _tables.get(lv.r)
-    if tab is None:
-        with _tables_lock:
-            tab = _tables.get(lv.r)
-            if tab is None:
-                tab = LevelTables(lv)
-                _tables[lv.r] = tab
+    r = lv.r
+    tab = _tables.get(r)
+    if tab is not None:
+        _tables.move_to_end(r)
+        _hits += 1
+        return tab
+    tab = LevelTables(lv)
+    _tables[r] = tab
+    _misses += 1
+    _bytes += tab.nbytes
+    while _bytes > TABLE_CACHE_BYTES and len(_tables) > 1:
+        _, old = _tables.popitem(last=False)
+        _bytes -= old.nbytes
+        _evictions += 1
     return tab
 
 
@@ -183,4 +232,4 @@ def log_brace_factorial(level, n: int) -> float:
         raise ValueError(f"brace factorial argument out of range: n={n}"
                          f" not in (0, {lv.r})")
     tab = level_tables(lv)
-    return float(tab.brace_prefix[n])
+    return float(tab.logfact[n]) + n * tab.log_sin1

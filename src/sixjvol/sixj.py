@@ -27,10 +27,20 @@ The z-sum is evaluated in log space: terms are scaled by the maximum
 log-magnitude and the signed exponentials summed pairwise, since terms
 span hundreds of orders of magnitude at r ~ 2000.  Over the range
 z = lo..hi-1 every factor of the terms is one contiguous slice of the
-level's log-factorial and sign-count tables: [z+1]! and [z-T_i]! read
-increasing slices, [Q_j-z]! a reversed one, so a symbol costs a fixed
-number of numpy operations and builds no index arrays.  The four Delta
-factors read their sixteen factorial entries with one index array.
+level's tables (`qnum.LevelTables`: log|[n]!| and the parity of the
+number of negative [k], k <= n): [z+1]! and [z-T_i]! read increasing
+slices, [Q_j-z]! a reversed one, so a symbol costs a fixed number of
+numpy operations and builds no index arrays.  The parity is 0 up to
+n = (r-1)/2 and alternates above it, so the kernel skips a slice's
+parity by its largest index, never by the value of an entry: a slice
+can end on a 0 and still hold 1s.  The four Delta factors read their
+sixteen factorial entries with one index array.
+
+The tables come from `qnum.level_tables`, a cache bounded by
+`qnum.TABLE_CACHE_BYTES` that evicts the least recently used level.
+A repeated sweep whose tables together exceed the bound rebuilds every
+level on every pass; a build took about 70 us at r = 2001, 270 us at
+r = 10001 and 0.9 ms at r = 20001 (one Xeon core, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -151,11 +161,11 @@ def _delta_logs(tab, triples) -> tuple[float, int]:
                 (a + b + c) // 2 + 1)
     idx = np.array(idx)
     lf = tab.logfact[idx].tolist()
-    nc = tab.negcount[idx].tolist()
+    par = tab.negparity[idx].tolist()
     log_mag, turns = 0.0, 0
     for n in range(0, len(idx), 4):
         log_mag += 0.5 * (lf[n] + lf[n + 1] + lf[n + 2] - lf[n + 3])
-        turns += (nc[n] + nc[n + 1] + nc[n + 2] + nc[n + 3]) & 1
+        turns += (par[n] + par[n + 1] + par[n + 2] + par[n + 3]) & 1
     return log_mag, turns
 
 
@@ -180,22 +190,25 @@ def _zsum_signed_log(tab, T, Q, r: int) -> tuple[float, int]:
     lo = max(T)
     hi = min(min(Q), r - 2) + 1  # [z+1]! = 0 for z > r-2
     lf = tab.logfact
-    nc = tab.negcount
+    npar = tab.negparity
     rev = [(Qj - lo, Qj - hi if Qj >= hi else None) for Qj in Q]
     log_mag = lf[lo + 1:hi + 1] - lf[lo - T[0]:hi - T[0]]
     for Ti in T[1:]:
         log_mag -= lf[lo - Ti:hi - Ti]
     for start, stop in rev:  # stop None: the slice ends at index 0
         log_mag -= lf[start:stop:-1]
-    # Sign parity: z plus every factor's negcount.  negcount is
-    # nondecreasing, so a slice whose largest entry is 0 adds nothing.
-    parity = nc[lo + 1:hi + 1] + np.arange(lo, hi)
+    # Sign parity: z plus every factor's negparity.  negparity is 0 up
+    # to index (r-1)/2 and alternates above it, so a slice adds nothing
+    # exactly when its largest index is at most (r-1)/2; an entry of the
+    # slice cannot tell that.
+    half = (r - 1) // 2
+    parity = npar[lo + 1:hi + 1] + np.arange(lo, hi)
     for Ti in T:
-        if nc[hi - Ti - 1]:
-            parity += nc[lo - Ti:hi - Ti]
+        if hi - Ti - 1 > half:
+            parity += npar[lo - Ti:hi - Ti]
     for start, stop in rev:
-        if nc[start]:
-            parity += nc[start:stop:-1]
+        if start > half:
+            parity += npar[start:stop:-1]
     m = float(log_mag.max())
     log_mag -= m
     terms = np.exp(log_mag, out=log_mag)

@@ -107,6 +107,14 @@ class GeneralizedTetrahedron:
     edge_lengths: tuple[float, ...]
     case: CaseLabel
 
+    def edge_distance(self, e: int) -> EdgeDistance:
+        """`distance` of the endpoint pair opposite edge e (0-based), read
+        from the vertex types and the edge length e."""
+        ends = [self.vertex_types[k] for k in EDGE_COMPLEMENT[e]]
+        kind = _pair_kind(*(v is VertexType.HYPERIDEAL for v in ends))
+        return EdgeDistance(abs(self.edge_lengths[e]), kind,
+                            ideal=VertexType.IDEAL in ends)
+
 
 # Sign of the diagonal cofactor cof_ii -> type of vertex i.
 _VERTEX_TYPE_OF_SIGN = {1: VertexType.REGULAR, 0: VertexType.IDEAL,
@@ -124,26 +132,33 @@ def vertex_type(G: GramMatrix, i: int) -> VertexType:
     return _VERTEX_TYPE_OF_SIGN[tol_sign(cofactor_matrix(G.mat)[i - 1, i - 1])]
 
 
+def _pair_kind(plane_i: bool, plane_j: bool) -> DistanceKind:
+    """Kind of a distance whose endpoints are points or truncation planes
+    (hyperideal vertices)."""
+    if plane_i and plane_j:
+        return DistanceKind.PLANE_PLANE
+    if plane_i or plane_j:
+        return DistanceKind.VERTEX_PLANE
+    return DistanceKind.VERTEX_VERTEX
+
+
 def _distance_from_cofactors(cii: float, cjj: float,
                              cij: float) -> EdgeDistance:
     si, sj = tol_sign(cii), tol_sign(cjj)
+    kind = _pair_kind(si < 0, sj < 0)
     if si == 0 or sj == 0:
         # An ideal endpoint is infinitely far from everything else.
-        kind = (DistanceKind.VERTEX_PLANE if (si < 0 or sj < 0)
-                else DistanceKind.VERTEX_VERTEX)
         return EdgeDistance(math.inf, kind, ideal=True)
-    if si == sj:
-        kind = (DistanceKind.VERTEX_VERTEX if si > 0
-                else DistanceKind.PLANE_PLANE)
-        arg = abs(cij) / math.sqrt(cii * cjj)
-        if arg < 1.0:
-            if arg < 1.0 - DEFAULT_TOL:
-                raise ValueError(
-                    f"inconsistent Gram data: arccosh argument {arg} < 1")
-            arg = 1.0
-        return EdgeDistance(math.acosh(arg), kind)
-    arg = abs(cij) / math.sqrt(-cii * cjj)
-    return EdgeDistance(math.asinh(arg), DistanceKind.VERTEX_PLANE)
+    if kind is DistanceKind.VERTEX_PLANE:
+        arg = abs(cij) / math.sqrt(-cii * cjj)
+        return EdgeDistance(math.asinh(arg), kind)
+    arg = abs(cij) / math.sqrt(cii * cjj)
+    if arg < 1.0:
+        if arg < 1.0 - DEFAULT_TOL:
+            raise ValueError(
+                f"inconsistent Gram data: arccosh argument {arg} < 1")
+        arg = 1.0
+    return EdgeDistance(math.acosh(arg), kind)
 
 
 def distance(G: GramMatrix, i: int, j: int) -> EdgeDistance:

@@ -150,6 +150,34 @@ def test_tetra_report(capsys):
     assert doc["edge_data"][0] == {"ideal": False, "kind": "VertexVertex"}
 
 
+def test_tetra_and_volume_compute_shared_data_once(capsys, monkeypatch):
+    import sixjvol.cli as cli_mod
+    import sixjvol.tetra as tetra_mod
+    import sixjvol.volfun as volfun_mod
+
+    calls = []
+
+    def counted(mod, name):
+        fn = getattr(mod, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counted(tetra_mod, "cofactor_matrix")
+    counted(cli_mod, "cofactor_matrix")
+    counted(volfun_mod, "critical_xi")
+    counted(cli_mod, "critical_xi")
+    assert run(capsys, ["tetra"] + PI6)[0] == 0
+    assert calls == ["cofactor_matrix"]
+    calls.clear()
+    code, out, _ = run(capsys, ["volume"] + PI6)
+    assert code == 0 and calls.count("critical_xi") == 1
+    assert json.loads(out)["vol"] == sixjvol.volume(
+        sixjvol.AngleSixTuple((PI / 6,) * 6))
+
+
 # --------------------------------------------------------------------- growth
 
 def test_growth_csv_stream(capsys):

@@ -133,3 +133,102 @@ def test_brace_factorial_error_bound_grows_at_most_log():
     e101, e401, e1601 = worst(101), worst(401), worst(1601)
     c = max(e101 / math.log(101), e401 / math.log(401))
     assert e1601 <= 1.5 * c * math.log(1601)
+
+
+# ------------------------------------------------- lean per-level tables
+
+@pytest.mark.parametrize("r", [5, 7, 101, 2001])
+def test_fact_parity_counts_negative_quantum_integers(r):
+    lv = sv.OddLevel(r)
+    tab = sv.LevelTables(lv)
+    assert tab.negparity.dtype == np.uint8
+    negatives = 0
+    for n in range(r):
+        if n > 0 and sv.quantum_integer(lv, n) < 0:
+            negatives += 1
+        assert tab.fact(n) == (float(tab.logfact[n]), negatives & 1)
+
+
+def _fsum_prefixes(terms):
+    """math.fsum(terms[:n]) for n = 1..len(terms), in one pass that keeps
+    fsum's exact partials (Shewchuk) between prefixes."""
+    partials, out = [], []
+    for x in terms:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        out.append(math.fsum(partials))
+    return out
+
+
+@pytest.mark.parametrize("r", [101, 2001, 10001])
+def test_log_brace_factorial_matches_fsum_reference(r):
+    # log|{n}!| = logfact[n] + n log(2 sin(2 pi/r)) re-adds a term of size
+    # n |log(2 sin(2 pi/r))|; the result must stay within 1e-12 of the
+    # table's scale, max_n |log|{n}!||, of an exactly summed reference.
+    lv = sv.OddLevel(r)
+    terms = [math.log(abs(2 * math.sin(2 * math.pi * k / r)))
+             for k in range(1, r)]
+    ref = _fsum_prefixes(terms)
+    got = [sv.log_brace_factorial(lv, n) for n in range(1, r)]
+    scale = max(abs(x) for x in ref)
+    worst = max(abs(g - w) for g, w in zip(got, ref))
+    assert worst <= 1e-12 * scale
+
+
+# ------------------------------------------------- bounded table cache
+
+def test_table_cache_holds_the_whole_scan_range():
+    # A scan over r = 101..2001 must never rebuild a table: all 951 of
+    # them fit under the bound together, so a second pass only hits.
+    levels = range(101, 2002, 2)
+    assert sum(sv.LevelTables(sv.OddLevel(r)).nbytes
+               for r in levels) <= sv.TABLE_CACHE_BYTES
+    for r in levels:
+        sv.level_tables(r)
+    before = sv.table_cache_info()
+    for r in levels:
+        sv.level_tables(r)
+    after = sv.table_cache_info()
+    assert after.misses == before.misses
+    assert after.evictions == before.evictions
+    assert after.hits == before.hits + len(levels)
+
+
+def test_table_cache_bound_holds_over_a_deep_sweep():
+    first = sv.level_tables(10001)
+    logfact, negparity = first.logfact.copy(), first.negparity.copy()
+    before = sv.table_cache_info()
+    for r in range(10003, 11002, 2):
+        sv.level_tables(r)
+        assert sv.table_cache_info().bytes <= sv.TABLE_CACHE_BYTES
+    info = sv.table_cache_info()
+    assert info.evictions > before.evictions
+    assert 10001 not in info.levels and info.levels[-1] == 11001
+    assert info.bytes == sum(sv.level_tables(r).nbytes for r in info.levels)
+    # The evicted level rebuilds to equal tables.
+    again = sv.level_tables(10001)
+    assert again is not first
+    assert np.array_equal(again.logfact, logfact)
+    assert np.array_equal(again.negparity, negparity)
+    assert again.log_sin1 == first.log_sin1
+
+
+def test_table_cache_hit_moves_level_to_most_recent_end():
+    sv.level_tables(101)
+    sv.level_tables(103)
+    assert sv.table_cache_info().levels[-2:] == (101, 103)
+    before = sv.table_cache_info()
+    tab = sv.level_tables(sv.OddLevel(101))
+    after = sv.table_cache_info()
+    assert after.levels[-2:] == (103, 101)
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert tab is sv.level_tables(101)

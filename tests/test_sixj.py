@@ -185,7 +185,7 @@ def index_array_sixj_log(t):
                                        sum(p for _, p in facts) & 1)
     b = sv.SumBounds.of(t)
     z = np.arange(max(b.T), min(min(b.Q), r - 2) + 1)
-    lf, nc = tab.logfact, tab.negcount
+    lf, nc = tab.logfact, tab.negparity
     log_mag = lf[z + 1].copy()
     parity = nc[z + 1] + z
     for ti in b.T:

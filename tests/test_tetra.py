@@ -165,6 +165,17 @@ def test_distance_equilateral_and_errors():
         sv.distance(G, 0, 3)
 
 
+def test_edge_distance_matches_distance(rng):
+    # Random (3,1) samples plus ideal (pi/3) and all-hyperideal (pi/6)
+    # vertices, so every kind and the ideal flag occur.
+    for th in list(sample_theta31(rng, 20)) + [(PI / 3,) * 6, (PI / 6,) * 6]:
+        G = gram(th)
+        t = sv.reconstruct(G)
+        for e in range(6):
+            k, l = EDGE_COMPLEMENT[e + 1]
+            assert t.edge_distance(e) == sv.distance(G, k, l)
+
+
 def test_distance_ideal_endpoint_is_flagged_infinite():
     G = gram((PI / 3,) * 6)
     d = sv.distance(G, 1, 2)
