@@ -14,8 +14,8 @@ from .gram import (DEFAULT_TOL, AlphaSixTuple, AngleSixTuple, GeometryClass,
                    GeometryTag, GramMatrix, Signature, admissible,
                    change_angles_opposite_vertex, classify, cofactor,
                    cofactor_matrix, gram_from_alpha, gram_from_angles,
-                   hyperideal_by_bonahon_bao, sample_admissible_alpha,
-                   sample_hyperbolic_alpha, signature, strictly_admissible)
+                   sample_admissible_alpha, sample_hyperbolic_alpha,
+                   signature, strictly_admissible)
 from .graphs import (BlowUpGraph, BlowUpMove, PrismCheck, PrismSpec,
                      bracket_blowup, loop_value, prism_colors_for_r,
                      prism_conjecture_check, prism_graph, prism_volume)
@@ -32,13 +32,12 @@ from .sixj import (FACE_TRIPLES, OPPOSITE_PAIRS, QUAD_MOVES, VERTEX_TRIPLES,
                    sixj_exact_small, sixj_log, tuple_of)
 from .tetra import (CaseLabel, DistanceKind, EdgeDistance,
                     GeneralizedTetrahedron, MinkowskiVector, SegmentSide,
-                    VertexType, angles_from_normals, case_label, distance,
-                    edge_length, edge_length_tuple, minkowski_dot,
-                    reconstruct, segment_side, vertex_type)
-from .volfun import (CriticalData, MaxResult, TauEta, big_U, big_V,
-                     critical_xi, delta_vertex, dilog_unit_circle,
-                     lobachevsky, schlafli_residual, tau_eta, volume,
-                     volume_by_max)
+                    VertexType, case_label, distance, edge_length,
+                    edge_length_tuple, minkowski_dot, reconstruct,
+                    segment_side, vertex_type)
+from .volfun import (CriticalData, MaxResult, TauEta, big_V, critical_xi,
+                     delta_vertex, lobachevsky, schlafli_residual, tau_eta,
+                     volume, volume_by_max)
 
 __all__ = [
     "DEFAULT_TOL",
@@ -46,8 +45,8 @@ __all__ = [
     "GramMatrix", "Signature", "admissible",
     "change_angles_opposite_vertex", "classify", "cofactor",
     "cofactor_matrix", "gram_from_alpha", "gram_from_angles",
-    "hyperideal_by_bonahon_bao", "sample_admissible_alpha",
-    "sample_hyperbolic_alpha", "signature", "strictly_admissible",
+    "sample_admissible_alpha", "sample_hyperbolic_alpha", "signature",
+    "strictly_admissible",
     "BlowUpGraph", "BlowUpMove", "PrismCheck", "PrismSpec",
     "bracket_blowup", "loop_value", "prism_colors_for_r",
     "prism_conjecture_check", "prism_graph", "prism_volume",
@@ -62,10 +61,10 @@ __all__ = [
     "delta_triple", "is_admissible_triple", "is_admissible_tuple",
     "sixj_exact_small", "sixj_log", "tuple_of",
     "CaseLabel", "DistanceKind", "EdgeDistance", "GeneralizedTetrahedron",
-    "MinkowskiVector", "SegmentSide", "VertexType", "angles_from_normals",
-    "case_label", "distance", "edge_length", "edge_length_tuple",
-    "minkowski_dot", "reconstruct", "segment_side", "vertex_type",
-    "CriticalData", "MaxResult", "TauEta", "big_U", "big_V", "critical_xi",
-    "delta_vertex", "dilog_unit_circle", "lobachevsky", "schlafli_residual",
-    "tau_eta", "volume", "volume_by_max",
+    "MinkowskiVector", "SegmentSide", "VertexType", "case_label",
+    "distance", "edge_length", "edge_length_tuple", "minkowski_dot",
+    "reconstruct", "segment_side", "vertex_type",
+    "CriticalData", "MaxResult", "TauEta", "big_V", "critical_xi",
+    "delta_vertex", "lobachevsky", "schlafli_residual", "tau_eta", "volume",
+    "volume_by_max",
 ]

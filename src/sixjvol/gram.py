@@ -26,8 +26,10 @@ non-admissible input and is kept for diagnostics.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -53,6 +55,11 @@ _VERTEX_INDEX = np.array(ANGLE_VERTEX_TRIPLES)
 # Edge index -> unordered pair of Gram indices (faces meeting there).
 EDGE_TO_FACEPAIR = ((0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 3))
 
+# Flat Gram entry 4 i + j -> the edge whose cosine it holds, or 6 for
+# the unit diagonal (the column of ones that _gram_batch appends).
+_GRAM_ENTRY = np.array([EDGE_TO_FACEPAIR.index((min(i, j), max(i, j)))
+                        if i != j else 6 for i in range(4) for j in range(4)])
+
 # Edge index -> the complementary pair of Gram indices (the two faces
 # NOT containing the edge); the opposite edge in the tuple runs between
 # them.
@@ -71,6 +78,9 @@ _MINOR_COLS = _KEEP[None, :, None, :]
 _CHECKERBOARD = np.array([[(-1.0) ** (i + j) for j in range(4)]
                           for i in range(4)])
 
+# Every (row, column) index pair of a 4x4 matrix, row by row.
+_ENTRIES = tuple((i, j) for i in range(4) for j in range(4))
+
 
 @dataclass(frozen=True, eq=False)
 class AngleSixTuple:
@@ -88,25 +98,53 @@ class AngleSixTuple:
                 raise ValueError(f"dihedral angle {x} outside [0, pi]")
 
 
-@dataclass(frozen=True, eq=False)
+# The 64 valid branch-sign tuples, each stored once: every AlphaSixTuple
+# holds one of these objects, so tuples with the same signs share it.
+_MU_TUPLES = {mu: mu for mu in itertools.product((-1, 1), repeat=6)}
+
+_SIX_DOUBLES = struct.Struct("6d")
+
+
 class AlphaSixTuple:
-    """Limit angles alpha_k = pi + mu_k * theta_k with branch signs mu."""
+    """Limit angles alpha_k = pi + mu_k * theta_k with branch signs mu.
 
-    alpha: tuple[float, float, float, float, float, float]
-    mu: tuple[int, int, int, int, int, int]
+    Immutable, and equal only to itself.  Populations of rows are held
+    in memory, so the six angles are stored packed as doubles (one
+    48-byte buffer instead of a tuple of six float objects) and `alpha`
+    unpacks them into a new tuple on each access; every tuple with the
+    same signs shares one `mu`.
+    """
 
-    def __post_init__(self) -> None:
-        al = tuple(float(x) for x in self.alpha)
-        object.__setattr__(self, "alpha", al)
+    __slots__ = ("_packed", "mu")
+
+    def __init__(self, alpha, mu) -> None:
+        al = tuple(float(x) for x in alpha)
         if len(al) != 6:
             raise ValueError("need exactly six angles")
         for x in al:
             if not -1e-12 <= x <= TWO_PI + 1e-12:
                 raise ValueError(f"limit angle {x} outside [0, 2*pi]")
-        mu = tuple(int(m) for m in self.mu)
-        object.__setattr__(self, "mu", mu)
-        if len(mu) != 6 or any(m not in (-1, 1) for m in mu):
+        mu = _MU_TUPLES.get(tuple(int(m) for m in mu))
+        if mu is None:
             raise ValueError("branch signs must be six values in {-1,+1}")
+        object.__setattr__(self, "_packed", _SIX_DOUBLES.pack(*al))
+        object.__setattr__(self, "mu", mu)
+
+    @property
+    def alpha(self) -> tuple[float, float, float, float, float, float]:
+        return _SIX_DOUBLES.unpack(self._packed)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"AlphaSixTuple(alpha={self.alpha!r}, mu={self.mu!r})"
+
+    def __reduce__(self):
+        return AlphaSixTuple, (self.alpha, self.mu)
 
     @staticmethod
     def from_alpha(alpha) -> "AlphaSixTuple":
@@ -125,9 +163,23 @@ class AlphaSixTuple:
         return AngleSixTuple(tuple(abs(math.pi - a) for a in self.alpha))
 
 
+def _isclose(x: float, y: float) -> bool:
+    """np.isclose(x, y, rtol=1e-5, atol=1e-12) on two floats, NaN and
+    +-inf included: the entrywise test of np.allclose(..., atol=1e-12)."""
+    return (abs(x - y) <= 1e-12 + 1e-5 * abs(y) and math.isfinite(y)) or x == y
+
+
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Symmetric 4x4, unit diagonal, off-diagonal -cos theta_ij."""
+    """Symmetric 4x4, unit diagonal, off-diagonal -cos theta_ij.
+
+    Validation accepts exactly the matrices with
+    np.allclose(m, m.T, atol=1e-12) and np.allclose(diag(m), 1, atol=1e-12),
+    entry by entry on Python floats.  Both keep allclose's default
+    rtol=1e-5, so the diagonal test is effectively |m_ii - 1| <= 1e-5 and
+    the symmetry test is relative to |m_ji|; a NaN anywhere fails the
+    symmetry test, an infinity on the diagonal the unit-diagonal test.
+    """
 
     mat: np.ndarray
 
@@ -136,9 +188,10 @@ class GramMatrix:
         object.__setattr__(self, "mat", m)
         if m.shape != (4, 4):
             raise ValueError(f"Gram matrix must be 4x4, got {m.shape}")
-        if not np.allclose(m, m.T, atol=1e-12):
+        rows = m.tolist()
+        if not all([_isclose(rows[i][j], rows[j][i]) for i, j in _ENTRIES]):
             raise ValueError("Gram matrix must be symmetric")
-        if not np.allclose(np.diag(m), 1.0, atol=1e-12):
+        if not all([_isclose(row[i], 1.0) for i, row in enumerate(rows)]):
             raise ValueError("Gram matrix must have unit diagonal")
 
 
@@ -180,11 +233,6 @@ def tol_sign(x: float) -> int:
     if x < -DEFAULT_TOL:
         return -1
     return 0
-
-
-def _triple_sums(values, triple):
-    i, j, k = triple
-    return values[i] + values[j] + values[k]
 
 
 def admissible(alpha: AlphaSixTuple) -> bool:
@@ -281,20 +329,6 @@ def change_angles_opposite_vertex(theta: AngleSixTuple, i: int) -> AngleSixTuple
     return AngleSixTuple(tuple(th))
 
 
-def hyperideal_by_bonahon_bao(theta: AngleSixTuple) -> bool:
-    """True iff every vertex-triple angle sum is < pi.
-
-    Such tuples are the dihedral angles of a hyperideal tetrahedron: the
-    Gram matrix then has all diagonal cofactors negative and signature
-    (3,1).
-    """
-    th = theta.theta
-    for x in th:
-        if not 0.0 <= x <= math.pi:
-            raise ValueError("angles must lie in [0, pi]")
-    return all(_triple_sums(th, t) < math.pi for t in ANGLE_VERTEX_TRIPLES)
-
-
 # ---------------------------------------------------------------------------
 # Batched cores over (n,6) alpha rows, which admissible, gram_from_alpha
 # and signature call with one row, and the rejection samplers built on
@@ -322,11 +356,9 @@ def _admissible_mask(al: np.ndarray, margin: float = 0.0) -> np.ndarray:
 def _gram_batch(al: np.ndarray) -> np.ndarray:
     """(n,4,4) Gram matrices of an (n,6) alpha array (cos alpha entries)."""
     n = al.shape[0]
-    g = np.broadcast_to(np.eye(4), (n, 4, 4)).copy()
-    c = np.cos(al)
-    for edge, (i, j) in enumerate(EDGE_TO_FACEPAIR):
-        g[:, i, j] = g[:, j, i] = c[:, edge]
-    return g
+    c = np.ones((n, 7))
+    c[:, :6] = np.cos(al)
+    return c[:, _GRAM_ENTRY].reshape(n, 4, 4)
 
 
 def signature_batch(gram: np.ndarray) -> np.ndarray:
@@ -337,11 +369,9 @@ def signature_batch(gram: np.ndarray) -> np.ndarray:
     diagonal) has spectral norm >= 1, so the floor never binds there.
     """
     eig = np.linalg.eigvalsh(gram)
-    thr = DEFAULT_TOL * np.max(np.abs(eig), axis=1, keepdims=True)
+    thr = DEFAULT_TOL * np.abs(eig).max(axis=1, keepdims=True)
     thr = np.maximum(thr, DEFAULT_TOL * 1e-30)
-    pos = np.sum(eig > thr, axis=1)
-    neg = np.sum(eig < -thr, axis=1)
-    return np.stack([pos, neg], axis=1)
+    return np.array([(eig > thr).sum(axis=1), (eig < -thr).sum(axis=1)]).T
 
 
 def _sample_alpha(n: int, rng, margin: float, row_filter=None) -> np.ndarray:

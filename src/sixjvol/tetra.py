@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, EDGE_TO_FACEPAIR, GramMatrix,
-                   cofactor_matrix, signature, tol_sign)
+from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, GramMatrix, cofactor_matrix,
+                   signature, tol_sign)
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -47,9 +47,16 @@ class MinkowskiVector:
         object.__setattr__(self, "x", v)
 
 
+def _mdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Minkowski products over the leading (coordinate) axis of two
+    broadcastable arrays: x1 y1 + x2 y2 + x3 y3 - x4 y4, summed left to
+    right."""
+    p = x * y
+    return p[0] + p[1] + p[2] - p[3]
+
+
 def minkowski_dot(a: MinkowskiVector, b: MinkowskiVector) -> float:
-    x, y = a.x, b.x
-    return float(x[0] * y[0] + x[1] * y[1] + x[2] * y[2] - x[3] * y[3])
+    return float(_mdot(a.x, b.x))
 
 
 class VertexType(enum.Enum):
@@ -119,6 +126,9 @@ class GeneralizedTetrahedron:
 # Sign of the diagonal cofactor cof_ii -> type of vertex i.
 _VERTEX_TYPE_OF_SIGN = {1: VertexType.REGULAR, 0: VertexType.IDEAL,
                         -1: VertexType.HYPERIDEAL}
+# Type of vertex i -> its Minkowski norm <v_i, v_i> after reconstruction.
+_NORM_OF_TYPE = {VertexType.REGULAR: -1.0, VertexType.IDEAL: 0.0,
+                 VertexType.HYPERIDEAL: 1.0}
 
 
 def vertex_type(G: GramMatrix, i: int) -> VertexType:
@@ -174,10 +184,11 @@ def distance(G: GramMatrix, i: int, j: int) -> EdgeDistance:
                                     cof[i - 1, j - 1])
 
 
-def _signed_length(cof: np.ndarray, k: int, l: int) -> float:
-    """Distance of the pair {k,l} (0-based), negative unless cof_kl > 0."""
-    d = _distance_from_cofactors(cof[k, k], cof[l, l], cof[k, l]).d
-    return d if tol_sign(cof[k, l]) > 0 else -d
+def _signed_length(cof: list, k: int, l: int) -> float:
+    """Distance of the pair {k,l} (0-based), negative unless cof_kl > 0;
+    cof is the cofactor matrix as nested lists of floats."""
+    d = _distance_from_cofactors(cof[k][k], cof[l][l], cof[k][l]).d
+    return d if tol_sign(cof[k][l]) > 0 else -d
 
 
 def edge_length(G: GramMatrix, i: int, j: int) -> float:
@@ -189,15 +200,15 @@ def edge_length(G: GramMatrix, i: int, j: int) -> float:
     if i == j or i not in (1, 2, 3, 4) or j not in (1, 2, 3, 4):
         raise ValueError("need two distinct indices in 1..4")
     k, l = (x for x in range(4) if x not in (i - 1, j - 1))
-    return _signed_length(cofactor_matrix(G.mat), k, l)
+    return _signed_length(cofactor_matrix(G.mat).tolist(), k, l)
 
 
 def edge_length_tuple(G: GramMatrix) -> tuple[float, ...]:
     """The six signed edge lengths in edge order (l_1..l_6)."""
-    return _edge_lengths(cofactor_matrix(G.mat))
+    return _edge_lengths(cofactor_matrix(G.mat).tolist())
 
 
-def _edge_lengths(cof: np.ndarray) -> tuple[float, ...]:
+def _edge_lengths(cof: list) -> tuple[float, ...]:
     return tuple(_signed_length(cof, k, l) for k, l in EDGE_COMPLEMENT)
 
 
@@ -335,13 +346,14 @@ def case_label(G: GramMatrix) -> CaseLabel:
     lexicographically) set of change-of-angles operations that lands on
     a listed pattern.
     """
-    return _case_from_cofactors(cofactor_matrix(G.mat))
+    return _case_from_cofactors(cofactor_matrix(G.mat).tolist())
 
 
-def _case_from_cofactors(cof: np.ndarray) -> CaseLabel:
-    diag_sign = [tol_sign(cof[i, i]) for i in range(4)]
+def _case_from_cofactors(cof: list) -> CaseLabel:
+    """case_label of a cofactor matrix given as nested lists of floats."""
+    diag_sign = [tol_sign(cof[i][i]) for i in range(4)]
     case_no = 1 + sum(1 for d in diag_sign if d < 0)
-    base = {p: tol_sign(cof[p[0], p[1]]) for p in _PAIRS}
+    base = {(i, j): tol_sign(cof[i][j]) for i, j in _PAIRS}
     for sub in _SUBSETS:
         flipped = {
             (i, j): (-v if (i in sub) != (j in sub) else v)
@@ -380,14 +392,15 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     normals = tuple(MinkowskiVector(u_rows[:, i].copy()) for i in range(4))
 
     cof = cofactor_matrix(G.mat)
+    cofs = cof.tolist()
     det = float(np.linalg.det(G.mat))
     verts = []
     types = []
     for i in range(4):
         w = u_rows @ cof[i]
-        s = tol_sign(cof[i, i])
+        s = tol_sign(cofs[i][i])
         if s != 0:
-            w = w / math.sqrt(abs(cof[i, i] * det))
+            w = w / math.sqrt(abs(cofs[i][i] * det))
         verts.append(MinkowskiVector(w))
         types.append(_VERTEX_TYPE_OF_SIGN[s])
 
@@ -397,44 +410,48 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
         normals=normals,
         vertices=tuple(verts),
         vertex_types=tuple(types),
-        edge_lengths=_edge_lengths(cof),
-        case=_case_from_cofactors(cof),
+        edge_lengths=_edge_lengths(cofs),
+        case=_case_from_cofactors(cofs),
     )
 
 
 def _check_reconstruction(G, normals, verts, types, det) -> None:
-    """Verify the defining inner-product identities before returning."""
+    """Verify the defining inner-product identities before returning.
+
+    Four checks, each within 100 * DEFAULT_TOL: the normals reproduce G,
+    <u_i, u_j> = G_ij; vertex i lies on the inner side of its own face,
+    <u_i, v_i> < 0; it lies on the three other face planes, |<u_j, v_i>|
+    within the bound times max(1, |det G|); and <v_i, v_i> is -1, 0 or
+    +1 as its type is regular, ideal or hyperideal, within
+    max(bound, 1e-6 |det G|).  The 36 products come from three array
+    operations with the arithmetic of minkowski_dot; the first failure,
+    in the order the checks are listed (vertex by vertex for the last
+    three), raises ArithmeticError.
+    """
     check = 100 * DEFAULT_TOL
+    u = np.array([n.x for n in normals]).T  # coordinates x faces
+    v = np.array([w.x for w in verts]).T    # coordinates x vertices
+    uu = _mdot(u[:, :, None], u[:, None, :]).tolist()  # [i][j]: <u_i,u_j>
+    uv = _mdot(u[:, None, :], v[:, :, None]).tolist()  # [i][j]: <u_j,v_i>
+    vv = _mdot(v, v).tolist()
+    g = G.mat.tolist()
     for i in range(4):
         for j in range(4):
-            got = minkowski_dot(normals[i], normals[j])
-            if abs(got - G.mat[i, j]) > check:
+            if abs(uu[i][j] - g[i][j]) > check:
                 raise ArithmeticError(
-                    f"normal Gram mismatch at ({i},{j}): {got} vs "
-                    f"{G.mat[i, j]}")
+                    f"normal Gram mismatch at ({i},{j}): {uu[i][j]} vs "
+                    f"{g[i][j]}")
+    plane = check * max(1.0, abs(det))
+    norm = max(check, 1e-6 * abs(det))
     for i in range(4):
-        for j in range(4):
-            d = minkowski_dot(normals[j], verts[i])
+        for j, d in enumerate(uv[i]):
             if i == j:
                 if not d < 0:
                     raise ArithmeticError(
                         f"vertex {i} not on the inner side of its face")
-            elif abs(d) > check * max(1.0, abs(det)):
+            elif abs(d) > plane:
                 raise ArithmeticError(
                     f"vertex {i} off face plane {j}: <u,v>={d}")
-        vv = minkowski_dot(verts[i], verts[i])
-        want = {VertexType.REGULAR: -1.0, VertexType.IDEAL: 0.0,
-                VertexType.HYPERIDEAL: 1.0}[types[i]]
-        if abs(vv - want) > max(check, 1e-6 * abs(det)):
+        if abs(vv[i] - _NORM_OF_TYPE[types[i]]) > norm:
             raise ArithmeticError(
-                f"vertex {i} norm {vv} inconsistent with type {types[i]}")
-
-
-def angles_from_normals(t: GeneralizedTetrahedron) -> tuple[float, ...]:
-    """Recover theta_1..theta_6 from <u_i,u_j> = -cos theta_ij."""
-    out = []
-    for e in range(6):
-        i, j = EDGE_TO_FACEPAIR[e]
-        c = -minkowski_dot(t.normals[i], t.normals[j])
-        out.append(math.acos(min(1.0, max(-1.0, c))))
-    return tuple(out)
+                f"vertex {i} norm {vv[i]} inconsistent with type {types[i]}")

@@ -1,4 +1,4 @@
-"""Lobachevsky/dilogarithm special functions and the volume formulas.
+"""The Lobachevsky function and the volume formulas.
 
 Two independent routes to the volume of a generalized hyperbolic
 tetrahedron are implemented:
@@ -15,15 +15,18 @@ tetrahedron are implemented:
       V(xi) = sum_of_deltas + Lambda(2 pi - xi)
               + sum_i Lambda(xi - tau_i) + sum_j Lambda(eta_j - xi)
 
-  over I = [max tau_i, min(eta_j, 2 pi)], located by bisection on the
-  sign of s'(xi) = log( sin(2pi-xi) prod_j sin(eta_j-xi)
-                        / prod_i sin(xi-tau_i) ).
+  over I = [max tau_i, min(eta_j, 2 pi)], located by Newton's method on
+  s'(xi) = V'(xi) = log( sin(2pi-xi) prod_j sin(eta_j-xi)
+                         / prod_i sin(xi-tau_i) )
+  with s'' = V'' and a bisection fallback: a step that leaves the
+  bracket kept by the sign of s' is replaced by the bracket midpoint.
+  It stops when a step is at most 2 ulp of xi or the bracket is down to
+  |I| * 2^-60, and evaluates at most 60 points (typically about 5).
 
 Here tau are the four vertex half-sums of alpha and eta the three
 quadrilateral half-sums.  All Lambda evaluations use oddness and
 pi-periodicity for range reduction, so no dilogarithm branch cuts are
-ever crossed; the complex U-function is kept only as a cross-check
-through V = Im(U)/2.
+ever crossed.
 """
 
 from __future__ import annotations
@@ -97,25 +100,6 @@ def lobachevsky(theta: float) -> float:
     return _lob_series(t)
 
 
-def dilog_unit_circle(theta: float) -> complex:
-    """Li_2(e^{2 i theta}) for 0 <= theta <= pi.
-
-    Real part pi^2/6 + theta(theta - pi); imaginary part 2 Lambda(theta).
-    """
-    if not -1e-12 <= theta <= math.pi + 1e-12:
-        raise ValueError(f"dilog argument {theta} outside [0, pi]")
-    return complex(math.pi ** 2 / 6.0 + theta * (theta - math.pi),
-                   2.0 * lobachevsky(theta))
-
-
-def _ell(x: float) -> complex:
-    """L(x) = Li_2(e^{2ix}) + x^2, reduced mod pi inside the dilogarithm."""
-    t = math.fmod(x, math.pi)
-    if t < 0.0:
-        t += math.pi
-    return dilog_unit_circle(t) + x * x
-
-
 @dataclass(frozen=True)
 class TauEta:
     """Vertex half-sums tau_1..tau_4 and quadrilateral half-sums eta_1..eta_3."""
@@ -155,21 +139,6 @@ def big_V(alpha: AlphaSixTuple, xi: float) -> float:
         out += lobachevsky(xi - t)
     for e in te.eta:
         out += lobachevsky(e - xi)
-    return out
-
-
-def big_U(alpha: AlphaSixTuple, xi: float) -> complex:
-    """The complex potential U(alpha, xi); Im U = 2 V pointwise."""
-    te = tau_eta(alpha)
-    out = 0.0 + 0.0j
-    for t in te.tau:
-        for e in te.eta:
-            out -= 0.5 * _ell(e - t)
-        out += 0.5 * _ell(t - math.pi)
-        out += _ell(xi - t)
-    out -= _ell(xi - math.pi)
-    for e in te.eta:
-        out += _ell(e - xi)
     return out
 
 
@@ -250,19 +219,16 @@ def volume(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1)) -> float:
     return big_V(alpha, data.xi)
 
 
-def _s_prime_sign(xi: float, te: TauEta) -> int:
-    """Sign of s'(xi) by comparing the sine products (no logs)."""
+def _sine_products(xi: float, te: TauEta) -> tuple[float, float]:
+    """(num, den) with s'(xi) = log(num / den): the sine products
+    |sin(2 pi - xi)| prod_j |sin(eta_j - xi)| and prod_i |sin(xi - tau_i)|."""
     num = abs(math.sin(TWO_PI - xi))
     for e in te.eta:
         num *= abs(math.sin(e - xi))
     den = 1.0
     for t in te.tau:
         den *= abs(math.sin(xi - t))
-    if num > den:
-        return 1
-    if num < den:
-        return -1
-    return 0
+    return num, den
 
 
 def _s_second(xi: float, te: TauEta) -> float:
@@ -279,14 +245,25 @@ class MaxResult(NamedTuple):
     vol: float
 
 
+# Evaluation cap: 60 midpoint steps alone shrink the bracket to |I| * 2^-60.
+_MAX_EVALS = 60
+
+
 def volume_by_max(alpha: AlphaSixTuple) -> MaxResult:
     """(xi0, vol): maximize V over I = [max tau, min(eta, 2 pi)].
 
     Valid for admissible alpha with at least one hyperideal vertex (some
-    diagonal cofactor negative); V is then strictly concave on I with s'
-    running from +inf to -inf, and 60 derivative-sign bisections pin the
-    argmax to |I| * 2^-60.  Other alpha raise ValueError: off the
-    admissible region the maximum need not be the volume.
+    diagonal cofactor negative); V is then strictly concave on I with
+    s' = V' running from +inf to -inf.  Safeguarded Newton on s' = 0:
+    each evaluated point xi checks s''(xi) = V''(xi) <= 1e-6 (else
+    ValueError) and moves one end of the bracket [lo, hi] to xi by the
+    sign of s'(xi), from the sine products without logs.  The next point
+    is the Newton step xi - s'/s'' when it stays in the bracket, else the
+    bracket midpoint.  The search stops when that step is at most 2 ulp
+    of xi, when the bracket is down to |I| * 2^-60, or after 60
+    evaluations, and xi0 is the point the last step reached.  Other
+    alpha raise ValueError: off the admissible region the maximum need
+    not be the volume.
     """
     if not admissible(alpha):
         raise ValueError("maximization formula requires admissible alpha")
@@ -300,17 +277,27 @@ def volume_by_max(alpha: AlphaSixTuple) -> MaxResult:
     hi = min(min(te.eta), TWO_PI)
     if hi <= lo + 1e-14:
         return MaxResult(lo, big_V(alpha, lo))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        s2 = _s_second(mid, te)
+    width = (hi - lo) * 2.0 ** -60
+    xi = 0.5 * (lo + hi)
+    for _ in range(_MAX_EVALS):
+        s2 = _s_second(xi, te)
         if s2 > 1e-6:
-            raise ValueError(f"concavity check failed: s''({mid}) = {s2}")
-        if _s_prime_sign(mid, te) >= 0:
-            lo = mid
+            raise ValueError(f"concavity check failed: s''({xi}) = {s2}")
+        num, den = _sine_products(xi, te)
+        if num >= den:
+            lo = xi
         else:
-            hi = mid
-    xi0 = 0.5 * (lo + hi)
-    return MaxResult(xi0, big_V(alpha, xi0))
+            hi = xi
+        nxt = 0.5 * (lo + hi)
+        if num > 0.0 and den > 0.0 and s2 < 0.0:
+            newton = xi - math.log(num / den) / s2
+            if lo <= newton <= hi:
+                nxt = newton
+        done = abs(nxt - xi) <= 2.0 * math.ulp(xi) or hi - lo <= width
+        xi = nxt
+        if done:
+            break
+    return MaxResult(xi, big_V(alpha, xi))
 
 
 def schlafli_residual(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1),

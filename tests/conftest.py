@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
+import sixjvol as sv
+from sixjvol.gram import EDGE_TO_FACEPAIR
+
 # (i, j, k): Gram entry (i, j) carries -cos(theta_{k+1}) under the fixed
 # edge dictionary theta_1..theta_6 = theta_12, 13, 23, 34, 24, 14.
 GRAM_ENTRY_OF_THETA = ((0, 1, 0), (0, 2, 1), (1, 2, 2),
@@ -133,3 +136,65 @@ def sample_theta31(rng, n: int) -> np.ndarray:
         out.append(keep)
         have += keep.shape[0]
     return np.concatenate(out)[:n]
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracles: cross-checks of the library through routes that no
+# library code takes.
+
+def hyperideal_by_bonahon_bao(theta) -> bool:
+    """True iff every vertex-triple angle sum of an AngleSixTuple is < pi.
+
+    Such tuples are the dihedral angles of a hyperideal tetrahedron
+    (Bao-Bonahon): the Gram matrix then has all diagonal cofactors
+    negative and signature (3,1).
+    """
+    th = theta.theta
+    for x in th:
+        if not 0.0 <= x <= math.pi:
+            raise ValueError("angles must lie in [0, pi]")
+    return all(th[i] + th[j] + th[k] < math.pi for i, j, k in VERTEX_TRIPLES_0)
+
+
+def angles_from_normals(t) -> tuple[float, ...]:
+    """theta_1..theta_6 of a reconstructed tetrahedron, recovered from
+    <u_i, u_j> = -cos theta_ij of its face normals."""
+    out = []
+    for i, j in EDGE_TO_FACEPAIR:
+        c = -sv.minkowski_dot(t.normals[i], t.normals[j])
+        out.append(math.acos(min(1.0, max(-1.0, c))))
+    return tuple(out)
+
+
+def dilog_unit_circle(theta: float) -> complex:
+    """Li_2(e^{2 i theta}) for 0 <= theta <= pi.
+
+    Real part pi^2/6 + theta(theta - pi); imaginary part 2 Lambda(theta).
+    """
+    if not -1e-12 <= theta <= math.pi + 1e-12:
+        raise ValueError(f"dilog argument {theta} outside [0, pi]")
+    return complex(math.pi ** 2 / 6.0 + theta * (theta - math.pi),
+                   2.0 * sv.lobachevsky(theta))
+
+
+def ell(x: float) -> complex:
+    """L(x) = Li_2(e^{2ix}) + x^2, reduced mod pi inside the dilogarithm."""
+    t = math.fmod(x, math.pi)
+    if t < 0.0:
+        t += math.pi
+    return dilog_unit_circle(t) + x * x
+
+
+def big_U(alpha, xi: float) -> complex:
+    """The complex potential U(alpha, xi); Im U = 2 V pointwise."""
+    te = sv.tau_eta(alpha)
+    out = 0.0 + 0.0j
+    for t in te.tau:
+        for e in te.eta:
+            out -= 0.5 * ell(e - t)
+        out += 0.5 * ell(t - math.pi)
+        out += ell(xi - t)
+    out -= ell(xi - math.pi)
+    for e in te.eta:
+        out += ell(e - xi)
+    return out

@@ -167,10 +167,13 @@ def test_tetra_and_volume_compute_shared_data_once(capsys, monkeypatch):
 
     counted(tetra_mod, "cofactor_matrix")
     counted(cli_mod, "cofactor_matrix")
+    counted(tetra_mod, "signature")
+    counted(cli_mod, "signature")
     counted(volfun_mod, "critical_xi")
     counted(cli_mod, "critical_xi")
-    assert run(capsys, ["tetra"] + PI6)[0] == 0
-    assert calls == ["cofactor_matrix"]
+    code, out, _ = run(capsys, ["tetra"] + PI6)
+    assert code == 0 and json.loads(out)["signature"] == [3, 1, 0]
+    assert sorted(calls) == ["cofactor_matrix", "signature"]
     calls.clear()
     code, out, _ = run(capsys, ["volume"] + PI6)
     assert code == 0 and calls.count("critical_xi") == 1

@@ -8,7 +8,7 @@ import pytest
 
 import sixjvol as sv
 from conftest import (THETA_TRIPLE_AT_VERTEX, batch_admissible_alpha,
-                      sample_admissible_alpha_np)
+                      hyperideal_by_bonahon_bao, sample_admissible_alpha_np)
 
 PI = math.pi
 
@@ -27,6 +27,25 @@ def test_angle_tuple_validation():
         alpha_of((7.0, PI, PI, PI, PI, PI))
     with pytest.raises(ValueError, match="branch signs"):
         sv.AlphaSixTuple((PI,) * 6, (0,) * 6)
+
+
+def test_alpha_tuple_is_compact_and_immutable():
+    import dataclasses
+    import pickle
+
+    row = (0.1, 2.0, math.pi, 4.5, 6.2, 0.0)
+    a = alpha_of(row)
+    assert a.alpha == row and a.mu == (-1, -1, -1, 1, 1, -1)
+    assert all(type(x) is float for x in a.alpha)
+    assert alpha_of(row).mu is a.mu
+    assert repr(a) == f"AlphaSixTuple(alpha={row!r}, mu={a.mu!r})"
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.mu = (1,) * 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.alpha = row
+    b = pickle.loads(pickle.dumps(a))
+    assert b.alpha == a.alpha and b.mu is a.mu and b is not a
 
 
 def test_alpha_theta_round_trip(rng):
@@ -74,6 +93,51 @@ def test_gram_matrix_validation():
         sv.GramMatrix(m)
     with pytest.raises(ValueError, match="unit diagonal"):
         sv.GramMatrix(2 * np.eye(4))
+
+
+def _allclose_verdict(m):
+    """What GramMatrix validation should say about a 4x4 float matrix,
+    by np.allclose with its default rtol=1e-5."""
+    if not np.allclose(m, m.T, atol=1e-12):
+        return "symmetric"
+    if not np.allclose(np.diag(m), 1.0, atol=1e-12):
+        return "unit diagonal"
+    return None
+
+
+def test_gram_matrix_validation_matches_allclose():
+    rng = np.random.default_rng(417)
+    factors = (0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, -1.0, -1.0 - 1e-9)
+    specials = (math.nan, math.inf, -math.inf)
+    verdicts = set()
+    for _ in range(4000):
+        m = np.eye(4)
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            m[i, j] = m[j, i] = rng.choice((rng.uniform(-1.0, 1.0),
+                                            rng.uniform(-1e6, 1e6), 0.0))
+        kind = rng.integers(4)
+        i, j = (int(x) for x in rng.integers(0, 4, size=2))
+        f = factors[rng.integers(len(factors))]
+        if kind == 0:    # asymmetric entry at the symmetry tolerance
+            b = m[j, i]
+            m[i, j] = b + f * (1e-12 + 1e-5 * abs(b))
+        elif kind == 1:  # diagonal entry at the unit-diagonal tolerance
+            m[i, i] = 1.0 + f * (1e-12 + 1e-5)
+        elif kind == 2:  # a non-finite entry, alone or mirrored
+            m[i, j] = specials[rng.integers(3)]
+            if rng.integers(2):
+                m[j, i] = m[i, j]
+        want = _allclose_verdict(m)
+        verdicts.add(want)
+        if want is None:
+            assert np.array_equal(sv.GramMatrix(m).mat, m)
+        else:
+            with pytest.raises(ValueError, match=want):
+                sv.GramMatrix(m)
+    assert verdicts == {None, "symmetric", "unit diagonal"}
+    for shape in ((3, 3), (4,), (16,), (4, 4, 1), (5, 4)):
+        with pytest.raises(ValueError, match="4x4"):
+            sv.GramMatrix(np.zeros(shape))
 
 
 def test_signature_examples():
@@ -237,8 +301,8 @@ def test_change_angles_composition_flips_symmetric_difference():
 
 
 def test_hyperideal_criterion():
-    assert sv.hyperideal_by_bonahon_bao(sv.AngleSixTuple((PI / 6,) * 6))
-    assert not sv.hyperideal_by_bonahon_bao(sv.AngleSixTuple((PI / 2,) * 6))
+    assert hyperideal_by_bonahon_bao(sv.AngleSixTuple((PI / 6,) * 6))
+    assert not hyperideal_by_bonahon_bao(sv.AngleSixTuple((PI / 2,) * 6))
     # out-of-range angles never reach the criterion: the tuple type
     # rejects them at construction
     with pytest.raises(ValueError, match="outside"):
@@ -250,7 +314,7 @@ def test_hyperideal_criterion_implies_all_hyperideal(rng):
     while found < 25:
         th = tuple(rng.uniform(0, PI / 3, size=6))
         t = sv.AngleSixTuple(th)
-        if not sv.hyperideal_by_bonahon_bao(t):
+        if not hyperideal_by_bonahon_bao(t):
             continue
         G = sv.gram_from_angles(t)
         assert sv.signature(G).as_pair() == (3, 1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sixjvol as sv
-from conftest import sample_theta31
+from conftest import angles_from_normals, sample_theta31
 
 PI = math.pi
 
@@ -63,6 +63,43 @@ def test_reconstruct_rejects_wrong_signature():
         sv.reconstruct(gram((PI / 2,) * 6))
 
 
+def _vec(x):
+    return sv.MinkowskiVector(np.asarray(x, dtype=float))
+
+
+# One broken identity per check of tetra._check_reconstruction: a moved
+# normal, vertex 0 reflected to the outer side of its face, vertex 0
+# pushed off face plane 1, and vertex 0 rescaled off its norm.
+_BREAKS = {
+    "normal_gram": (lambda u, v: u.__setitem__(0, _vec(u[0].x
+                                                    + [1e-3, 0, 0, 0])),
+                    r"^normal Gram mismatch at \(0,0\): "),
+    "inner_side": (lambda u, v: v.__setitem__(0, _vec(-v[0].x)),
+                   r"^vertex 0 not on the inner side of its face$"),
+    "face_plane": (lambda u, v: v.__setitem__(0, _vec(v[0].x + 1e-3 * u[1].x)),
+                   r"^vertex 0 off face plane 1: <u,v>="),
+    "vertex_norm": (lambda u, v: v.__setitem__(0, _vec(1.01 * v[0].x)),
+                    r"^vertex 0 norm .* inconsistent with type VertexType\."),
+}
+
+
+@pytest.mark.parametrize("theta", [(PI / 6,) * 6,
+                                   (1.2, PI - 1.2, PI - 1.2, 1.2, PI - 1.2,
+                                    PI - 1.2)], ids=["hyperideal", "regular"])
+@pytest.mark.parametrize("kind", sorted(_BREAKS))
+def test_check_reconstruction_failure_messages(theta, kind):
+    from sixjvol.tetra import _check_reconstruction
+    G = gram(theta)
+    t = sv.reconstruct(G)
+    normals, verts = list(t.normals), list(t.vertices)
+    args = (list(t.vertex_types), float(np.linalg.det(G.mat)))
+    _check_reconstruction(G, normals, verts, *args)
+    breaks, message = _BREAKS[kind]
+    breaks(normals, verts)
+    with pytest.raises(ArithmeticError, match=message):
+        _check_reconstruction(G, normals, verts, *args)
+
+
 def test_reconstruct_invariants_random(rng):
     for th in sample_theta31(rng, 40):
         G = gram(th)
@@ -90,7 +127,7 @@ def test_reconstruct_invariants_random(rng):
             else:
                 assert sq == pytest.approx(0.0, abs=1e-9)
         # angles recovered from the normals
-        back = sv.angles_from_normals(t)
+        back = angles_from_normals(t)
         assert np.allclose(back, th, atol=1e-9)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sixjvol as sv
-from conftest import lob_quad, sample_theta31
+from conftest import big_U, dilog_unit_circle, lob_quad, sample_theta31
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -85,14 +85,14 @@ def test_dilog_unit_circle(rng):
     # pi^2/6 - phi(2 pi - phi)/4 with phi = 2t mod 2 pi, imaginary part
     # the Clausen value 2 Lambda(t)
     for t in rng.uniform(0.0, PI, size=40):
-        val = sv.dilog_unit_circle(float(t))
+        val = dilog_unit_circle(float(t))
         phi = (2.0 * float(t)) % TWO_PI
         assert val.real == pytest.approx(PI * PI / 6 - phi * (TWO_PI - phi) / 4,
                                          abs=1e-10)
         assert val.imag == pytest.approx(2.0 * sv.lobachevsky(float(t)),
                                          abs=1e-10)
     with pytest.raises(ValueError, match="outside"):
-        sv.dilog_unit_circle(-1.8)
+        dilog_unit_circle(-1.8)
 
 
 # ------------------------------------------------------------ tau, eta, delta
@@ -251,6 +251,51 @@ def test_volume_by_max_random_hyperideal(rng):
     assert checked >= 5
 
 
+def _bisection_argmax(al):
+    """argmax of V on I by 60 bisections on the sign of s'."""
+    te = sv.tau_eta(al)
+    lo, hi = max(te.tau), min(min(te.eta), TWO_PI)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        num = abs(math.sin(TWO_PI - mid)) * math.prod(
+            abs(math.sin(e - mid)) for e in te.eta)
+        den = math.prod(abs(math.sin(mid - t)) for t in te.tau)
+        if num >= den:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_volume_by_max_newton_evaluation_count(monkeypatch):
+    import sixjvol.volfun as volfun_mod
+
+    evals = []
+    products = volfun_mod._sine_products
+
+    def counted(*args):
+        evals[-1] += 1
+        return products(*args)
+    monkeypatch.setattr(volfun_mod, "_sine_products", counted)
+    rows = sv.sample_hyperbolic_alpha(400, np.random.default_rng(2027))
+    checked = 0
+    for row in rows:
+        al = sv.AlphaSixTuple.from_alpha(row)
+        cof = sv.cofactor_matrix(sv.gram_from_alpha(al).mat)
+        if not any(cof[i, i] < -1e-6 for i in range(4)):
+            continue
+        evals.append(0)
+        mr = sv.volume_by_max(al)
+        assert mr.xi0 == pytest.approx(_bisection_argmax(al), abs=1e-13)
+        assert mr.vol == sv.big_V(al, mr.xi0)
+        checked += 1
+        if checked == 200:
+            break
+    assert checked == 200
+    assert float(np.median(evals)) <= 8
+    assert max(evals) <= 60
+
+
 def test_volume_by_max_requires_hyperideal_vertex():
     th = sv.AngleSixTuple((1.2, PI - 1.2, PI - 1.2, 1.2, PI - 1.2, PI - 1.2))
     al = sv.AlphaSixTuple.from_theta(th, (-1,) * 6)
@@ -275,7 +320,7 @@ def test_volume_by_max_refuses_non_admissible_alpha():
 
 def test_big_u_at_origin_closed_form():
     al = sv.AlphaSixTuple((0.0,) * 6, (-1,) * 6)
-    assert sv.big_U(al, 0.0) == pytest.approx(4.0 * PI * PI / 3.0, abs=1e-12)
+    assert big_U(al, 0.0) == pytest.approx(4.0 * PI * PI / 3.0, abs=1e-12)
 
 
 def test_big_u_imaginary_part_is_twice_v(rng):
@@ -284,7 +329,7 @@ def test_big_u_imaginary_part_is_twice_v(rng):
         lo = max(te.tau)
         hi = min(min(te.eta), TWO_PI)
         for t in np.linspace(lo + 1e-6, hi - 1e-6, 5):
-            U = sv.big_U(al, float(t))
+            U = big_U(al, float(t))
             V = sv.big_V(al, float(t))
             assert U.imag == pytest.approx(2.0 * V, abs=1e-10)
 
