@@ -164,21 +164,24 @@ class AlphaSixTuple:
 
 
 def _isclose(x: float, y: float) -> bool:
-    """np.isclose(x, y, rtol=1e-5, atol=1e-12) on two floats, NaN and
-    +-inf included: the entrywise test of np.allclose(..., atol=1e-12)."""
-    return (abs(x - y) <= 1e-12 + 1e-5 * abs(y) and math.isfinite(y)) or x == y
+    """np.isclose(x, y, rtol=1e-5, atol=1e-12) on two floats, except
+    that it is False whenever x or y is not finite (np.isclose counts
+    equal infinities as close)."""
+    return abs(x - y) <= 1e-12 + 1e-5 * abs(y) and math.isfinite(y)
 
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Symmetric 4x4, unit diagonal, off-diagonal -cos theta_ij.
 
-    Validation accepts exactly the matrices with
+    Validation accepts exactly the finite matrices with
     np.allclose(m, m.T, atol=1e-12) and np.allclose(diag(m), 1, atol=1e-12),
     entry by entry on Python floats.  Both keep allclose's default
     rtol=1e-5, so the diagonal test is effectively |m_ii - 1| <= 1e-5 and
-    the symmetry test is relative to |m_ji|; a NaN anywhere fails the
-    symmetry test, an infinity on the diagonal the unit-diagonal test.
+    the symmetry test is relative to |m_ji|.  A NaN or an infinity
+    anywhere is rejected as not finite: every entry meets a finite
+    partner in the symmetry test, which `_isclose` fails, so the happy
+    path pays no separate finiteness pass.
     """
 
     mat: np.ndarray
@@ -189,10 +192,16 @@ class GramMatrix:
         if m.shape != (4, 4):
             raise ValueError(f"Gram matrix must be 4x4, got {m.shape}")
         rows = m.tolist()
-        if not all([_isclose(rows[i][j], rows[j][i]) for i, j in _ENTRIES]):
+        symmetric = all([_isclose(rows[i][j], rows[j][i])
+                         for i, j in _ENTRIES])
+        if symmetric and all([_isclose(row[i], 1.0)
+                              for i, row in enumerate(rows)]):
+            return
+        if not all([math.isfinite(x) for row in rows for x in row]):
+            raise ValueError("Gram matrix entries must be finite")
+        if not symmetric:
             raise ValueError("Gram matrix must be symmetric")
-        if not all([_isclose(row[i], 1.0) for i, row in enumerate(rows)]):
-            raise ValueError("Gram matrix must have unit diagonal")
+        raise ValueError("Gram matrix must have unit diagonal")
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ def bracket_blowup(graph: BlowUpGraph, coloring, level) -> QuarterPhaseLog:
     out = QuarterPhaseLog.one()
     for idx, tet in enumerate(graph.tet_decomposition):
         try:
-            t = ColorSixTuple(tuple(col[e] for e in tet), lv)
+            t = ColorSixTuple(tuple([col[e] for e in tet]), lv)
         except ValueError as exc:
             raise ValueError(
                 f"inadmissible coloring on decomposition tetrahedron "

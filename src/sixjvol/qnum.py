@@ -118,9 +118,9 @@ class LevelTables:
 
     [k] < 0 exactly for k > (r-1)/2 (r odd, so never k = r/2); the
     parity is therefore 0 up to (r-1)/2 and (n - (r-1)/2) mod 2 above
-    it.  Unlike the count it is not monotone in n, so a reader that
-    skips all-zero stretches must test the index against (r-1)/2, not
-    an entry.  The brace factorials are log|{n}!| = logfact[n] +
+    it.  The 6j kernel uses that closed form and never reads the
+    array; `fact` (so `log_quantum_factorial`) and the tests' reference
+    kernels do.  The brace factorials are log|{n}!| = logfact[n] +
     n * log_sin1, with the scalar log_sin1 = log(2 sin(2 pi / r)).  The
     n = r-1 slot exists because Delta denominators reach [T+1]! with
     T+1 = r-1 and the 6j z-sum queries [z+1]! at z = r-2.

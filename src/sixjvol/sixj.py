@@ -27,20 +27,25 @@ The z-sum is evaluated in log space: terms are scaled by the maximum
 log-magnitude and the signed exponentials summed pairwise, since terms
 span hundreds of orders of magnitude at r ~ 2000.  Over the range
 z = lo..hi-1 every factor of the terms is one contiguous slice of the
-level's tables (`qnum.LevelTables`: log|[n]!| and the parity of the
-number of negative [k], k <= n): [z+1]! and [z-T_i]! read increasing
-slices, [Q_j-z]! a reversed one, so a symbol costs a fixed number of
-numpy operations and builds no index arrays.  The parity is 0 up to
-n = (r-1)/2 and alternates above it, so the kernel skips a slice's
-parity by its largest index, never by the value of an entry: a slice
-can end on a 0 and still hold 1s.  The four Delta factors read their
-sixteen factorial entries with one index array.
+level's log-factorial table (`qnum.LevelTables.logfact`): [z+1]! and
+[z-T_i]! read increasing slices, [Q_j-z]! a reversed one, so a symbol
+costs a fixed number of numpy operations and builds no index arrays.
+The signs need no table.  [n]! is negative exactly when n - (r-1)/2
+is positive and odd, so each of a term's eight factorials changes the
+sign rule at one breakpoint in z, and at most one breakpoint falls
+inside the z-range (`_sign_flips` has the proof).  The parity is
+constant or alternating on each side of it, so the kernel negates one
+strided slice and perhaps the sum, both exact.  The four Delta factors
+read their sixteen log-factorials with one index array and count their
+quarter turns by the same rule.
 
 The tables come from `qnum.level_tables`, a cache bounded by
 `qnum.TABLE_CACHE_BYTES` that evicts the least recently used level.
 A repeated sweep whose tables together exceed the bound rebuilds every
-level on every pass; a build took about 70 us at r = 2001, 270 us at
-r = 10001 and 0.9 ms at r = 20001 (one Xeon core, numpy 2.4).
+level on every pass; a build took about 56 us at r = 2001, 230 us at
+r = 10001 and 0.5 ms at r = 20001, and one symbol of the pi/6 colours
+(43, 417 and 4167 z-terms) about 18, 31 and 76 us at r = 101, 2001
+and 20001 (one Xeon core, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -110,7 +115,22 @@ class ColorSixTuple:
         if len(colors) != 6:
             raise ValueError("need exactly six colors")
         r = _level(self.level).r
-        for (i, j, k) in VERTEX_TRIPLES:
+        # One pass over the four vertex triples.  With s = x+y+z even,
+        # the triangle inequalities say x, y, z <= s/2, and they imply
+        # x, y, z >= 0; every color sits in some triple, so s/2 <= r-2
+        # bounds it too.  This is `_triple_ok` for all four at once.
+        a1, a2, a3, a4, a5, a6 = colors
+        s1, s2 = a1 + a2 + a3, a1 + a5 + a6
+        s3, s4 = a2 + a4 + a6, a3 + a4 + a5
+        if not (s1 | s2 | s3 | s4) & 1:
+            t1, t2, t3, t4 = s1 >> 1, s2 >> 1, s3 >> 1, s4 >> 1
+            top = r - 2
+            if (a1 <= t1 and a2 <= t1 and a3 <= t1 and t1 <= top
+                    and a1 <= t2 and a5 <= t2 and a6 <= t2 and t2 <= top
+                    and a2 <= t3 and a4 <= t3 and a6 <= t3 and t3 <= top
+                    and a3 <= t4 and a4 <= t4 and a5 <= t4 and t4 <= top):
+                return
+        for (i, j, k) in VERTEX_TRIPLES:  # name the first failing triple
             if not _triple_ok(colors[i], colors[j], colors[k], r):
                 raise ValueError(
                     f"inadmissible tuple: vertex triple "
@@ -139,33 +159,48 @@ class SumBounds:
 
     @staticmethod
     def of(t: ColorSixTuple) -> "SumBounds":
-        a = t.colors
-        T = tuple((a[i] + a[j] + a[k]) // 2 for (i, j, k) in VERTEX_TRIPLES)
-        Q = ((a[0] + a[1] + a[3] + a[4]) // 2,
-             (a[0] + a[2] + a[3] + a[5]) // 2,
-             (a[1] + a[2] + a[4] + a[5]) // 2)
-        return SumBounds(T, Q)
+        return SumBounds(*_half_sums(t.colors))
+
+
+def _half_sums(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(T, Q) of six colors; `sixj_log` calls this rather than build a
+    SumBounds per symbol."""
+    a1, a2, a3, a4, a5, a6 = a
+    return (((a1 + a2 + a3) // 2, (a1 + a5 + a6) // 2,
+             (a2 + a4 + a6) // 2, (a3 + a4 + a5) // 2),
+            ((a1 + a2 + a4 + a5) // 2, (a1 + a3 + a4 + a6) // 2,
+             (a2 + a3 + a5 + a6) // 2))
 
 
 def _delta_logs(tab, triples) -> tuple[float, int]:
     """Summed log|Delta| over the triples and their quarter turns.
 
-    Delta(a,b,c) = sqrt([x]![y]![w]!/[s+1]!), so each triple reads four
-    factorial entries; all of them are read with one index array.  A
-    negative radicand contributes a single quarter turn (sqrt(x) =
-    i sqrt|x|).
+    Delta(a,b,c) = sqrt([s-c]![s-a]![s-b]!/[s+1]!) with s = (a+b+c)/2,
+    so each triple reads four factorial entries; all of them are read
+    with one index array.  A negative radicand contributes a single
+    quarter turn (sqrt(x) = i sqrt|x|); [n]! is negative exactly when
+    n > h = (r-1)/2 and n - h is odd, so the turns need no table read.
     """
+    h = (tab.level.r - 1) // 2
     idx = []
+    turns = 0
     for a, b, c in triples:
-        idx += ((a + b - c) // 2, (b + c - a) // 2, (c + a - b) // 2,
-                (a + b + c) // 2 + 1)
-    idx = np.array(idx)
-    lf = tab.logfact[idx].tolist()
-    par = tab.negparity[idx].tolist()
-    log_mag, turns = 0.0, 0
-    for n in range(0, len(idx), 4):
-        log_mag += 0.5 * (lf[n] + lf[n + 1] + lf[n + 2] - lf[n + 3])
-        turns += (par[n] + par[n + 1] + par[n + 2] + par[n + 3]) & 1
+        s = (a + b + c) // 2
+        x, y, w = s - c, s - a, s - b
+        idx += (x, y, w, s + 1)
+        if s >= h:  # [s+1]!, and maybe more, past h
+            p = s + 1 - h
+            if x > h:
+                p += x - h
+            if y > h:
+                p += y - h
+            if w > h:
+                p += w - h
+            turns += p & 1
+    lf = iter(tab.logfact.take(idx).tolist())
+    log_mag = 0.0
+    for x, y, w, d in zip(lf, lf, lf, lf):
+        log_mag += 0.5 * (x + y + w - d)
     return log_mag, turns
 
 
@@ -176,7 +211,58 @@ def delta_triple(triple: ColorTriple) -> QuarterPhaseLog:
         *_delta_logs(tab, ((triple.a1, triple.a2, triple.a3),)))
 
 
-_SIGNS = np.array([1.0, -1.0])
+def _sign_flips(lo: int, hi: int, T, Q, h: int) -> tuple[int, int, int]:
+    """How to sign the terms z = lo..hi-1 of the z-sum: (flip, start,
+    stop) says to negate terms[start:stop:2] and then, if flip is 1,
+    the sum.
+
+    A term's sign parity is z plus negparity[n] of its eight factorials
+    [n]!, and negparity[n] = (n - h) mod 2 for n > h = (r-1)/2, else 0.
+    So a factor adds nothing while n <= h and z + k (mod 2) once n > h,
+    with k = h + T_i for [z-T_i]! (T_i = -1 for [z+1]!) and k = h + Q_j
+    for [Q_j-z]!.  [z-T_i]! comes on at z = h+1+T_i and [Q_j-z]! goes
+    off at z = Q_j-h.  Below every such breakpoint only the three
+    [Q_j-z]! are on and the parity is 4z + sum(h + Q_j) = K (mod 2);
+    crossing one adds its k to K and toggles whether z counts, so
+    between breakpoints the parity is K (constant) or z + K
+    (alternating).
+
+    At most one breakpoint lies inside (lo, hi).  Each Q_j - T_i equals
+    T_k - a for a vertex k != i and the color a that vertices i and k
+    share, and every k != i occurs for some j, so Q_j - T_i <= lo.  A
+    breakpoint inside needs, for [z+1]!, lo < h; for [z-T_i]!, T_i <=
+    h-2 (the breakpoint is at most r-2) and min Q - T_i >= h+1, so
+    T_k > h for every k != i; for [Q_j-z]!, Q_j - lo > h, so every
+    T_k >= Q_j - lo > h.  No two of these can hold, and two [Q_j-z]!
+    would give sum Q >= 2(lo+h+1) + lo+1 > 4 lo >= sum T (the third Q
+    is at least hi-1 > lo), while sum Q = sum T.  So the range is one
+    segment, or one constant and one alternating segment.  Flipping
+    the sum to the constant segment's sign leaves one strided slice to
+    negate.
+    """
+    K = Q[0] + Q[1] + Q[2] + h
+    alt, cut, k_cut = 0, None, 0
+    for e, k in ((h, h + 1), (h + 1 + T[0], h + T[0]),
+                 (h + 1 + T[1], h + T[1]), (h + 1 + T[2], h + T[2]),
+                 (h + 1 + T[3], h + T[3]), (Q[0] - h, Q[0] + h),
+                 (Q[1] - h, Q[1] + h), (Q[2] - h, Q[2] + h)):
+        if e <= lo:
+            alt ^= 1
+            K += k
+        elif e < hi:
+            cut, k_cut = e, k
+    if cut is None:
+        if not alt:
+            return K & 1, 0, 0
+        start, stop, flip = lo, hi, 0
+    elif alt:  # alternating below the cut, constant from it
+        start, stop, flip = lo, cut, (K + k_cut) & 1
+    else:
+        start, stop, flip = cut, hi, K & 1
+        K += k_cut
+    # negate where z + K + flip is odd
+    first = start + ((start + K + flip + 1) & 1)
+    return flip, first - lo, stop - lo
 
 
 def _zsum_signed_log(tab, T, Q, r: int) -> tuple[float, int]:
@@ -185,37 +271,30 @@ def _zsum_signed_log(tab, T, Q, r: int) -> tuple[float, int]:
     Every factor of a term is a contiguous slice of the level's tables
     over z in [lo, hi): [z+1]! reads [lo+1, hi+1), [z-T_i]! reads
     [lo-T_i, hi-T_i) and [Q_j-z]! the reversed slice from Q_j-lo down
-    to Q_j-hi+1.  An exactly zero sum returns (-inf, 0).
+    to Q_j-hi+1.  The signs come from `_sign_flips`: negation is exact
+    and pairwise summation is odd in its input, so every bit is that of
+    summing the signed terms.  An exactly zero sum returns (-inf, 0).
     """
     lo = max(T)
     hi = min(min(Q), r - 2) + 1  # [z+1]! = 0 for z > r-2
     lf = tab.logfact
-    npar = tab.negparity
-    rev = [(Qj - lo, Qj - hi if Qj >= hi else None) for Qj in Q]
     log_mag = lf[lo + 1:hi + 1] - lf[lo - T[0]:hi - T[0]]
     for Ti in T[1:]:
         log_mag -= lf[lo - Ti:hi - Ti]
-    for start, stop in rev:  # stop None: the slice ends at index 0
-        log_mag -= lf[start:stop:-1]
-    # Sign parity: z plus every factor's negparity.  negparity is 0 up
-    # to index (r-1)/2 and alternates above it, so a slice adds nothing
-    # exactly when its largest index is at most (r-1)/2; an entry of the
-    # slice cannot tell that.
-    half = (r - 1) // 2
-    parity = npar[lo + 1:hi + 1] + np.arange(lo, hi)
-    for Ti in T:
-        if hi - Ti - 1 > half:
-            parity += npar[lo - Ti:hi - Ti]
-    for start, stop in rev:
-        if start > half:
-            parity += npar[start:stop:-1]
-    m = float(log_mag.max())
+    for Qj in Q:  # stop None: the slice ends at index 0
+        log_mag -= lf[Qj - lo:Qj - hi if Qj >= hi else None:-1]
+    m = float(np.maximum.reduce(log_mag))
     log_mag -= m
     terms = np.exp(log_mag, out=log_mag)
-    terms *= _SIGNS[parity & 1]
-    total = float(terms.sum())  # pairwise summation
+    flip, start, stop = _sign_flips(lo, hi, T, Q, (r - 1) // 2)
+    if start < stop:
+        run = terms[start:stop:2]
+        run *= -1.0
+    total = float(np.add.reduce(terms))  # pairwise summation
     if total == 0.0:
         return -math.inf, 0
+    if flip:
+        total = -total
     return m + math.log(abs(total)), 0 if total > 0.0 else 2
 
 
@@ -228,8 +307,9 @@ def sixj_log(t: ColorSixTuple) -> QuarterPhaseLog:
     """
     tab = level_tables(t.level)
     a = t.colors
-    bounds = SumBounds.of(t)
-    zlog, zphase = _zsum_signed_log(tab, bounds.T, bounds.Q, t.level.r)
+    T, Q = _half_sums(a)
+    r = t.level.r
+    zlog, zphase = _zsum_signed_log(tab, T, Q, r)
     if zlog == -math.inf:
         return QuarterPhaseLog.zero()
     dlog, turns = _delta_logs(
@@ -237,7 +317,7 @@ def sixj_log(t: ColorSixTuple) -> QuarterPhaseLog:
     phase = (-sum(a) + turns + zphase) % 4
     if phase % 2 != 0:
         raise ArithmeticError(
-            f"6j phase parity broken for {a} at r={t.level.r}: "
+            f"6j phase parity broken for {a} at r={r}: "
             f"phase={phase}")
     return QuarterPhaseLog(dlog + zlog, phase)
 

@@ -96,8 +96,11 @@ def test_gram_matrix_validation():
 
 
 def _allclose_verdict(m):
-    """What GramMatrix validation should say about a 4x4 float matrix,
-    by np.allclose with its default rtol=1e-5."""
+    """What GramMatrix validation should say about a 4x4 float matrix:
+    non-finite entries first, then np.allclose with its default
+    rtol=1e-5."""
+    if not np.isfinite(m).all():
+        return "finite"
     if not np.allclose(m, m.T, atol=1e-12):
         return "symmetric"
     if not np.allclose(np.diag(m), 1.0, atol=1e-12):
@@ -134,10 +137,22 @@ def test_gram_matrix_validation_matches_allclose():
         else:
             with pytest.raises(ValueError, match=want):
                 sv.GramMatrix(m)
-    assert verdicts == {None, "symmetric", "unit diagonal"}
+    assert verdicts == {None, "finite", "symmetric", "unit diagonal"}
     for shape in ((3, 3), (4,), (16,), (4, 4, 1), (5, 4)):
         with pytest.raises(ValueError, match="4x4"):
             sv.GramMatrix(np.zeros(shape))
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_gram_matrix_rejects_non_finite_entries(x):
+    # np.allclose counts equal infinities as close, so a mirrored pair
+    # of infinities once passed validation and `signature` read the
+    # matrix as Signature(0, 0, 4).
+    for i, j in ((0, 1), (2, 3), (1, 1)):
+        m = np.eye(4)
+        m[i, j] = m[j, i] = x
+        with pytest.raises(ValueError, match="entries must be finite"):
+            sv.GramMatrix(m)
 
 
 def test_signature_examples():

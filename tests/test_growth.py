@@ -5,6 +5,7 @@ import logging
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 import sixjvol as sv
@@ -115,6 +116,92 @@ def test_growth_series_deterministic_across_calls():
     a = sv.growth_series(plan)
     b = sv.growth_series(plan)
     assert a == b
+
+
+def reference_scan(r_list, symbol):
+    """The level scan written out one level at a time: symbol(r) is the
+    level's value, and a level whose evaluation raises is skipped."""
+    samples, skipped = [], []
+    for r in r_list:
+        try:
+            val = symbol(r)
+        except (ValueError, ArithmeticError) as exc:
+            skipped.append(f"level r={r} skipped: {exc}")
+            continue
+        if val.is_zero:
+            samples.append(sv.GrowthSample(r, -math.inf, -math.inf, 0))
+        else:
+            samples.append(sv.GrowthSample(r, val.log_mag,
+                                           2 * PI * val.log_mag / r,
+                                           val.real_sign()))
+    return samples, skipped
+
+
+def counted_scan(run):
+    """run()'s result, its LevelSkipped messages, and how many table
+    lookups (cache hits plus misses) it made."""
+    before = sv.table_cache_info()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run()
+    after = sv.table_cache_info()
+    skipped = [str(w.message) for w in caught
+               if issubclass(w.category, sv.LevelSkipped)]
+    lookups = after.hits + after.misses - before.hits - before.misses
+    return out, skipped, lookups
+
+
+def test_scans_match_a_per_level_loop_and_read_one_table_per_symbol(
+        monkeypatch):
+    levels = tuple(range(7, 40, 2)) + tuple(range(101, 302, 6))
+    rows = [sv.AlphaSixTuple.from_alpha(row) for row in
+            sv.sample_admissible_alpha(6, np.random.default_rng(8),
+                                       strict=True, margin=0.05)]
+    rows += [sv.AlphaSixTuple.from_alpha((6.2, PI, PI, PI, PI, PI)),
+             alpha_of(THETA_E)]
+    reasons, n_symbols = [], 0
+    for alpha in rows:
+        calls = []
+
+        def symbol(r):
+            t = sv.colors_for_r(alpha, r)
+            calls.append(r)
+            return sv.sixj_log(t)
+
+        want = reference_scan(levels, symbol)
+        got, skipped, lookups = counted_scan(
+            lambda: sv.growth_series(sv.GrowthPlan(alpha, levels)))
+        assert (got, skipped) == want
+        assert lookups == len(calls)
+        reasons += skipped
+        n_symbols += len(calls)
+
+    prisms = [sv.PrismSpec((PI / 6,) * 3, (PI / 6,) * 3, (PI / 6,) * 3),
+              sv.PrismSpec((0.24, 0.94, 0.63), (1.87, 1.91, 0.77),
+                           (1.21, 0.67, 0.5))]  # unequal bases, skips
+    graph = sv.prism_graph()
+    for p in prisms:
+        calls = []
+
+        def counting_sixj_log(t, _inner=sv.sixj_log):
+            calls.append(t)
+            return _inner(t)
+
+        with monkeypatch.context() as m:
+            m.setattr("sixjvol.graphs.sixj_log", counting_sixj_log)
+            want = reference_scan(levels, lambda r: sv.bracket_blowup(
+                graph, sv.prism_colors_for_r(p, r), r))
+        check, skipped, lookups = counted_scan(
+            lambda: sv.prism_conjecture_check(p, levels))
+        assert (list(check.samples), skipped) == want
+        assert lookups == len(calls)
+        reasons += skipped
+        n_symbols += len(calls)
+    # the rows really skip levels, for each reason a level can fail
+    for reason in ("no admissible rounding", "phase parity broken",
+                   "inadmissible coloring"):
+        assert sum(reason in msg for msg in reasons) >= 3, reason
+    assert n_symbols > 300
 
 
 # -------------------------------------------------------------------- fitting

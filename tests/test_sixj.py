@@ -58,6 +58,36 @@ def test_color_six_tuple_rejects_bad_vertex_triple():
         sv.tuple_of((0, 0, 0), lv)
 
 
+def test_color_six_tuple_accepts_exactly_the_admissible_tuples():
+    # The constructor checks the four vertex triples in one pass; it must
+    # agree with is_admissible_triple on every triple and name the first
+    # one that fails.  Every tuple of colors 0..r-1 at r = 5, then
+    # seeded draws near the bounds of larger levels.
+    rnd = random.Random(3)
+    cases = [(5, c) for c in itertools.product(range(5), repeat=6)]
+    for r in (7, 31, 2001):
+        pal = (-1, 0, 1, 2, 3, r // 2 - 1, r // 2, r - 4, r - 3, r - 2, r - 1)
+        cases += [(r, tuple(rnd.choice(pal) for _ in range(6)))
+                  for _ in range(3000)]
+    n_ok = 0
+    for r, c in cases:
+        bad = [(i, j, k) for i, j, k in sv.VERTEX_TRIPLES
+               if not sv.is_admissible_triple(c[i], c[j], c[k], r)]
+        try:
+            got = sv.tuple_of(c, r).colors
+        except ValueError as exc:
+            got = str(exc)
+        if bad:
+            i, j, k = bad[0]
+            assert got == (
+                f"inadmissible tuple: vertex triple ({c[i]},{c[j]},{c[k]})"
+                f" at indices ({i + 1},{j + 1},{k + 1}) fails at r={r}")
+        else:
+            assert got == c
+            n_ok += 1
+    assert n_ok > 150
+
+
 def test_sum_bounds_are_integers_below_quads():
     lv = sv.OddLevel(31)
     rnd = random.Random(1)
@@ -259,6 +289,122 @@ def test_sixj_kernel_matches_index_array_reference(r):
     if r > 7:  # no admissible tuple at r <= 7 has a step inside a slice
         want.add("negcount step")
     assert seen == want
+
+
+def sign_breakpoints(t):
+    """(lo, hi, [(z, factor)]): the z-range [lo, hi) of the sum and the
+    z in (lo, hi) at which one of the eight factorials [n]! of a term
+    crosses n = (r-1)/2, above which [n] < 0: [z+1]! and [z-T_i]! come
+    on at the first z with n > (r-1)/2, [Q_j-z]! goes off there."""
+    r = t.level.r
+    h = (r - 1) // 2
+    b = sv.SumBounds.of(t)
+    lo, hi = max(b.T), min(min(b.Q), r - 2) + 1
+    cuts = [(h, "[z+1]!")] + [(h + 1 + ti, "[z-T_i]!") for ti in b.T]
+    cuts += [(qj - h, "[Q_j-z]!") for qj in b.Q]
+    return lo, hi, sorted(c for c in cuts if lo < c[0] < hi)
+
+
+def term_parities(t):
+    """Sign parity of every z-term, gathered from `negparity`."""
+    r = t.level.r
+    b = sv.SumBounds.of(t)
+    z = np.arange(max(b.T), min(min(b.Q), r - 2) + 1)
+    nc = sv.level_tables(t.level).negparity
+    parity = nc[z + 1] + z
+    for ti in b.T:
+        parity = parity + nc[z - ti]
+    for qj in b.Q:
+        parity = parity + nc[qj - z]
+    return parity & 1
+
+
+def sign_case_tuples(r):
+    """Tuples whose z-range holds a sign breakpoint: (x,x,x,y,y,y) with
+    max T = h-1 ([z+1]! switches at lo+1) or min Q = h (at hi-1), their
+    images under the face and quadrilateral moves, and seeded draws."""
+    h = (r - 1) // 2
+    base = []
+    for m in (1, 2, 3, h // 4, h // 3 - 1):
+        base += [(2 * m,) * 3 + (h - 1 - m,) * 3,
+                 (2 * m,) * 3 + (h - 2 * m,) * 3]
+    out = []
+    for c in base:
+        t = sv.tuple_of(c, r)
+        out += [t] + [sv.change_colors_face(t, f) for f in (1, 2, 3, 4)]
+        out += [sv.change_colors_quad(t, q) for q in (1, 2, 3)]
+    rnd = random.Random(r)
+    while len(out) < len(base) * 8 + 40:
+        c = tuple(rnd.randrange(0, r - 1) for _ in range(6))
+        if sv.is_admissible_tuple(c, r):
+            out.append(sv.tuple_of(c, r))
+    return out
+
+
+@pytest.mark.parametrize("r", [101, 2001, 10001])
+def test_sixj_closed_form_signs_match_index_array_reference(r):
+    # The kernel signs the terms from the breakpoints of the eight
+    # factorials instead of reading negparity.  Between breakpoints the
+    # parity read from the table must be constant or alternate, and the
+    # symbol must equal the index-array reference bit for bit.
+    seen = set()
+    for t in sign_case_tuples(r):
+        lo, hi, cuts = sign_breakpoints(t)
+        assert len(cuts) <= 1, (t.colors, cuts)
+        parity = term_parities(t)
+        bounds = [lo] + [z for z, _ in cuts] + [hi]
+        for a, b in zip(bounds, bounds[1:]):
+            seg = parity[a - lo:b - lo]
+            if len(seg) < 2:
+                continue
+            if np.all(seg == seg[0]):
+                seen.add("constant segment")
+            else:
+                assert np.all(seg[1:] != seg[:-1]), (t.colors, a, b)
+                seen.add("alternating segment")
+        for z, factor in cuts:
+            seen.add(factor)
+            seen.add("at lo+1" if z == lo + 1 else
+                     "at hi-1" if z == hi - 1 else "interior")
+        try:
+            want = index_array_sixj_log(t)
+        except ArithmeticError as exc:
+            with pytest.raises(ArithmeticError) as got:
+                sv.sixj_log(t)
+            assert str(got.value) == str(exc)
+            continue
+        got = sv.sixj_log(t)
+        assert (got.log_mag, got.phase) == (want.log_mag, want.phase), \
+            t.colors
+    assert seen == {"constant segment", "alternating segment", "at lo+1",
+                    "at hi-1", "interior", "[z+1]!", "[z-T_i]!",
+                    "[Q_j-z]!"}
+
+
+@pytest.mark.parametrize("r", [9, 11])
+def test_at_most_one_sign_breakpoint_inside_any_z_range(r):
+    # Exhaustive over every admissible tuple: the sign rule of the terms
+    # changes at most once inside the z-range, which is what lets the
+    # kernel sign a symbol with one strided slice.
+    h = (r - 1) // 2
+    a = np.indices((r - 1,) * 6, dtype=np.int16).reshape(6, -1)
+    ok = np.ones(a.shape[1], dtype=bool)
+    for i, j, k in sv.VERTEX_TRIPLES:
+        x, y, w = a[i], a[j], a[k]
+        s = x + y + w
+        ok &= (s % 2 == 0) & (s <= 2 * (r - 2))
+        ok &= (x + y >= w) & (y + w >= x) & (w + x >= y)
+    a = a[:, ok]
+    T = np.stack([a[i] + a[j] + a[k] for i, j, k in sv.VERTEX_TRIPLES]) // 2
+    # each quadrilateral's four colors give one half-sum Q_j
+    Q = np.stack([a[i] + a[j] + a[k] + a[m]
+                  for i, j, k, m in sv.QUAD_MOVES]) // 2
+    lo = T.max(axis=0)
+    hi = np.minimum(Q.min(axis=0), r - 2) + 1
+    cuts = np.concatenate([np.full((1, lo.size), h), h + 1 + T, Q - h])
+    inside = ((cuts > lo) & (cuts < hi)).sum(axis=0)
+    assert inside.max() == 1
+    assert (inside == 1).sum() > 0
 
 
 def test_sixj_oracle_level_cap():
