@@ -14,7 +14,6 @@ hyperbolic geometry, ...), 2 parse/usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
@@ -24,7 +23,7 @@ from .gram import (AlphaSixTuple, AngleSixTuple, admissible, classify,
                    cofactor_matrix, gram_from_angles, signature,
                    strictly_admissible, tol_sign)
 from .graphs import PrismSpec, prism_conjecture_check
-from .growth import GrowthPlan, fit_growth, growth_series
+from .growth import GrowthPlan, GrowthSample, fit_growth, growth_series
 from .qnum import OddLevel
 from .sixj import tuple_of
 from .sixj import sixj_log as _sixj_log
@@ -229,20 +228,16 @@ def _r_list(args) -> range:
     return range(args.r_start, args.r_end + 1, args.r_step)
 
 
-_SAMPLE_FIELDS = ("r", "log_abs", "scaled", "sign")
-
-
 def _emit_series(args, samples, summary) -> int:
     """Write level samples as CSV rows, or as one JSON object that holds
     the level range, the samples and the fields of summary(); summary is
     called for JSON output only."""
-    rows = [tuple(getattr(s, f) for f in _SAMPLE_FIELDS) for s in samples]
     if args.format == "csv":
-        _emit_csv(_SAMPLE_FIELDS, rows)
+        _emit_csv(GrowthSample._fields, samples)
         return 0
     out = summary()
     out.update(r_start=args.r_start, r_end=args.r_end, r_step=args.r_step,
-               samples=[dict(zip(_SAMPLE_FIELDS, row)) for row in rows])
+               samples=[s._asdict() for s in samples])
     _emit_json(out)
     return 0
 
@@ -262,7 +257,7 @@ def cmd_growth(args) -> int:
             vol = None
             gap = None
         return {"theta": list(theta.theta), "alpha": list(alpha.alpha),
-                "mu": list(args.mu), "fit": dataclasses.asdict(fit),
+                "mu": list(args.mu), "fit": fit._asdict(),
                 "vol": vol, "gap": gap}
 
     return _emit_series(args, samples, summary)
@@ -294,7 +289,7 @@ def cmd_prism(args) -> int:
     check = prism_conjecture_check(spec, tuple(_r_list(args)))
     return _emit_series(args, check.samples, lambda: {
         "vertical": list(spec.vertical), "base_b": list(spec.base_b),
-        "base_c": list(spec.base_c), "fit": dataclasses.asdict(check.fit),
+        "base_c": list(spec.base_c), "fit": check.fit._asdict(),
         "vol": check.vol, "gap": check.gap})
 
 

@@ -30,6 +30,7 @@ import itertools
 import math
 import struct
 from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,17 +205,12 @@ class GramMatrix:
         raise ValueError("Gram matrix must have unit diagonal")
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Eigenvalue sign counts (pos, neg, zero), summing to 4."""
 
     pos: int
     neg: int
     zero: int
-
-    def __post_init__(self) -> None:
-        if self.pos + self.neg + self.zero != 4:
-            raise ValueError("signature counts must sum to 4")
 
     def as_pair(self) -> tuple[int, int]:
         return (self.pos, self.neg)
@@ -229,8 +225,7 @@ class GeometryTag(enum.Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class GeometryClass:
+class GeometryClass(NamedTuple):
     tag: GeometryTag
     signature: Signature
 

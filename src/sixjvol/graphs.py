@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gram import AngleSixTuple
 from .growth import (GrowthFit, GrowthSample, even_colors, fit_growth,
@@ -40,8 +41,7 @@ def loop_value(level, i: int) -> float:
     return (-1.0) ** (i + 1) * quantum_integer(lv, i + 1)
 
 
-@dataclass(frozen=True)
-class BlowUpMove:
+class BlowUpMove(NamedTuple):
     vertex: str
     new_edges: tuple[int, int, int]
 
@@ -164,8 +164,7 @@ def prism_colors_for_r(p: PrismSpec, r: int) -> tuple[int, ...]:
     return even_colors([math.pi - t for t in angles], r)
 
 
-@dataclass(frozen=True)
-class PrismCheck:
+class PrismCheck(NamedTuple):
     fit: GrowthFit
     vol: float
     gap: float

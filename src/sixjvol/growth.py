@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,16 +54,14 @@ class GrowthPlan:
             raise ValueError("levels must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class GrowthSample:
+class GrowthSample(NamedTuple):
     r: int
     log_abs: float            # ln|6j|; -inf for an exactly zero symbol
     scaled: float             # (2*pi/r) * log_abs
     sign: int                 # {+1, -1, 0}
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(NamedTuple):
     c0: float
     c1: float
     c2: float

@@ -125,20 +125,45 @@ class LevelTables:
     n = r-1 slot exists because Delta denominators reach [T+1]! with
     T+1 = r-1 and the 6j z-sum queries [z+1]! at z = r-2.
 
+    The build evaluates s_m = log(2 sin(pi m / r)) only for m = 1..h,
+    h = (r-1)/2, every angle below pi/2.  For k <= h, |2 sin(2 pi k / r)|
+    is s_{2k} when 2k <= h and s_{r-2k} above, so the cumulative sum
+    over n <= h reads the even s_m and then the odd ones in reverse.
+    log_sin1 is its first term, which makes logfact[0] = logfact[1] =
+    0.0 exactly.  The entries n > h come from the reflection
+    logfact[n] = logfact[r-1] - logfact[r-1-n], since |[k]| = |[r-k]|,
+    with logfact[r-1] = log r - (r-1) log_sin1, since
+    prod_{k=1..r-1} |2 sin(2 pi k / r)| = r.  Every temporary has h+1
+    entries.
+
     Tables are shared through `level_tables`, which keeps the most
     recently used levels within TABLE_CACHE_BYTES of `nbytes`.
     """
 
     def __init__(self, level: OddLevel):
         r = level.r
+        h = (r - 1) // 2
         self.level = level
-        k = np.arange(0, r, dtype=np.float64)  # 0..r-1
-        with np.errstate(divide="ignore"):
-            log2sin = np.log(np.abs(2.0 * np.sin(TWO_PI * k / r)))
-        log2sin[0] = 0.0  # unused slot; keeps cumsum aligned
-        self.log_sin1 = math.log(2.0 * math.sin(TWO_PI / r))
-        self.logfact = np.cumsum(log2sin)
-        self.logfact -= k * self.log_sin1
+        m = np.arange(h + 1, dtype=np.float64)
+        s = m * math.pi
+        s /= r
+        np.sin(s, out=s)
+        s *= 2.0
+        s[0] = 1.0  # unused slot; log gives 0.0
+        np.log(s, out=s)
+        lf = np.empty(r, dtype=np.float64)
+        low = lf[:h + 1]
+        g = h // 2
+        low[0] = 0.0
+        low[1:g + 1] = s[2::2]
+        low[g + 1:] = s[r - 2 * g - 2:0:-2]
+        self.log_sin1 = float(low[1])
+        np.add.accumulate(low, out=low)
+        m *= self.log_sin1
+        low -= m
+        top = math.log(r) - (r - 1) * self.log_sin1
+        np.subtract(top, lf[h - 1::-1], out=lf[h + 1:])
+        self.logfact = lf
         self.negparity = np.zeros(r, dtype=np.uint8)
         self.negparity[(r + 1) // 2::2] = 1
 

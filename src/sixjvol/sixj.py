@@ -42,8 +42,8 @@ quarter turns by the same rule.
 The tables come from `qnum.level_tables`, a cache bounded by
 `qnum.TABLE_CACHE_BYTES` that evicts the least recently used level.
 A repeated sweep whose tables together exceed the bound rebuilds every
-level on every pass; a build took about 56 us at r = 2001, 230 us at
-r = 10001 and 0.5 ms at r = 20001, and one symbol of the pi/6 colours
+level on every pass; a build took about 48 us at r = 2001, 130 us at
+r = 10001 and 250 us at r = 20001, and one symbol of the pi/6 colours
 (43, 417 and 4167 z-terms) about 18, 31 and 76 us at r = 101, 2001
 and 20001 (one Xeon core, numpy 2.4).
 """
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +83,12 @@ def _triple_ok(a1: int, a2: int, a3: int, r: int) -> bool:
 
 
 def is_admissible_tuple(colors, level) -> bool:
+    """True iff the six colors are r-admissible; any other number of
+    colors raises ValueError, as `ColorSixTuple` does."""
     r = _level(level).r
     a = tuple(colors)
+    if len(a) != 6:
+        raise ValueError("need exactly six colors")
     for (i, j, k) in VERTEX_TRIPLES:
         if not _triple_ok(a[i], a[j], a[k], r):
             return False
@@ -98,10 +103,12 @@ class ColorTriple:
     level: OddLevel
 
     def __post_init__(self) -> None:
-        if not is_admissible_triple(self.a1, self.a2, self.a3, self.level):
+        level = _level(self.level)
+        object.__setattr__(self, "level", level)
+        if not _triple_ok(self.a1, self.a2, self.a3, level.r):
             raise ValueError(
                 f"inadmissible triple ({self.a1},{self.a2},{self.a3})"
-                f" at r={self.level.r}")
+                f" at r={level.r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,9 @@ class ColorSixTuple:
         object.__setattr__(self, "colors", colors)
         if len(colors) != 6:
             raise ValueError("need exactly six colors")
-        r = _level(self.level).r
+        level = _level(self.level)
+        object.__setattr__(self, "level", level)
+        r = level.r
         # One pass over the four vertex triples.  With s = x+y+z even,
         # the triangle inequalities say x, y, z <= s/2, and they imply
         # x, y, z >= 0; every color sits in some triple, so s/2 <= r-2
@@ -147,11 +156,10 @@ class ColorSixTuple:
 
 
 def tuple_of(colors, level) -> ColorSixTuple:
-    return ColorSixTuple(tuple(int(a) for a in colors), _level(level))
+    return ColorSixTuple(colors, level)  # converts colors and level itself
 
 
-@dataclass(frozen=True)
-class SumBounds:
+class SumBounds(NamedTuple):
     """Vertex half-sums T1..T4 and quadrilateral half-sums Q1..Q3."""
 
     T: tuple[int, int, int, int]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +77,7 @@ class SegmentSide(enum.Enum):
     COMPLEMENT_MEETS = "ComplementMeets"
 
 
-@dataclass(frozen=True)
-class EdgeDistance:
+class EdgeDistance(NamedTuple):
     """Distance between the (projected) endpoints i and j.
 
     `ideal` marks an ideal endpoint, in which case d is +inf; the kind
@@ -89,8 +89,7 @@ class EdgeDistance:
     ideal: bool = False
 
 
-@dataclass(frozen=True)
-class CaseLabel:
+class CaseLabel(NamedTuple):
     """Sign-pattern case of the cofactor matrix, e.g. "3b".
 
     `operations` lists the vertex indices (1..4) whose change-of-angles

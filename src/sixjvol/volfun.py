@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -48,26 +46,29 @@ from .tetra import edge_length_tuple
 ALPHA_QUADS = ((0, 1, 3, 4), (0, 2, 3, 5), (1, 2, 4, 5))
 
 
-def _zeta_even_over_pi_powers(count: int) -> list[Fraction]:
-    """Exact zeta(2n) / pi^{2n} = |B_2n| 2^{2n-1} / (2n)! for n = 1..count.
-
-    Euler's convolution of the Bernoulli numbers,
-    (n + 1/2) zeta(2n) = sum_{k=1}^{n-1} zeta(2k) zeta(2n-2k), from
-    zeta(2) = pi^2 / 6.
-    """
-    out = [Fraction(1, 6)]
-    for n in range(2, count + 1):
-        conv = sum(out[k - 1] * out[n - k - 1] for k in range(1, n))
-        out.append(conv / (n + Fraction(1, 2)))
-    return out
-
-
 # Coefficients of the Lobachevsky power series
 #   Lambda(t) = t - t log(2t) + t * sum_{n>=1} c_n (t/pi)^{2n},
 # with c_n = zeta(2n) / (n (2n+1)); c_n -> 1/(n(2n+1)) so ~4^-n decay
 # of the terms on [0, pi/2] gives full double precision by n ~ 25.
-_LOB_COEFF = [float(z / (n * (2 * n + 1))) * math.pi ** (2 * n)
-              for n, z in enumerate(_zeta_even_over_pi_powers(39), start=1)]
+# Each is float(z_n / (n (2n+1))) * pi^{2n}, with z_n = zeta(2n) / pi^{2n}
+# the exact Bernoulli rational, written out so that importing does no
+# rational arithmetic; `lob_coeff_exact` in tests/conftest.py recomputes
+# them and the tests compare them bit for bit.
+_LOB_COEFF = (
+    0.5483113556160755, 0.1082323233711138, 0.04844490771354519,
+    0.027891037672165112, 0.018199901365960322, 0.012823667776324455,
+    0.009524392839381507, 0.0073530535460250585, 0.005847975539726691,
+    0.00476190930458111, 0.003952570112452577, 0.0033333335320272933,
+    0.002849002891457418, 0.002463054196367815, 0.0021505376364114545,
+    0.00189393939438036, 0.001680672269005389, 0.0015015015015233492,
+    0.0013495276653220465, 0.0012195121951230584, 0.0011074197120711248,
+    0.0010101010101010658, 0.0009250693802035268, 0.0008503401360544231,
+    0.0007843137254901953, 0.0007256894049346866, 0.000673400673400672,
+    0.0006265664160400989, 0.0005844535359438911, 0.0005464480874316928,
+    0.0005120327700972849, 0.00048076923076922955, 0.0004522840343735854,
+    0.00042625745950554015, 0.0004024144869215281, 0.00038051750380517393,
+    0.00036036036036035934, 0.0003417634996582355, 0.00032456994482310834,
+)
 
 
 def _lob_series(t: float) -> float:
@@ -100,8 +101,7 @@ def lobachevsky(theta: float) -> float:
     return _lob_series(t)
 
 
-@dataclass(frozen=True)
-class TauEta:
+class TauEta(NamedTuple):
     """Vertex half-sums tau_1..tau_4 and quadrilateral half-sums eta_1..eta_3."""
 
     tau: tuple[float, float, float, float]
@@ -142,8 +142,7 @@ def big_V(alpha: AlphaSixTuple, xi: float) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class CriticalData:
+class CriticalData(NamedTuple):
     """Quadratic data and both roots; xi, xi_star in [pi, 2 pi).
 
     `degenerate` marks the flat family where A = B = C = 0 identically

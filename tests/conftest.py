@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +52,23 @@ def lob_quad(x: float) -> float:
                               if k * math.pi < x] or None,
                       limit=200)
     return -val
+
+
+def lob_coeff_exact(count: int) -> list[float]:
+    """Oracle for the Lobachevsky series coefficients c_n = zeta(2n) /
+    (n (2n+1)), n = 1..count, each rounded once from an exact rational.
+
+    zeta(2n) / pi^{2n} = |B_2n| 2^{2n-1} / (2n)! comes from Euler's
+    convolution of the Bernoulli numbers,
+    (n + 1/2) zeta(2n) = sum_{k=1}^{n-1} zeta(2k) zeta(2n-2k), from
+    zeta(2) = pi^2 / 6.
+    """
+    zeta = [Fraction(1, 6)]
+    for n in range(2, count + 1):
+        conv = sum(zeta[k - 1] * zeta[n - k - 1] for k in range(1, n))
+        zeta.append(conv / (n + Fraction(1, 2)))
+    return [float(z / (n * (2 * n + 1))) * math.pi ** (2 * n)
+            for n, z in enumerate(zeta, start=1)]
 
 
 def batch_grams(thetas: np.ndarray) -> np.ndarray:

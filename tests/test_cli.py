@@ -16,6 +16,9 @@ from sixjvol.cli import main
 
 PI = math.pi
 PI6 = ["pi/6"] * 6
+# The JSON objects of a growth fit and of one level sample.
+FIT_KEYS = {"c0", "c1", "c2", "residual_rms"}
+SAMPLE_KEYS = {"r", "log_abs", "scaled", "sign"}
 
 
 def run(capsys, argv):
@@ -204,6 +207,8 @@ def test_growth_json_fit_and_determinism(capsys):
     assert code == 0
     doc = json.loads(out)
     assert {"samples", "fit", "vol", "gap"} <= set(doc)
+    assert set(doc["fit"]) == FIT_KEYS
+    assert all(set(s) == SAMPLE_KEYS for s in doc["samples"])
     assert doc["vol"] == pytest.approx(3.2259951354175156)
     assert len(doc["samples"]) == 6
     code2, out2, _ = run(capsys, argv)
@@ -242,6 +247,8 @@ def test_prism_json_report(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["vol"] == pytest.approx(6.451990270835031)
     assert doc["vertical"] == pytest.approx([PI / 6] * 3)
+    assert set(doc["fit"]) == FIT_KEYS
+    assert all(set(s) == SAMPLE_KEYS for s in doc["samples"])
     assert len(doc["samples"]) == 6
     assert doc["gap"] == pytest.approx(abs(doc["fit"]["c0"] - doc["vol"]))
 

@@ -149,6 +149,27 @@ def test_fact_parity_counts_negative_quantum_integers(r):
         assert tab.fact(n) == (float(tab.logfact[n]), negatives & 1)
 
 
+@pytest.mark.parametrize("r", [3, 5, 7, 101])
+def test_logfact_starts_with_exact_zeros(r):
+    # [0]! = [1]! = 1 exactly: the trivial symbol and log_quantum_factorial
+    # at n = 0, 1 read these entries and must get log_mag 0.0.
+    lf = sv.LevelTables(sv.OddLevel(r)).logfact
+    assert lf[0] == 0.0 and lf[1] == 0.0
+
+
+def test_logfact_reflection_at_a_deep_level():
+    # |[k]| = |[r-k]| gives log|[n]!| + log|[r-1-n]!| = log|[r-1]!| for
+    # every n, and prod_{k=1..r-1} |2 sin(2 pi k/r)| = r gives
+    # log|[r-1]!| = log r - (r-1) log(2 sin(2 pi/r)).
+    r = 10001
+    tab = sv.LevelTables(sv.OddLevel(r))
+    lf = tab.logfact
+    top = math.log(r) - (r - 1) * math.log(2 * math.sin(2 * math.pi / r))
+    scale = float(np.max(np.abs(lf)))
+    assert abs(lf[r - 1] - top) <= 1e-15 * scale
+    assert float(np.max(np.abs(lf + lf[::-1] - lf[r - 1]))) <= 1e-15 * scale
+
+
 def _fsum_prefixes(terms):
     """math.fsum(terms[:n]) for n = 1..len(terms), in one pass that keeps
     fsum's exact partials (Shewchuk) between prefixes."""
@@ -169,7 +190,7 @@ def _fsum_prefixes(terms):
     return out
 
 
-@pytest.mark.parametrize("r", [101, 2001, 10001])
+@pytest.mark.parametrize("r", [101, 2001, 10001, 20001])
 def test_log_brace_factorial_matches_fsum_reference(r):
     # log|{n}!| = logfact[n] + n log(2 sin(2 pi/r)) re-adds a term of size
     # n |log(2 sin(2 pi/r))|; the result must stay within 1e-12 of the

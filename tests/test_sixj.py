@@ -58,6 +58,25 @@ def test_color_six_tuple_rejects_bad_vertex_triple():
         sv.tuple_of((0, 0, 0), lv)
 
 
+@pytest.mark.parametrize("n", [3, 7])
+def test_is_admissible_tuple_rejects_a_wrong_number_of_colors(n):
+    with pytest.raises(ValueError, match="need exactly six colors"):
+        sv.is_admissible_tuple((0,) * n, 7)
+
+
+def test_color_records_store_an_int_level_as_odd_level():
+    assert sv.ColorTriple(2, 2, 2, 7).level == sv.OddLevel(7)
+    with pytest.raises(ValueError, match="inadmissible triple"):
+        sv.ColorTriple(1, 1, 1, 7)
+    t = sv.ColorSixTuple((0, 0, 0, 2, 2, 2), 7)
+    assert t.level == sv.OddLevel(7)
+    assert t == sv.tuple_of((0, 0, 0, 2, 2, 2), 7)
+    assert sv.sixj_log(t) == sv.sixj_log(sv.tuple_of(t.colors, 7))
+    assert t.replaced((3, 4, 5)).colors == (0, 0, 0, 3, 3, 3)
+    assert sv.change_colors_face(t, 1).colors == (0, 0, 0, 3, 3, 3)
+    assert sv.change_colors_quad(t, 3).colors == (5, 5, 0, 3, 3, 2)
+
+
 def test_color_six_tuple_accepts_exactly_the_admissible_tuples():
     # The constructor checks the four vertex triples in one pass; it must
     # agree with is_admissible_triple on every triple and name the first

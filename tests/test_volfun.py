@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import sixjvol as sv
-from conftest import big_U, dilog_unit_circle, lob_quad, sample_theta31
+from conftest import (big_U, dilog_unit_circle, lob_coeff_exact, lob_quad,
+                      sample_theta31)
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -45,14 +46,25 @@ def test_lobachevsky_coefficients_match_zeta():
                                   rel=1e-14)
 
 
+def test_lobachevsky_coefficients_are_the_exact_bernoulli_values():
+    from sixjvol.volfun import _LOB_COEFF
+    exact = lob_coeff_exact(len(_LOB_COEFF))
+    assert [c.hex() for c in _LOB_COEFF] == [c.hex() for c in exact]
+
+
 def test_import_does_not_load_scipy():
+    # None of these is needed to import the package or start the CLI;
+    # fractions and decimal would come back with exact coefficient
+    # arithmetic at import, logging with an eager logger.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, sixjvol, sixjvol.cli; print('scipy' in sys.modules)"
+    code = ("import sys, sixjvol, sixjvol.cli; print(sorted(m for m in "
+            "('scipy', 'mpmath', 'fractions', 'decimal', 'logging') "
+            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_lobachevsky_against_quadrature(rng):
