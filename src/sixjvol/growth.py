@@ -29,7 +29,7 @@ import numpy as np
 
 from .gram import (AlphaSixTuple, AngleSixTuple, cofactor_matrix,
                    gram_from_angles, signature, tol_sign)
-from .qnum import TWO_PI, OddLevel
+from .qnum import TWO_PI
 from .sixj import ColorSixTuple, sixj_log
 from .tetra import edge_length_tuple
 from .volfun import volume
@@ -93,7 +93,7 @@ def colors_for_r(alpha: AlphaSixTuple, r: int) -> ColorSixTuple:
     """
     colors = even_colors(alpha.alpha, r)
     try:
-        return ColorSixTuple(colors, OddLevel(r))
+        return ColorSixTuple(colors, r)
     except ValueError as exc:
         raise ValueError(f"no admissible rounding at this level: r={r}, "
                          f"colors={colors}") from exc
@@ -102,21 +102,24 @@ def colors_for_r(alpha: AlphaSixTuple, r: int) -> ColorSixTuple:
 def scan_levels(r_list, evaluate) -> list[GrowthSample]:
     """Growth samples of evaluate(r) -> QuarterPhaseLog, ordered by r.
 
-    A level whose evaluation fails is skipped with a LevelSkipped
-    warning attributed to the scan's caller, and a debug event on the
-    "sixjvol" logger whose arguments are r and the reason.
+    A level whose evaluation raises ValueError or ArithmeticError (an
+    inadmissible rounding, an imaginary symbol) is skipped with a
+    LevelSkipped warning attributed to the scan's caller, and a debug
+    event on the "sixjvol" logger whose arguments are r and the reason.
+    Any other exception is a defect and propagates.
     """
     out: list[GrowthSample] = []
     for r in r_list:
         try:
-            val = evaluate(r)
-            if val.is_zero:
+            log_mag, phase = evaluate(r)
+            if log_mag == -math.inf:
                 out.append(GrowthSample(r, -math.inf, -math.inf, 0))
+            elif phase & 1:
+                raise ValueError(f"value has imaginary phase {phase}")
             else:
-                out.append(GrowthSample(r, val.log_mag,
-                                        TWO_PI * val.log_mag / r,
-                                        val.real_sign()))
-        except Exception as exc:  # noqa: BLE001 - per-level isolation
+                out.append(GrowthSample(r, log_mag, TWO_PI * log_mag / r,
+                                        1 if phase == 0 else -1))
+        except (ValueError, ArithmeticError) as exc:
             # imported here: logging adds ~5 ms to every process start
             # and is needed only once a level is skipped
             import logging

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -30,17 +30,57 @@ TWO_PI = 2.0 * math.pi
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class OddLevel:
-    """The level r of the root of unity q = e^{2*pi*i/r}; r odd, r >= 3."""
+class _FrozenRecord:
+    """Base of the immutable records with `__slots__` fields.
 
-    r: int
+    A subclass names its fields in `__slots__` and sets each once in
+    `__init__` through `object.__setattr__`.  Records compare equal, and
+    hash alike, when they are of the same class with equal fields;
+    assigning or deleting a field raises AttributeError.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.r, (int, np.integer)):
-            raise TypeError(f"level must be an integer, got {self.r!r}")
-        if self.r < 3 or self.r % 2 == 0:
-            raise ValueError(f"level must be odd and >= 3, got {self.r}")
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OddLevel(_FrozenRecord):
+    """The level r of the root of unity q = e^{2*pi*i/r}; r odd, r >= 3.
+
+    An immutable record of r as given (an int or a numpy integer),
+    equal to another OddLevel of the same r.
+    """
+
+    __slots__ = ("r",)
+
+    def __init__(self, r: int) -> None:
+        if not isinstance(r, (int, np.integer)):
+            raise TypeError(f"level must be an integer, got {r!r}")
+        if r < 3 or r % 2 == 0:
+            raise ValueError(f"level must be odd and >= 3, got {r}")
+        object.__setattr__(self, "r", r)
 
 
 def _level(level) -> OddLevel:
@@ -50,22 +90,30 @@ def _level(level) -> OddLevel:
     return OddLevel(int(level))
 
 
-@dataclass(frozen=True)
-class QuarterPhaseLog:
+class QuarterPhaseLog(tuple):
     """A number e^{log_mag} * i^{phase}, with phase in {0,1,2,3}.
 
-    log_mag = -inf encodes exactly zero (phase normalized to 0).
-    Multiplication adds log-magnitudes and adds phases mod 4.
+    The tuple (log_mag, phase): it unpacks, compares and hashes as that
+    pair, and the constructor reduces the phase mod 4.  log_mag = -inf
+    encodes exactly zero, whose phase is 0.  Multiplication adds
+    log-magnitudes and adds phases mod 4; the other tuple operations
+    are those of a plain tuple.
     """
 
-    log_mag: float
-    phase: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.log_mag == _NEG_INF:
-            object.__setattr__(self, "phase", 0)
-        else:
-            object.__setattr__(self, "phase", self.phase % 4)
+    def __new__(cls, log_mag: float, phase: int) -> "QuarterPhaseLog":
+        return tuple.__new__(
+            cls, (log_mag, 0 if log_mag == _NEG_INF else phase % 4))
+
+    log_mag = property(itemgetter(0), doc="ln|value|; -inf for zero")
+    phase = property(itemgetter(1), doc="quarter turns, in {0,1,2,3}")
+
+    def __getnewargs__(self) -> tuple[float, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"QuarterPhaseLog(log_mag={self[0]!r}, phase={self[1]!r})"
 
     @staticmethod
     def one() -> "QuarterPhaseLog":
@@ -82,14 +130,13 @@ class QuarterPhaseLog:
         return QuarterPhaseLog(math.log(abs(x)), 0 if x > 0 else 2)
 
     def __mul__(self, other: "QuarterPhaseLog") -> "QuarterPhaseLog":
-        if self.log_mag == _NEG_INF or other.log_mag == _NEG_INF:
+        if self[0] == _NEG_INF or other.log_mag == _NEG_INF:
             return QuarterPhaseLog.zero()
-        return QuarterPhaseLog(self.log_mag + other.log_mag,
-                               (self.phase + other.phase) % 4)
+        return QuarterPhaseLog(self[0] + other.log_mag, self[1] + other.phase)
 
     @property
     def is_zero(self) -> bool:
-        return self.log_mag == _NEG_INF
+        return self[0] == _NEG_INF
 
     def value(self) -> complex:
         """The represented complex number (overflows for large log_mag)."""

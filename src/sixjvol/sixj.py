@@ -36,27 +36,30 @@ sign rule at one breakpoint in z, and at most one breakpoint falls
 inside the z-range (`_sign_flips` has the proof).  The parity is
 constant or alternating on each side of it, so the kernel negates one
 strided slice and perhaps the sum, both exact.  The four Delta factors
-read their sixteen log-factorials with one index array and count their
-quarter turns by the same rule.
+take their sixteen factorial indices from the vertex half-sums T that
+the z-range already needs, read them as Python floats from the table,
+and count their quarter turns by the same rule.
 
 The tables come from `qnum.level_tables`, a cache bounded by
 `qnum.TABLE_CACHE_BYTES` that evicts the least recently used level.
 A repeated sweep whose tables together exceed the bound rebuilds every
-level on every pass; a build took about 48 us at r = 2001, 130 us at
-r = 10001 and 250 us at r = 20001, and one symbol of the pi/6 colours
-(43, 417 and 4167 z-terms) about 18, 31 and 76 us at r = 101, 2001
-and 20001 (one Xeon core, numpy 2.4).
+level on every pass.  A build takes about 28 us at r = 2001, 91 us at
+r = 10001 and 171 us at r = 20001, and one symbol of the pi/6 colours
+(43, 417 and 4167 z-terms) about 17, 21 and 73 us at r = 101, 2001
+and 20001, so a sweep that rebuilds its tables costs about 2.3 times
+one that does not at r = 2001 and 3.3 times at r = 20001 (best of 21
+runs on one core of a shared 2-core Xeon virtual machine, Python 3.11,
+numpy 2.4).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .qnum import OddLevel, QuarterPhaseLog, _level, level_tables
+from .qnum import QuarterPhaseLog, _FrozenRecord, _level, level_tables
 
 # Index sets (0-based).  Vertex triples are the edges meeting at each
 # vertex of the tetrahedral graph; face triples are their complements
@@ -95,33 +98,42 @@ def is_admissible_tuple(colors, level) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ColorTriple:
-    a1: int
-    a2: int
-    a3: int
-    level: OddLevel
+class ColorTriple(_FrozenRecord):
+    """An r-admissible color triple (a1, a2, a3) at `level`.
 
-    def __post_init__(self) -> None:
-        level = _level(self.level)
+    An immutable record; an int level is stored as an OddLevel.
+    """
+
+    __slots__ = ("a1", "a2", "a3", "level")
+
+    def __init__(self, a1: int, a2: int, a3: int, level) -> None:
+        level = _level(level)
+        if not _triple_ok(a1, a2, a3, level.r):
+            raise ValueError(f"inadmissible triple ({a1},{a2},{a3})"
+                             f" at r={level.r}")
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a3", a3)
         object.__setattr__(self, "level", level)
-        if not _triple_ok(self.a1, self.a2, self.a3, level.r):
-            raise ValueError(
-                f"inadmissible triple ({self.a1},{self.a2},{self.a3})"
-                f" at r={level.r}")
 
 
-@dataclass(frozen=True)
-class ColorSixTuple:
-    colors: tuple[int, int, int, int, int, int]
-    level: OddLevel
+class ColorSixTuple(_FrozenRecord):
+    """An r-admissible 6-tuple of colors at `level`.
 
-    def __post_init__(self) -> None:
-        colors = tuple(map(int, self.colors))
-        object.__setattr__(self, "colors", colors)
+    An immutable record: the colors are stored as a tuple of ints and an
+    int level as an OddLevel.  Wrong-length tuples, bad levels and
+    inadmissible tuples raise ValueError (or TypeError for a non-integer
+    level), in that order.
+    """
+
+    __slots__ = ("colors", "level")
+
+    def __init__(self, colors, level) -> None:
+        colors = tuple(map(int, colors))
         if len(colors) != 6:
             raise ValueError("need exactly six colors")
-        level = _level(self.level)
+        level = _level(level)
+        object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "level", level)
         r = level.r
         # One pass over the four vertex triples.  With s = x+y+z even,
@@ -180,24 +192,26 @@ def _half_sums(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
              (a2 + a3 + a5 + a6) // 2))
 
 
-def _delta_logs(tab, triples) -> tuple[float, int]:
-    """Summed log|Delta| over the triples and their quarter turns.
+def _delta_logs(tab, idx) -> tuple[float, int]:
+    """Summed log|Delta| and quarter turns of Delta factors.
 
     Delta(a,b,c) = sqrt([s-c]![s-a]![s-b]!/[s+1]!) with s = (a+b+c)/2,
-    so each triple reads four factorial entries; all of them are read
-    with one index array.  A negative radicand contributes a single
-    quarter turn (sqrt(x) = i sqrt|x|); [n]! is negative exactly when
-    n > h = (r-1)/2 and n - h is odd, so the turns need no table read.
+    so idx lists four factorial indices (s-c, s-a, s-b, s+1) per factor,
+    read through a memoryview of `logfact` (sixteen such reads cost
+    about half of one `take` and `tolist`).  A negative radicand
+    contributes a single quarter turn (sqrt(x) = i sqrt|x|); [n]! is
+    negative exactly when n > h = (r-1)/2 and n - h is odd, so the turns
+    need no table read, and a factor with s+1 <= h has none.
     """
     h = (tab.level.r - 1) // 2
-    idx = []
+    lf = memoryview(tab.logfact)  # an item is a Python float
+    n = iter(idx)
+    log_mag = 0.0
     turns = 0
-    for a, b, c in triples:
-        s = (a + b + c) // 2
-        x, y, w = s - c, s - a, s - b
-        idx += (x, y, w, s + 1)
-        if s >= h:  # [s+1]!, and maybe more, past h
-            p = s + 1 - h
+    for x, y, w, d in zip(n, n, n, n):
+        log_mag += 0.5 * (lf[x] + lf[y] + lf[w] - lf[d])
+        if d > h:  # [s+1]!, and maybe more, past h
+            p = d - h
             if x > h:
                 p += x - h
             if y > h:
@@ -205,18 +219,15 @@ def _delta_logs(tab, triples) -> tuple[float, int]:
             if w > h:
                 p += w - h
             turns += p & 1
-    lf = iter(tab.logfact.take(idx).tolist())
-    log_mag = 0.0
-    for x, y, w, d in zip(lf, lf, lf, lf):
-        log_mag += 0.5 * (x + y + w - d)
     return log_mag, turns
 
 
 def delta_triple(triple: ColorTriple) -> QuarterPhaseLog:
     """Delta(a1,a2,a3) = sqrt([x]![y]![w]! / [T+1]!), imaginary-root convention."""
-    tab = level_tables(triple.level)
-    return QuarterPhaseLog(
-        *_delta_logs(tab, ((triple.a1, triple.a2, triple.a3),)))
+    a, b, c = triple.a1, triple.a2, triple.a3
+    s = (a + b + c) // 2
+    return QuarterPhaseLog(*_delta_logs(level_tables(triple.level),
+                                        (s - c, s - a, s - b, s + 1)))
 
 
 def _sign_flips(lo: int, hi: int, T, Q, h: int) -> tuple[int, int, int]:
@@ -313,15 +324,21 @@ def sixj_log(t: ColorSixTuple) -> QuarterPhaseLog:
     and the imaginary Delta factors can leave an odd phase, i.e. a
     purely imaginary symbol; such tuples raise ArithmeticError.
     """
-    tab = level_tables(t.level)
+    level = t.level
+    tab = level_tables(level)
     a = t.colors
     T, Q = _half_sums(a)
-    r = t.level.r
+    r = level.r
     zlog, zphase = _zsum_signed_log(tab, T, Q, r)
     if zlog == -math.inf:
         return QuarterPhaseLog.zero()
-    dlog, turns = _delta_logs(
-        tab, [(a[i], a[j], a[k]) for (i, j, k) in VERTEX_TRIPLES])
+    a1, a2, a3, a4, a5, a6 = a
+    T1, T2, T3, T4 = T
+    # the four Delta factors in VERTEX_TRIPLES order, from the half-sums
+    dlog, turns = _delta_logs(tab, (T1 - a3, T1 - a1, T1 - a2, T1 + 1,
+                                    T2 - a6, T2 - a1, T2 - a5, T2 + 1,
+                                    T3 - a6, T3 - a2, T3 - a4, T3 + 1,
+                                    T4 - a5, T4 - a3, T4 - a4, T4 + 1))
     phase = (-sum(a) + turns + zphase) % 4
     if phase % 2 != 0:
         raise ArithmeticError(

@@ -61,8 +61,8 @@ def test_criterion_03_discriminant_identity():
 def test_criterion_04_classification_law():
     rng = np.random.default_rng(3004)
     al = sample_admissible_alpha_np(rng, 100_000)
-    th = np.abs(PI - al)
-    sig = batch_signatures(batch_grams(th))
+    grams = batch_grams(np.abs(PI - al))
+    sig = batch_signatures(grams)
     pairs = {(int(p[0]), int(p[1])) for p in sig}
     allowed = {(4, 0), (3, 0), (3, 1), (2, 0), (1, 0)}
     ok_all = pairs <= allowed
@@ -71,8 +71,7 @@ def test_criterion_04_classification_law():
     strict_pairs = {(int(p[0]), int(p[1])) for p in sig[strict]}
     ok_strict = strict_pairs <= {(4, 0), (3, 0), (3, 1)}
 
-    diag = np.stack([batch_cofactors(batch_grams(th))[:, i, i]
-                     for i in range(4)], axis=1)
+    diag = np.diagonal(batch_cofactors(grams), axis1=1, axis2=2)
     has_neg = (diag < -1e-9).any(axis=1)
     neg_pairs = {(int(p[0]), int(p[1])) for p in sig[has_neg]}
     ok_neg = neg_pairs <= {(3, 1)}
@@ -98,9 +97,8 @@ def test_criterion_06_maximization_agreement():
     worst_root = 0.0
     while checked < 1000:
         rows = sample_admissible_alpha_np(rng, 4000)
-        diag = np.stack(
-            [batch_cofactors(batch_grams(np.abs(PI - rows)))[:, i, i]
-             for i in range(4)], axis=1)
+        diag = np.diagonal(batch_cofactors(batch_grams(np.abs(PI - rows))),
+                           axis1=1, axis2=2)
         for row in rows[(diag < -1e-6).any(axis=1)]:
             al = sv.AlphaSixTuple.from_alpha(row)
             vol = sv.volume(al.to_theta(), al.mu)

@@ -100,6 +100,21 @@ def test_growth_series_logs_skipped_levels(caplog):
     assert all("no admissible rounding" in str(rec.args[1]) for rec in events)
 
 
+def test_growth_series_propagates_defects_instead_of_skipping(monkeypatch):
+    # Only domain errors (ValueError, ArithmeticError) skip a level; any
+    # other exception is a defect in the library and must propagate.
+    def broken_sixj_log(t):
+        raise TypeError("not a domain error")
+
+    monkeypatch.setattr("sixjvol.growth.sixj_log", broken_sixj_log)
+    plan = sv.GrowthPlan(alpha_of((PI / 6,) * 6), (101, 103, 105))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TypeError, match="not a domain error"):
+            sv.growth_series(plan)
+    assert not [w for w in caught if issubclass(w.category, sv.LevelSkipped)]
+
+
 def test_growth_series_example_scaled_values():
     plan = sv.GrowthPlan(alpha_of(THETA_E), tuple(range(101, 502, 100)))
     out = sv.growth_series(plan)

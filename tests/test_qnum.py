@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sixjvol as sv
+from sixjvol import growth
 from conftest import lob_quad
 
 
@@ -87,6 +88,55 @@ def test_quarter_phase_log_arithmetic():
     z = sv.QuarterPhaseLog.zero()
     assert z.is_zero and z.phase == 0
     assert (z * a).is_zero
+
+
+def test_value_records_normalise_compare_and_refuse_assignment():
+    inf = math.inf
+    Q = sv.QuarterPhaseLog
+    made = [
+        (Q(0.5, 7), (0.5, 3)), (Q(0.5, -1), (0.5, 3)), (Q(0.5, 4), (0.5, 0)),
+        (Q(-inf, 3), (-inf, 0)), (Q(-inf, -2), (-inf, 0)),
+        (Q.from_real(-2.0), (math.log(2.0), 2)),
+        (Q.from_real(0.0), (-inf, 0)), (Q.one(), (0.0, 0)),
+        (Q.zero(), (-inf, 0)), (Q(1.0, 3) * Q(2.0, 3), (3.0, 2)),
+        (Q(1.0, 1) * Q.zero(), (-inf, 0)), (Q.zero() * Q(1.0, 1), (-inf, 0)),
+    ]
+    for q, (log_mag, phase) in made:
+        assert (q.log_mag, q.phase) == (log_mag, phase)
+        assert 0 <= q.phase < 4
+
+    lv = sv.OddLevel(7)
+    t = sv.ColorSixTuple((0, 0, 0, 2, 2, 2), 7)
+    records = [(Q(0.5, 1), ("log_mag", "phase")), (lv, ("r",)),
+               (sv.ColorTriple(2, 2, 2, 7), ("a1", "a2", "a3", "level")),
+               (t, ("colors", "level"))]
+    for rec, fields in records:
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(rec, name))
+
+    assert lv == sv.OddLevel(7) and lv != sv.OddLevel(9)
+    assert hash(lv) == hash(sv.OddLevel(7))
+    twin = sv.ColorSixTuple([0, 0, 0, 2, 2, 2], sv.OddLevel(7))
+    assert t == twin and hash(t) == hash(twin) and t is not twin
+    assert t != sv.ColorSixTuple((0, 0, 0, 2, 2, 2), 9)
+    keys = {lv: "level", t: "tuple"}
+    assert keys[sv.OddLevel(7)] == "level" and keys[twin] == "tuple"
+    assert len({t, twin, sv.tuple_of(t.colors, 7)}) == 1
+
+    colors = growth.even_colors((1.0, 2.0, 3.0, 1.0, 2.0, 3.0), 101)
+    assert type(colors) is tuple
+
+
+def test_quarter_phase_log_is_its_pair():
+    q = sv.QuarterPhaseLog(0.5, 6)
+    log_mag, phase = q
+    assert (log_mag, phase) == (0.5, 2) and q == (0.5, 2)
+    assert hash(q) == hash((0.5, 2))
+    assert repr(q) == "QuarterPhaseLog(log_mag=0.5, phase=2)"
+    assert repr(sv.OddLevel(7)) == "OddLevel(r=7)"
+    assert repr(sv.ColorSixTuple((0, 0, 0, 2, 2, 2), 7)) == (
+        "ColorSixTuple(colors=(0, 0, 0, 2, 2, 2), level=OddLevel(r=7))")
 
 
 def test_quarter_phase_log_multiplication_vs_complex(rng):

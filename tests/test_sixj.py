@@ -277,7 +277,7 @@ def kernel_edge_tuples(r):
     return [c for c in cands if sv.is_admissible_tuple(c, r)]
 
 
-@pytest.mark.parametrize("r", [5, 7, 101, 2001])
+@pytest.mark.parametrize("r", [5, 7, 101, 2001, 10001])
 def test_sixj_kernel_matches_index_array_reference(r):
     # Edge cases of the sliced z-sum: a reversed [Q_j - z]! slice ending
     # at index 0 (Q_j = zmax), zmax clamped to r-2 (min Q > r-2), a
