@@ -18,9 +18,11 @@ so everything classified here is branch-independent.
 
 Classification is by eigenvalue signature of the Gram matrix:
 (4,0) spherical, (3,0) generalized Euclidean, (3,1) generalized
-hyperbolic; admissible tuples land in those three cells (plus the
-lower-rank line configurations (2,0)/(1,0)); (2,1) can only appear for
-non-admissible input and is kept for diagnostics.
+hyperbolic; admissible tuples land in those three cells or in the
+lower-rank line configurations (2,0)/(1,0) and (2,1).  Signature (2,1)
+has been seen only on the boundary of the admissible region:
+alpha = (pi, 0, pi, pi, t, pi) is admissible, but not strictly, and has
+signature (2,1,1) for every t tried in (0, pi).
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ import enum
 import itertools
 import math
 import struct
-from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .qnum import TWO_PI
+from .qnum import TWO_PI, _FrozenRecord
 
 FOUR_PI = 4.0 * math.pi
 
@@ -83,14 +84,13 @@ _CHECKERBOARD = np.array([[(-1.0) ** (i + j) for j in range(4)]
 _ENTRIES = tuple((i, j) for i in range(4) for j in range(4))
 
 
-@dataclass(frozen=True, eq=False)
-class AngleSixTuple:
-    """Six dihedral angles in [0, pi], edge-ordered."""
+class AngleSixTuple(_FrozenRecord):
+    """Six dihedral angles in [0, pi], edge-ordered; equal only to itself."""
 
-    theta: tuple[float, float, float, float, float, float]
+    __slots__ = ("theta",)
 
-    def __post_init__(self) -> None:
-        th = tuple(float(x) for x in self.theta)
+    def __init__(self, theta) -> None:
+        th = tuple(float(x) for x in theta)
         object.__setattr__(self, "theta", th)
         if len(th) != 6:
             raise ValueError("need exactly six angles")
@@ -106,7 +106,7 @@ _MU_TUPLES = {mu: mu for mu in itertools.product((-1, 1), repeat=6)}
 _SIX_DOUBLES = struct.Struct("6d")
 
 
-class AlphaSixTuple:
+class AlphaSixTuple(_FrozenRecord):
     """Limit angles alpha_k = pi + mu_k * theta_k with branch signs mu.
 
     Immutable, and equal only to itself.  Populations of rows are held
@@ -134,12 +134,6 @@ class AlphaSixTuple:
     @property
     def alpha(self) -> tuple[float, float, float, float, float, float]:
         return _SIX_DOUBLES.unpack(self._packed)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         return f"AlphaSixTuple(alpha={self.alpha!r}, mu={self.mu!r})"
@@ -171,24 +165,23 @@ def _isclose(x: float, y: float) -> bool:
     return abs(x - y) <= 1e-12 + 1e-5 * abs(y) and math.isfinite(y)
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
+class GramMatrix(_FrozenRecord):
     """Symmetric 4x4, unit diagonal, off-diagonal -cos theta_ij.
 
-    Validation accepts exactly the finite matrices with
-    np.allclose(m, m.T, atol=1e-12) and np.allclose(diag(m), 1, atol=1e-12),
-    entry by entry on Python floats.  Both keep allclose's default
-    rtol=1e-5, so the diagonal test is effectively |m_ii - 1| <= 1e-5 and
-    the symmetry test is relative to |m_ji|.  A NaN or an infinity
-    anywhere is rejected as not finite: every entry meets a finite
-    partner in the symmetry test, which `_isclose` fails, so the happy
-    path pays no separate finiteness pass.
+    Immutable, and equal only to itself.  Validation accepts exactly the
+    finite matrices with np.allclose(m, m.T, atol=1e-12) and
+    np.allclose(diag(m), 1, atol=1e-12), entry by entry on Python floats.
+    Both keep allclose's default rtol=1e-5, so the diagonal test is
+    effectively |m_ii - 1| <= 1e-5 and the symmetry test is relative to
+    |m_ji|.  A NaN or an infinity anywhere is rejected as not finite: every
+    entry meets a finite partner in the symmetry test, which `_isclose`
+    fails, so the happy path pays no separate finiteness pass.
     """
 
-    mat: np.ndarray
+    __slots__ = ("mat",)
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.mat, dtype=np.float64)
+    def __init__(self, mat) -> None:
+        m = np.asarray(mat, dtype=np.float64)
         object.__setattr__(self, "mat", m)
         if m.shape != (4, 4):
             raise ValueError(f"Gram matrix must be 4x4, got {m.shape}")
@@ -310,7 +303,8 @@ def classify(alpha: AlphaSixTuple) -> GeometryClass:
     elif pair in ((2, 0), (1, 0)):
         tag = GeometryTag.EUCLIDEAN_LINES
     elif pair == (2, 1):
-        # Unreachable for admissible input; kept for diagnostics.
+        # Seen only on the boundary of the admissible region (module
+        # docstring).
         tag = GeometryTag.HYPERBOLIC_LINES
     else:
         tag = GeometryTag.INDETERMINATE

@@ -22,13 +22,13 @@ converge to Vol(P).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gram import AngleSixTuple
-from .growth import (GrowthFit, GrowthSample, even_colors, fit_growth,
-                     scan_levels)
-from .qnum import OddLevel, QuarterPhaseLog, _level, quantum_integer
+from .growth import (GrowthFit, GrowthSample, _int_levels, even_colors,
+                     fit_growth, scan_levels)
+from .qnum import (OddLevel, QuarterPhaseLog, _ValueRecord, _level,
+                   quantum_integer)
 from .sixj import ColorSixTuple, sixj_log
 from .volfun import volume
 
@@ -46,8 +46,7 @@ class BlowUpMove(NamedTuple):
     new_edges: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class BlowUpGraph:
+class BlowUpGraph(NamedTuple):
     """A trivalent planar graph recorded by its blow-up history.
 
     `vertices` maps vertex names to ordered incident edge-id triples;
@@ -113,9 +112,8 @@ def bracket_blowup(graph: BlowUpGraph, coloring, level) -> QuarterPhaseLog:
 # Triangular prisms.
 
 
-@dataclass(frozen=True)
-class PrismSpec:
-    """Dihedral angles of a triangular prism.
+class PrismSpec(_ValueRecord):
+    """Dihedral angles of a triangular prism; an immutable record.
 
     vertical: the three vertical-face angles (at the vertical edges);
     base_b / base_c: the angles at the two triangular bases.  The
@@ -124,13 +122,11 @@ class PrismSpec:
     tetrahedra.
     """
 
-    vertical: tuple[float, float, float]
-    base_b: tuple[float, float, float]
-    base_c: tuple[float, float, float]
+    __slots__ = ("vertical", "base_b", "base_c")
 
-    def __post_init__(self) -> None:
-        for name in ("vertical", "base_b", "base_c"):
-            v = tuple(float(x) for x in getattr(self, name))
+    def __init__(self, vertical, base_b, base_c) -> None:
+        for name, angles in zip(self.__slots__, (vertical, base_b, base_c)):
+            v = tuple(float(x) for x in angles)
             object.__setattr__(self, name, v)
             if len(v) != 3:
                 raise ValueError(f"{name} needs exactly three angles")
@@ -180,7 +176,7 @@ def prism_conjecture_check(p: PrismSpec, r_list) -> PrismCheck:
     """
     graph = prism_graph()
     samples = scan_levels(
-        [int(r) for r in r_list],
+        _int_levels(r_list),
         lambda r: bracket_blowup(graph, prism_colors_for_r(p, r), OddLevel(r)))
     fit = fit_growth(samples)
     vol = prism_volume(p)

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .gram import (AlphaSixTuple, AngleSixTuple, cofactor_matrix,
                    gram_from_angles, signature, tol_sign)
-from .qnum import TWO_PI
+from .qnum import TWO_PI, _ValueRecord
 from .sixj import ColorSixTuple, sixj_log
 from .tetra import edge_length_tuple
 from .volfun import volume
@@ -40,13 +39,26 @@ class LevelSkipped(UserWarning):
     was dropped from the series."""
 
 
-@dataclass(frozen=True)
-class GrowthPlan:
-    alpha: AlphaSixTuple
-    r_list: tuple[int, ...]
+def _int_levels(r_list) -> tuple[int, ...]:
+    """The levels as ints; a level with a fractional part raises
+    ValueError instead of being truncated."""
+    given = tuple(r_list)
+    levels = tuple([int(r) for r in given])
+    for r, x in zip(levels, given):
+        if r != x:
+            raise ValueError(f"levels must be integers, got {x!r}")
+    return levels
 
-    def __post_init__(self) -> None:
-        rl = tuple(int(r) for r in self.r_list)
+
+class GrowthPlan(_ValueRecord):
+    """Limit angles and the strictly increasing odd levels r >= 5 at
+    which to evaluate them; an immutable record."""
+
+    __slots__ = ("alpha", "r_list")
+
+    def __init__(self, alpha: AlphaSixTuple, r_list) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        rl = _int_levels(r_list)
         object.__setattr__(self, "r_list", rl)
         if any(r < 5 or r % 2 == 0 for r in rl):
             raise ValueError("levels must be odd integers >= 5")

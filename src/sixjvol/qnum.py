@@ -34,8 +34,8 @@ class _FrozenRecord:
     """Base of the immutable records with `__slots__` fields.
 
     A subclass names its fields in `__slots__` and sets each once in
-    `__init__` through `object.__setattr__`.  Records compare equal, and
-    hash alike, when they are of the same class with equal fields;
+    `__init__` through `object.__setattr__`.  A record is equal only to
+    itself (it may hold arrays, which have no boolean equality);
     assigning or deleting a field raises AttributeError.
     """
 
@@ -43,14 +43,6 @@ class _FrozenRecord:
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
@@ -66,7 +58,22 @@ class _FrozenRecord:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class OddLevel(_FrozenRecord):
+class _ValueRecord(_FrozenRecord):
+    """A `_FrozenRecord` that compares equal, and hashes alike, to a
+    record of the same class with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class OddLevel(_ValueRecord):
     """The level r of the root of unity q = e^{2*pi*i/r}; r odd, r >= 3.
 
     An immutable record of r as given (an int or a numpy integer),
@@ -158,19 +165,18 @@ class QuarterPhaseLog(tuple):
 class LevelTables:
     """Per-level tables, built once and then read-only.
 
-    Two arrays, indexed by n = 0 .. r-1, nine bytes per entry:
+    One float64 array, indexed by n = 0 .. r-1, eight bytes per entry:
 
-      logfact[n]   = sum_{k=1..n} log|[k]|             (float64, log|[n]!|)
-      negparity[n] = #{k <= n : [k] < 0} mod 2         (uint8)
+      logfact[n] = sum_{k=1..n} log|[k]|  (log|[n]!|)
 
-    [k] < 0 exactly for k > (r-1)/2 (r odd, so never k = r/2); the
-    parity is therefore 0 up to (r-1)/2 and (n - (r-1)/2) mod 2 above
-    it.  The 6j kernel uses that closed form and never reads the
-    array; `fact` (so `log_quantum_factorial`) and the tests' reference
-    kernels do.  The brace factorials are log|{n}!| = logfact[n] +
-    n * log_sin1, with the scalar log_sin1 = log(2 sin(2 pi / r)).  The
-    n = r-1 slot exists because Delta denominators reach [T+1]! with
-    T+1 = r-1 and the 6j z-sum queries [z+1]! at z = r-2.
+    The sign of [n]! needs no table: [k] < 0 exactly for k > (r-1)/2
+    (r odd, so never k = r/2), so the parity of the negative factors is
+    0 up to h = (r-1)/2 and (n - h) mod 2 above it.  `fact` and the 6j
+    kernel both use that closed form.  The brace factorials are
+    log|{n}!| = logfact[n] + n * log_sin1, with the scalar log_sin1 =
+    log(2 sin(2 pi / r)).  The n = r-1 slot exists because Delta
+    denominators reach [T+1]! with T+1 = r-1 and the 6j z-sum queries
+    [z+1]! at z = r-2.
 
     The build evaluates s_m = log(2 sin(pi m / r)) only for m = 1..h,
     h = (r-1)/2, every angle below pi/2.  For k <= h, |2 sin(2 pi k / r)|
@@ -211,22 +217,21 @@ class LevelTables:
         top = math.log(r) - (r - 1) * self.log_sin1
         np.subtract(top, lf[h - 1::-1], out=lf[h + 1:])
         self.logfact = lf
-        self.negparity = np.zeros(r, dtype=np.uint8)
-        self.negparity[(r + 1) // 2::2] = 1
 
     @property
     def nbytes(self) -> int:
-        return self.logfact.nbytes + self.negparity.nbytes
+        return self.logfact.nbytes
 
     def fact(self, n: int) -> tuple[float, int]:
         """(log|[n]!|, sign parity) for 0 <= n <= r-1."""
-        return float(self.logfact[n]), int(self.negparity[n])
+        h = (self.level.r - 1) // 2
+        return float(self.logfact[n]), max(n - h, 0) & 1
 
 
 # Bound on the summed `nbytes` of the cached tables.  It holds every
-# level of a scan over r = 101..2001 (951 tables, about 8.6 MiB), so such
-# a scan never rebuilds, and caps a deep scan near r = 10^4 (about 90 KiB
-# a level) at some 180 levels.
+# level of a scan over r = 101..2001 (951 tables, about 7.63 MiB), so such
+# a scan never rebuilds, and caps a deep scan near r = 10^4 (about 78 KiB
+# a level) at some 210 levels.
 TABLE_CACHE_BYTES = 16 * 2**20
 
 _tables: OrderedDict[int, LevelTables] = OrderedDict()

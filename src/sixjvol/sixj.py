@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qnum import QuarterPhaseLog, _FrozenRecord, _level, level_tables
+from .qnum import QuarterPhaseLog, _ValueRecord, _level, level_tables
 
 # Index sets (0-based).  Vertex triples are the edges meeting at each
 # vertex of the tetrahedral graph; face triples are their complements
@@ -98,7 +98,7 @@ def is_admissible_tuple(colors, level) -> bool:
     return True
 
 
-class ColorTriple(_FrozenRecord):
+class ColorTriple(_ValueRecord):
     """An r-admissible color triple (a1, a2, a3) at `level`.
 
     An immutable record; an int level is stored as an OddLevel.
@@ -117,7 +117,7 @@ class ColorTriple(_FrozenRecord):
         object.__setattr__(self, "level", level)
 
 
-class ColorSixTuple(_FrozenRecord):
+class ColorSixTuple(_ValueRecord):
     """An r-admissible 6-tuple of colors at `level`.
 
     An immutable record: the colors are stored as a tuple of ints and an
@@ -235,8 +235,9 @@ def _sign_flips(lo: int, hi: int, T, Q, h: int) -> tuple[int, int, int]:
     stop) says to negate terms[start:stop:2] and then, if flip is 1,
     the sum.
 
-    A term's sign parity is z plus negparity[n] of its eight factorials
-    [n]!, and negparity[n] = (n - h) mod 2 for n > h = (r-1)/2, else 0.
+    A term's sign parity is z plus, for each of its eight factorials
+    [n]!, the parity of its negative factors [k] < 0: (n - h) mod 2 for
+    n > h = (r-1)/2, else 0 (see `LevelTables`).
     So a factor adds nothing while n <= h and z + k (mod 2) once n > h,
     with k = h + T_i for [z-T_i]! (T_i = -1 for [z+1]!) and k = h + Q_j
     for [Q_j-z]!.  [z-T_i]! comes on at z = h+1+T_i and [Q_j-z]! goes

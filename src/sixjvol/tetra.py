@@ -24,25 +24,27 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, GramMatrix, cofactor_matrix,
                    signature, tol_sign)
+from .qnum import _FrozenRecord
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-@dataclass(frozen=True, eq=False)
-class MinkowskiVector:
-    """A vector in R^{3,1}; the fourth coordinate is the timelike one."""
+class MinkowskiVector(_FrozenRecord):
+    """A vector in R^{3,1}; the fourth coordinate is the timelike one.
 
-    x: np.ndarray
+    Immutable, and equal only to itself.
+    """
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.x, dtype=np.float64)
+    __slots__ = ("x",)
+
+    def __init__(self, x) -> None:
+        v = np.asarray(x, dtype=np.float64)
         if v.shape != (4,):
             raise ValueError("Minkowski vectors have four components")
         object.__setattr__(self, "x", v)
@@ -104,8 +106,7 @@ class CaseLabel(NamedTuple):
         return self.label
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralizedTetrahedron:
+class GeneralizedTetrahedron(NamedTuple):
     gram: GramMatrix
     normals: tuple[MinkowskiVector, ...]
     vertices: tuple[MinkowskiVector, ...]

@@ -35,8 +35,6 @@ import cmath
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .gram import (ANGLE_VERTEX_TRIPLES, DEFAULT_TOL, AlphaSixTuple,
                    AngleSixTuple, admissible, cofactor_matrix,
                    gram_from_alpha, gram_from_angles, signature, tol_sign)
@@ -172,9 +170,9 @@ def _xi_from_root(z: complex) -> float:
 def critical_xi(alpha: AlphaSixTuple) -> CriticalData:
     """Solve the critical-point quadratic for xi and xi_star.
 
-    Requires det G < 0 (hyperbolic case); the flat family with
-    A = B = C = 0 is the one exception and reports xi = 3 pi / 2 with
-    the degenerate flag set.
+    Requires det G < 0 (hyperbolic case), read off the discriminant as
+    det G = disc / 16; the flat family with A = B = C = 0 is the one
+    exception and reports xi = 3 pi / 2 with the degenerate flag set.
     """
     u = [cmath.exp(1j * a) for a in alpha.alpha]
     u1, u2, u3, u4, u5, u6 = u
@@ -190,7 +188,6 @@ def critical_xi(alpha: AlphaSixTuple) -> CriticalData:
     B = Bc.real  # imaginary part is pure roundoff
     disc = B * B - 4.0 * (A * C).real  # A C = |A|^2 is real
 
-    det_g = float(np.linalg.det(gram_from_alpha(alpha).mat))
     if abs(A) <= DEFAULT_TOL and abs(B) <= DEFAULT_TOL:
         # Flat family: the quadratic vanishes identically and so does
         # the xi-dependence of V; report the midpoint root z = -1.
@@ -198,7 +195,7 @@ def critical_xi(alpha: AlphaSixTuple) -> CriticalData:
         return CriticalData(A=A, B=B, C=C, disc=disc, z=-1.0 + 0.0j,
                             z_star=-1.0 + 0.0j, xi=xi, xi_star=xi,
                             degenerate=True)
-    if tol_sign(det_g) >= 0:
+    if tol_sign(disc / 16.0) >= 0:
         raise ValueError("no hyperbolic critical point")
     root = 1j * math.sqrt(abs(disc))  # disc < 0 here; sqrt(x) = i sqrt|x|
     z = (-B + root) / (2.0 * A)

@@ -70,6 +70,22 @@ def test_growth_plan_validation():
         sv.GrowthPlan(al, (9, 7))
 
 
+def test_non_integral_levels_are_refused_not_truncated():
+    al = alpha_of((PI / 6,) * 6)
+    with pytest.raises(ValueError, match="levels must be integers"):
+        sv.GrowthPlan(al, (101.9, 103.2, 105.7))
+    sym = sv.PrismSpec((PI / 6,) * 3, (PI / 6,) * 3, (PI / 6,) * 3)
+    with pytest.raises(ValueError, match="levels must be integers"):
+        sv.prism_conjecture_check(sym, [101.9, 103.5, 105, 107, 109])
+    # numpy integers and integral floats stay accepted, stored as ints
+    for levels in (np.arange(101, 110, 2), (101.0, 103.0, 105, 107, 109)):
+        plan = sv.GrowthPlan(al, levels)
+        assert plan.r_list == (101, 103, 105, 107, 109)
+        assert all(type(r) is int for r in plan.r_list)
+    chk = sv.prism_conjecture_check(sym, np.arange(101, 502, 100))
+    assert [s.r for s in chk.samples] == [101, 201, 301, 401, 501]
+
+
 def test_growth_series_skips_bad_levels_with_warning():
     # the clamped rounding is admissible only at some levels; the bad
     # ones are dropped with a LevelSkipped warning, not raised

@@ -1,6 +1,7 @@
 """Admissibility, triangle factors, 6j-symbol evaluation, and the
 color-change moves."""
 
+import functools
 import itertools
 import math
 import random
@@ -213,28 +214,37 @@ def test_sixj_imaginary_symbols_raise_with_oracle_witness():
     assert z2.imag == pytest.approx(-0.8177906627673199, rel=1e-9)
 
 
+@functools.lru_cache(maxsize=None)
+def negative_factor_parity(r):
+    """nc[n] = #{1 <= k <= n : [k] < 0} mod 2 for n = 0..r-1, counted
+    from the quantum integers themselves, not from a closed form."""
+    lv = sv.OddLevel(r)
+    negatives = [sv.quantum_integer(lv, k) < 0 for k in range(1, r)]
+    return np.concatenate([[0], np.cumsum(negatives) & 1])
+
+
 def index_array_sixj_log(t):
     """Reference 6j in log space with plain index arrays.
 
-    Delta factors come from scalar `LevelTables.fact` reads and the
-    z-sum gathers every factor through z-dependent index arrays; the
-    floating-point operations and their order are those of the sliced
-    kernel, so the two must agree exactly.
+    Delta factors come from scalar reads of `logfact` and the z-sum
+    gathers every factor through z-dependent index arrays, with sign
+    parities from `negative_factor_parity`; the floating-point
+    operations and their order are those of the sliced kernel, so the
+    two must agree exactly.
     """
     r = t.level.r
     a = t.colors
-    tab = sv.level_tables(t.level)
+    lf, nc = sv.level_tables(t.level).logfact, negative_factor_parity(r)
     out = sv.QuarterPhaseLog(0.0, (-sum(a)) % 4)
     for i, j, k in sv.VERTEX_TRIPLES:
         ns = ((a[i] + a[j] - a[k]) // 2, (a[j] + a[k] - a[i]) // 2,
               (a[k] + a[i] - a[j]) // 2, (a[i] + a[j] + a[k]) // 2 + 1)
-        facts = [tab.fact(n) for n in ns]
+        facts = [(float(lf[n]), int(nc[n])) for n in ns]
         log_rad = facts[0][0] + facts[1][0] + facts[2][0] - facts[3][0]
         out = out * sv.QuarterPhaseLog(0.5 * log_rad,
                                        sum(p for _, p in facts) & 1)
     b = sv.SumBounds.of(t)
     z = np.arange(max(b.T), min(min(b.Q), r - 2) + 1)
-    lf, nc = tab.logfact, tab.negparity
     log_mag = lf[z + 1].copy()
     parity = nc[z + 1] + z
     for ti in b.T:
@@ -325,11 +335,12 @@ def sign_breakpoints(t):
 
 
 def term_parities(t):
-    """Sign parity of every z-term, gathered from `negparity`."""
+    """Sign parity of every z-term, gathered from
+    `negative_factor_parity`."""
     r = t.level.r
     b = sv.SumBounds.of(t)
     z = np.arange(max(b.T), min(min(b.Q), r - 2) + 1)
-    nc = sv.level_tables(t.level).negparity
+    nc = negative_factor_parity(r)
     parity = nc[z + 1] + z
     for ti in b.T:
         parity = parity + nc[z - ti]
@@ -363,9 +374,9 @@ def sign_case_tuples(r):
 @pytest.mark.parametrize("r", [101, 2001, 10001])
 def test_sixj_closed_form_signs_match_index_array_reference(r):
     # The kernel signs the terms from the breakpoints of the eight
-    # factorials instead of reading negparity.  Between breakpoints the
-    # parity read from the table must be constant or alternate, and the
-    # symbol must equal the index-array reference bit for bit.
+    # factorials instead of counting negative factors.  Between
+    # breakpoints the counted parity must be constant or alternate, and
+    # the symbol must equal the index-array reference bit for bit.
     seen = set()
     for t in sign_case_tuples(r):
         lo, hi, cuts = sign_breakpoints(t)

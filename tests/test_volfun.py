@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import sixjvol as sv
-from conftest import (big_U, dilog_unit_circle, lob_coeff_exact, lob_quad,
-                      sample_theta31)
+from conftest import (batch_admissible_alpha, big_U, dilog_unit_circle,
+                      lob_coeff_exact, lob_quad, sample_theta31)
+from sixjvol.gram import tol_sign
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -55,11 +56,13 @@ def test_lobachevsky_coefficients_are_the_exact_bernoulli_values():
 def test_import_does_not_load_scipy():
     # None of these is needed to import the package or start the CLI;
     # fractions and decimal would come back with exact coefficient
-    # arithmetic at import, logging with an eager logger.
+    # arithmetic at import, logging with an eager logger, dataclasses
+    # with a dataclass record.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, sixjvol, sixjvol.cli; print(sorted(m for m in "
-            "('scipy', 'mpmath', 'fractions', 'decimal', 'logging') "
+            "('scipy', 'mpmath', 'fractions', 'decimal', 'logging', "
+            "'dataclasses') "
             "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
@@ -166,6 +169,30 @@ def test_critical_xi_discriminant_is_sixteen_det_gram(rng):
         cd = sv.critical_xi(al)
         det = np.linalg.det(sv.gram_from_alpha(al).mat)
         assert cd.disc == pytest.approx(16.0 * det, rel=1e-9)
+
+
+def test_critical_xi_reads_the_sign_of_det_gram_off_the_discriminant():
+    # disc = 16 det G, so critical_xi tests tol_sign(disc / 16) rather
+    # than building G.  Pinned on 1000 uniform admissible rows and 1000
+    # on the pi/6 grid, where det G = 0 and the flat family are common.
+    rng = np.random.default_rng(20)
+    grid = rng.integers(0, 13, size=(40000, 6)) * (PI / 6)
+    grid = grid[batch_admissible_alpha(grid)][:1000]
+    assert len(grid) == 1000
+    seen = set()
+    for row in np.concatenate([sv.sample_admissible_alpha(1000, rng), grid]):
+        al = sv.AlphaSixTuple.from_alpha(row)
+        det = float(np.linalg.det(sv.gram_from_alpha(al).mat))
+        try:
+            cd = sv.critical_xi(al)
+        except ValueError:
+            assert tol_sign(det) >= 0
+            seen.add("refused")
+            continue
+        seen.add("degenerate" if cd.degenerate else "hyperbolic")
+        assert cd.degenerate or tol_sign(det) < 0
+        assert abs(cd.disc / 16.0 - det) <= 1e-13
+    assert seen == {"refused", "degenerate", "hyperbolic"}
 
 
 def test_critical_xi_rejects_spherical():
