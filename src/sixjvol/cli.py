@@ -89,6 +89,21 @@ def even_step(text: str) -> int:
     return s
 
 
+def point_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"--points must be >= 1: {text}")
+    return n
+
+
+def finite_step(text: str) -> float:
+    h = float(text)
+    if not (math.isfinite(h) and h > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"--h must be positive and finite: {text}")
+    return h
+
+
 def _jsonable(x):
     """Recursively convert to plain JSON types; non-finite floats -> None."""
     if isinstance(x, float):
@@ -393,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="central-difference residuals of the volume "
                             "derivative identity dV/dtheta_k = -l_k/2")
     angles6(p)
-    p.add_argument("--h", type=float, default=1e-4,
+    p.add_argument("--h", type=finite_step, default=1e-4,
                    help="finite-difference step (default %(default)g)")
     p.set_defaults(func=cmd_schlafli)
 
@@ -401,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tabulate the Lobachevsky function")
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--end", type=float, default=math.pi)
-    p.add_argument("--points", type=int, default=181)
+    p.add_argument("--points", type=point_count, default=181)
     p.set_defaults(func=cmd_lobachevsky_table)
     return parser
 

@@ -23,11 +23,23 @@ lower-rank line configurations (2,0)/(1,0) and (2,1).  Signature (2,1)
 has been seen only on the boundary of the admissible region:
 alpha = (pi, 0, pi, pi, t, pi) is admissible, but not strictly, and has
 signature (2,1,1) for every t tried in (0, pi).
+
+The four single-row cores -- `gram_from_alpha`, `admissible`,
+`signature` and `cofactor_matrix` -- are memoized, because one tuple
+passes through several of them more than once (a geometry row reaches
+each through `classify`, `reconstruct` and `volume_by_max`).  Each
+keeps a least-recently-used table of MEMO_SIZE entries keyed by the
+exact bytes of its input: the packed angles of an AlphaSixTuple, or the
+4x4 float64 matrix.  A hit returns the object the miss built, so the
+arrays they hold are read-only, and `gram_from_alpha` returns one shared
+GramMatrix per tuple.  `gram_cache_info()` reports the counters.  The
+batched cores behind the samplers are not memoized.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import struct
@@ -82,6 +94,14 @@ _CHECKERBOARD = np.array([[(-1.0) ** (i + j) for j in range(4)]
 
 # Every (row, column) index pair of a 4x4 matrix, row by row.
 _ENTRIES = tuple((i, j) for i in range(4) for j in range(4))
+
+# Entries in each single-row memo.  A geometry row needs one entry per
+# core, and the CLI's classify command reaches `signature` with two
+# matrices (built from theta and from alpha); four leave room for a
+# caller that alternates between a few tuples.
+MEMO_SIZE = 4
+
+_memo = functools.lru_cache(maxsize=MEMO_SIZE)
 
 
 class AngleSixTuple(_FrozenRecord):
@@ -233,8 +253,16 @@ def tol_sign(x: float) -> int:
 
 
 def admissible(alpha: AlphaSixTuple) -> bool:
-    """Closed admissibility: triangle-type inequalities at all vertices."""
-    return bool(_admissible_mask(np.array([alpha.alpha]))[0])
+    """Closed admissibility: triangle-type inequalities at all vertices.
+
+    Memoized on the packed angles, MEMO_SIZE entries (module docstring).
+    """
+    return _admissible_of(alpha._packed)
+
+
+@_memo
+def _admissible_of(packed: bytes) -> bool:
+    return bool(_admissible_mask(np.frombuffer(packed)[None])[0])
 
 
 def strictly_admissible(alpha: AlphaSixTuple) -> bool:
@@ -261,24 +289,66 @@ def gram_from_angles(theta: AngleSixTuple) -> GramMatrix:
 
 
 def gram_from_alpha(alpha: AlphaSixTuple) -> GramMatrix:
-    """Same matrix through cos alpha = -cos theta; branch-independent."""
-    return GramMatrix(_gram_batch(np.array([alpha.alpha]))[0])
+    """Same matrix through cos alpha = -cos theta; branch-independent.
+
+    Memoized on the packed angles, MEMO_SIZE entries: tuples with the
+    same angles share one GramMatrix, whose `mat` is read-only.
+    """
+    return _gram_of(alpha._packed)
+
+
+@_memo
+def _gram_of(packed: bytes) -> GramMatrix:
+    m = _gram_batch(np.frombuffer(packed)[None])[0]
+    m.flags.writeable = False
+    return GramMatrix(m)
 
 
 def signature(G: GramMatrix) -> Signature:
-    """Eigenvalue sign counts, relative to the spectral norm."""
-    pos, neg = (int(x) for x in signature_batch(G.mat[None])[0])
+    """Eigenvalue sign counts, relative to the spectral norm.
+
+    Memoized on the bytes of G.mat, MEMO_SIZE entries.
+    """
+    return _signature_of(G.mat.tobytes())
+
+
+@_memo
+def _signature_of(key: bytes) -> Signature:
+    pos, neg = (int(x) for x in
+                signature_batch(np.frombuffer(key).reshape(1, 4, 4))[0])
     return Signature(pos, neg, 4 - pos - neg)
 
 
 def cofactor_matrix(mat: np.ndarray) -> np.ndarray:
-    """All sixteen signed cofactors, by direct 3x3 minors.
+    """All sixteen signed cofactors of a 4x4 matrix, by direct 3x3 minors.
 
     One stacked determinant call over the (4,4,3,3) minors; never
-    det(G) * inv(G), which loses accuracy as det G -> 0.
+    det(G) * inv(G), which loses accuracy as det G -> 0.  Memoized on
+    the bytes of the float64 matrix, MEMO_SIZE entries; the returned
+    array is read-only and shared by every call with the same matrix.
     """
     m = np.asarray(mat, dtype=np.float64)
-    return _CHECKERBOARD * np.linalg.det(m[_MINOR_ROWS, _MINOR_COLS])
+    if m.shape != (4, 4):
+        raise ValueError(f"cofactor_matrix needs a 4x4 matrix, got {m.shape}")
+    return _cofactors_of(m.tobytes())
+
+
+@_memo
+def _cofactors_of(key: bytes) -> np.ndarray:
+    m = np.frombuffer(key).reshape(4, 4)
+    cof = _CHECKERBOARD * np.linalg.det(m[_MINOR_ROWS, _MINOR_COLS])
+    cof.flags.writeable = False
+    return cof
+
+
+def gram_cache_info() -> dict:
+    """Counters of the four single-row memos, by the name of the core
+    they serve: each a `functools.lru_cache` info tuple (hits, misses,
+    maxsize, currsize)."""
+    return {"gram_from_alpha": _gram_of.cache_info(),
+            "admissible": _admissible_of.cache_info(),
+            "signature": _signature_of.cache_info(),
+            "cofactor_matrix": _cofactors_of.cache_info()}
 
 
 def cofactor(G: GramMatrix, i: int, j: int) -> float:
@@ -328,9 +398,10 @@ def change_angles_opposite_vertex(theta: AngleSixTuple, i: int) -> AngleSixTuple
 
 
 # ---------------------------------------------------------------------------
-# Batched cores over (n,6) alpha rows, which admissible, gram_from_alpha
-# and signature call with one row, and the rejection samplers built on
-# them: draw alpha uniformly from [0, 2 pi]^6 and keep the admissible rows.
+# Batched cores over (n,6) alpha rows, which the memos of admissible,
+# gram_from_alpha and signature call with one row, and the rejection
+# samplers built on them, which are not memoized: draw alpha uniformly
+# from [0, 2 pi]^6 and keep the admissible rows.
 
 
 def _admissible_mask(al: np.ndarray, margin: float = 0.0) -> np.ndarray:

@@ -91,10 +91,20 @@ class OddLevel(_ValueRecord):
 
 
 def _level(level) -> OddLevel:
-    """Coerce an int (or OddLevel) to OddLevel."""
+    """Coerce a level to OddLevel.
+
+    An OddLevel passes through; an int, a numpy integer or an integral
+    float becomes OddLevel(int(level)).  Anything else -- a float with a
+    fractional part, a string -- raises TypeError instead of being
+    truncated.
+    """
     if isinstance(level, OddLevel):
         return level
-    return OddLevel(int(level))
+    if isinstance(level, (int, np.integer)) or (
+            isinstance(level, (float, np.floating))
+            and float(level).is_integer()):
+        return OddLevel(int(level))
+    raise TypeError(f"level must be an integer, got {level!r}")
 
 
 class QuarterPhaseLog(tuple):

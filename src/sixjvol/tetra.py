@@ -205,10 +205,7 @@ def edge_length(G: GramMatrix, i: int, j: int) -> float:
 
 def edge_length_tuple(G: GramMatrix) -> tuple[float, ...]:
     """The six signed edge lengths in edge order (l_1..l_6)."""
-    return _edge_lengths(cofactor_matrix(G.mat).tolist())
-
-
-def _edge_lengths(cof: list) -> tuple[float, ...]:
+    cof = cofactor_matrix(G.mat).tolist()
     return tuple(_signed_length(cof, k, l) for k, l in EDGE_COMPLEMENT)
 
 
@@ -346,11 +343,7 @@ def case_label(G: GramMatrix) -> CaseLabel:
     lexicographically) set of change-of-angles operations that lands on
     a listed pattern.
     """
-    return _case_from_cofactors(cofactor_matrix(G.mat).tolist())
-
-
-def _case_from_cofactors(cof: list) -> CaseLabel:
-    """case_label of a cofactor matrix given as nested lists of floats."""
+    cof = cofactor_matrix(G.mat).tolist()
     diag_sign = [tol_sign(cof[i][i]) for i in range(4)]
     case_no = 1 + sum(1 for d in diag_sign if d < 0)
     base = {(i, j): tol_sign(cof[i][j]) for i, j in _PAIRS}
@@ -378,7 +371,9 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     sqrt|lambda_k| q_k^T, the negative eigenvalue routed to the fourth
     (timelike) row; columns of U are the face normals.  Vertices come
     from the cofactor combinations, normalized to <v,v> = +-1 away from
-    ideal vertices and left lightlike at them.
+    ideal vertices and left lightlike at them.  The edge lengths and the
+    case come from `edge_length_tuple` and `case_label`, which find the
+    cofactor matrix in the memo of `cofactor_matrix`.
     """
     sig = signature(G)
     if sig.as_pair() != (3, 1):
@@ -410,8 +405,8 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
         normals=normals,
         vertices=tuple(verts),
         vertex_types=tuple(types),
-        edge_lengths=_edge_lengths(cofs),
-        case=_case_from_cofactors(cofs),
+        edge_lengths=edge_length_tuple(G),
+        case=case_label(G),
     )
 
 

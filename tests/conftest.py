@@ -16,6 +16,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 import sixjvol as sv
+from sixjvol import gram
 from sixjvol.gram import EDGE_TO_FACEPAIR
 
 # (i, j, k): Gram entry (i, j) carries -cos(theta_{k+1}) under the fixed
@@ -35,6 +36,15 @@ THETA_TRIPLE_AT_VERTEX = {1: (3, 4, 5), 2: (2, 4, 6),
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)
+
+
+@pytest.fixture
+def empty_gram_memos():
+    """Empty the four single-row memos of `gram` and zero their
+    counters, so a test sees every computation of its own tuples."""
+    for memo in (gram._gram_of, gram._admissible_of, gram._signature_of,
+                 gram._cofactors_of):
+        memo.cache_clear()
 
 
 def lob_quad(x: float) -> float:

@@ -1,5 +1,6 @@
 """Command-line frontend: subcommand outputs, formats, exit codes."""
 
+import importlib
 import inspect
 import json
 import math
@@ -153,9 +154,9 @@ def test_tetra_report(capsys):
     assert doc["edge_data"][0] == {"ideal": False, "kind": "VertexVertex"}
 
 
-def test_tetra_and_volume_compute_shared_data_once(capsys, monkeypatch):
+def test_tetra_and_volume_compute_shared_data_once(capsys, monkeypatch,
+                                                   empty_gram_memos):
     import sixjvol.cli as cli_mod
-    import sixjvol.tetra as tetra_mod
     import sixjvol.volfun as volfun_mod
 
     calls = []
@@ -168,16 +169,15 @@ def test_tetra_and_volume_compute_shared_data_once(capsys, monkeypatch):
             return fn(*args)
         monkeypatch.setattr(mod, name, wrapper)
 
-    counted(tetra_mod, "cofactor_matrix")
-    counted(cli_mod, "cofactor_matrix")
-    counted(tetra_mod, "signature")
-    counted(cli_mod, "signature")
     counted(volfun_mod, "critical_xi")
     counted(cli_mod, "critical_xi")
+    # The cofactor matrix and the signature are computed on a memo miss
+    # only, so the misses count the computations.
     code, out, _ = run(capsys, ["tetra"] + PI6)
     assert code == 0 and json.loads(out)["signature"] == [3, 1, 0]
-    assert sorted(calls) == ["cofactor_matrix", "signature"]
-    calls.clear()
+    info = sixjvol.gram_cache_info()
+    assert info["cofactor_matrix"].misses == info["signature"].misses == 1
+    assert calls == []
     code, out, _ = run(capsys, ["volume"] + PI6)
     assert code == 0 and calls.count("critical_xi") == 1
     assert json.loads(out)["vol"] == sixjvol.volume(
@@ -330,6 +330,20 @@ def test_lobachevsky_table_json(capsys):
     assert doc["table"][-1][1] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("points", ["0", "-3", "2.5"])
+def test_lobachevsky_table_points_validation(capsys, points):
+    code, out, err = run(capsys, ["lobachevsky-table", f"--points={points}"])
+    assert code == 2 and out == ""
+    assert "--points" in err
+
+
+@pytest.mark.parametrize("h", ["0", "-1e-4", "nan", "inf", "-inf"])
+def test_schlafli_step_validation(capsys, h):
+    code, out, err = run(capsys, ["schlafli", *PI6, f"--h={h}"])
+    assert code == 2 and out == ""
+    assert "--h must be positive and finite" in err
+
+
 # ------------------------------------------------------------ entry points
 
 def test_module_invocation_runs():
@@ -341,6 +355,22 @@ def test_module_invocation_runs():
         env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vol"] == pytest.approx(3.663862376708876)
+
+
+def test_console_script_entry_point_runs_help(capsys, monkeypatch):
+    # The installed script calls the [project.scripts] target with no
+    # arguments; resolve that target and run it the same way, in-process.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, attr = scripts["sixjvol"].partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is main
+    monkeypatch.setattr(sys, "argv", ["sixjvol", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sixjvol")
 
 
 def test_console_script_installed():

@@ -8,7 +8,9 @@ import pytest
 
 import sixjvol as sv
 from conftest import (THETA_TRIPLE_AT_VERTEX, batch_admissible_alpha,
-                      hyperideal_by_bonahon_bao, sample_admissible_alpha_np)
+                      batch_cofactors, hyperideal_by_bonahon_bao,
+                      sample_admissible_alpha_np)
+from sixjvol import gram
 
 PI = math.pi
 
@@ -361,3 +363,77 @@ def test_package_sampler_outputs_are_admissible(rng):
         a = alpha_of(row)
         assert sv.strictly_admissible(a)
         assert sv.signature(sv.gram_from_alpha(a)).as_pair() == (3, 1)
+
+
+# ------------------------------------------------------- single-row memos
+
+def _memo_rows(rng) -> np.ndarray:
+    """Sampled admissible rows, the (2,1,1) HyperbolicLines witness and
+    the regular ideal tetrahedron (four ideal vertices)."""
+    return np.concatenate([sv.sample_admissible_alpha(200, rng),
+                           [(PI, 0.0, PI, PI, 1.0, PI)],
+                           [(2 * PI / 3,) * 6]])
+
+
+def test_memoized_cores_are_bit_identical_to_the_batched_cores(rng):
+    rows = _memo_rows(rng)
+    mats = gram._gram_batch(rows)
+    adm = gram._admissible_mask(rows)
+    sigs = gram.signature_batch(mats)
+    cofs = batch_cofactors(mats)
+    ideal = tuple(np.diag(cofs[-1]).tolist())
+    assert all(gram.tol_sign(c) == 0 for c in ideal)
+    for i, row in enumerate(rows):
+        a = sv.AlphaSixTuple.from_alpha(row)
+        for _ in range(2):  # a miss, then a hit
+            G = sv.gram_from_alpha(a)
+            assert G.mat.tobytes() == mats[i].tobytes()
+            assert sv.admissible(a) is bool(adm[i])
+            assert sv.signature(G).as_pair() == tuple(sigs[i])
+            assert sv.cofactor_matrix(G.mat).tobytes() == cofs[i].tobytes()
+    witness = sv.AlphaSixTuple.from_alpha(rows[-2])
+    assert sv.classify(witness).tag is sv.GeometryTag.HYPERBOLIC_LINES
+
+
+def test_memoized_arrays_are_read_only_and_the_gram_matrix_is_shared():
+    a = alpha_of((PI - 0.3,) * 6)
+    G = sv.gram_from_alpha(a)
+    assert sv.gram_from_alpha(alpha_of((PI - 0.3,) * 6)) is G
+    assert sv.gram_from_alpha(a) == G
+    cof = sv.cofactor_matrix(G.mat)
+    for arr in (G.mat, cof):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0
+    with pytest.raises(ValueError, match="4x4"):
+        sv.cofactor_matrix(np.eye(3))
+
+
+def test_memo_size_stays_bounded_over_a_long_sweep(rng):
+    before = sv.gram_cache_info()
+    rows = sv.sample_admissible_alpha(1000, rng)
+    for row in rows:
+        a = sv.AlphaSixTuple.from_alpha(row)
+        sv.admissible(a)
+        sv.cofactor_matrix(sv.gram_from_alpha(a).mat)
+        sv.signature(sv.gram_from_alpha(a))
+        for info in sv.gram_cache_info().values():
+            assert info.currsize <= sv.MEMO_SIZE == info.maxsize
+    after = sv.gram_cache_info()
+    for name, info in after.items():
+        assert info.currsize == sv.MEMO_SIZE
+        assert info.misses - before[name].misses == len(rows)
+
+
+def test_a_geometry_row_computes_each_core_once(empty_gram_memos):
+    # theta = pi/6 on every edge: four hyperideal vertices
+    a = alpha_of((5 * PI / 6,) * 6)
+    sv.classify(a)
+    tet = sv.reconstruct(sv.gram_from_alpha(a))
+    assert set(tet.vertex_types) == {sv.VertexType.HYPERIDEAL}
+    sv.volume_by_max(a)
+    info = sv.gram_cache_info()
+    assert {name: i.misses for name, i in info.items()} == {
+        "gram_from_alpha": 1, "admissible": 1, "signature": 1,
+        "cofactor_matrix": 1}
+    assert all(i.hits >= 1 for i in info.values())

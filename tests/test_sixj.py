@@ -78,6 +78,22 @@ def test_color_records_store_an_int_level_as_odd_level():
     assert sv.change_colors_quad(t, 3).colors == (5, 5, 0, 3, 3, 2)
 
 
+@pytest.mark.parametrize("level", [101.9, 101.5, "101", float("nan"),
+                                   float("inf"), np.float64(7.5), None])
+def test_non_integral_levels_raise_type_error_not_truncate(level):
+    with pytest.raises(TypeError, match="level must be an integer"):
+        sv.ColorSixTuple((42,) * 6, level)
+    with pytest.raises(TypeError, match="level must be an integer"):
+        sv.is_admissible_triple(0, 0, 0, level)
+
+
+@pytest.mark.parametrize("level", [101, 101.0, np.int64(101),
+                                   np.float64(101.0), sv.OddLevel(101)])
+def test_integral_levels_are_stored_as_int(level):
+    t = sv.ColorSixTuple((42,) * 6, level)
+    assert t.level == sv.OddLevel(101) and type(t.level.r) is int
+
+
 def test_color_six_tuple_accepts_exactly_the_admissible_tuples():
     # The constructor checks the four vertex triples in one pass; it must
     # agree with is_admissible_triple on every triple and name the first
