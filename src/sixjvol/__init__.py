@@ -10,11 +10,11 @@ asymptotic growth of 6j-symbols and prism brackets against those
 volumes.
 """
 
-from .gram import (DEFAULT_TOL, MEMO_SIZE, AlphaSixTuple, AngleSixTuple,
-                   GeometryClass, GeometryTag, GramMatrix, Signature,
-                   admissible, change_angles_opposite_vertex, classify,
-                   cofactor, cofactor_matrix, gram_cache_info,
-                   gram_from_alpha, gram_from_angles, sample_admissible_alpha,
+from .gram import (DEFAULT_TOL, AlphaSixTuple, AngleSixTuple, GeometryClass,
+                   GeometryTag, GramMatrix, Signature, admissible,
+                   change_angles_opposite_vertex, classify, cofactor,
+                   cofactor_matrix, gram_cache_info, gram_from_alpha,
+                   gram_from_angles, sample_admissible_alpha,
                    sample_hyperbolic_alpha, signature, strictly_admissible)
 from .graphs import (BlowUpGraph, BlowUpMove, PrismCheck, PrismSpec,
                      bracket_blowup, loop_value, prism_colors_for_r,
@@ -40,7 +40,7 @@ from .volfun import (CriticalData, MaxResult, TauEta, big_V, critical_xi,
                      volume, volume_by_max)
 
 __all__ = [
-    "DEFAULT_TOL", "MEMO_SIZE",
+    "DEFAULT_TOL",
     "AlphaSixTuple", "AngleSixTuple", "GeometryClass", "GeometryTag",
     "GramMatrix", "Signature", "admissible",
     "change_angles_opposite_vertex", "classify", "cofactor",

@@ -28,11 +28,11 @@ The four single-row cores -- `gram_from_alpha`, `admissible`,
 `signature` and `cofactor_matrix` -- are memoized, because one tuple
 passes through several of them more than once (a geometry row reaches
 each through `classify`, `reconstruct` and `volume_by_max`).  Each
-keeps a least-recently-used table of MEMO_SIZE entries keyed by the
-exact bytes of its input: the packed angles of an AlphaSixTuple, or the
+keeps a least-recently-used table of one entry, keyed by the exact
+bytes of its input: the packed angles of an AlphaSixTuple, or the
 4x4 float64 matrix.  A hit returns the object the miss built, so the
-arrays they hold are read-only, and `gram_from_alpha` returns one shared
-GramMatrix per tuple.  `gram_cache_info()` reports the counters.  The
+arrays they hold are read-only, and calls of `gram_from_alpha` in a row
+with the same angles return one shared GramMatrix.  `gram_cache_info()` reports the counters.  The
 batched cores behind the samplers are not memoized.
 """
 
@@ -95,13 +95,11 @@ _CHECKERBOARD = np.array([[(-1.0) ** (i + j) for j in range(4)]
 # Every (row, column) index pair of a 4x4 matrix, row by row.
 _ENTRIES = tuple((i, j) for i in range(4) for j in range(4))
 
-# Entries in each single-row memo.  A geometry row needs one entry per
-# core, and the CLI's classify command reaches `signature` with two
-# matrices (built from theta and from alpha); four leave room for a
-# caller that alternates between a few tuples.
-MEMO_SIZE = 4
-
-_memo = functools.lru_cache(maxsize=MEMO_SIZE)
+# Entries in each single-row memo.  Every caller in the package reuses
+# only the last input of each core: a geometry row and the tetra and
+# volume commands pass one tuple through the cores, and the classify
+# command's two matrices (from theta, then from alpha) never alternate.
+_memo = functools.lru_cache(maxsize=1)
 
 
 class AngleSixTuple(_FrozenRecord):
@@ -255,7 +253,7 @@ def tol_sign(x: float) -> int:
 def admissible(alpha: AlphaSixTuple) -> bool:
     """Closed admissibility: triangle-type inequalities at all vertices.
 
-    Memoized on the packed angles, MEMO_SIZE entries (module docstring).
+    Memoized on the packed angles, one entry (module docstring).
     """
     return _admissible_of(alpha._packed)
 
@@ -291,7 +289,7 @@ def gram_from_angles(theta: AngleSixTuple) -> GramMatrix:
 def gram_from_alpha(alpha: AlphaSixTuple) -> GramMatrix:
     """Same matrix through cos alpha = -cos theta; branch-independent.
 
-    Memoized on the packed angles, MEMO_SIZE entries: tuples with the
+    Memoized on the packed angles, one entry: calls in a row with the
     same angles share one GramMatrix, whose `mat` is read-only.
     """
     return _gram_of(alpha._packed)
@@ -307,7 +305,7 @@ def _gram_of(packed: bytes) -> GramMatrix:
 def signature(G: GramMatrix) -> Signature:
     """Eigenvalue sign counts, relative to the spectral norm.
 
-    Memoized on the bytes of G.mat, MEMO_SIZE entries.
+    Memoized on the bytes of G.mat, one entry.
     """
     return _signature_of(G.mat.tobytes())
 
@@ -324,8 +322,8 @@ def cofactor_matrix(mat: np.ndarray) -> np.ndarray:
 
     One stacked determinant call over the (4,4,3,3) minors; never
     det(G) * inv(G), which loses accuracy as det G -> 0.  Memoized on
-    the bytes of the float64 matrix, MEMO_SIZE entries; the returned
-    array is read-only and shared by every call with the same matrix.
+    the bytes of the float64 matrix, one entry; the returned array is
+    read-only and shared by calls in a row with the same matrix.
     """
     m = np.asarray(mat, dtype=np.float64)
     if m.shape != (4, 4):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .gram import (AlphaSixTuple, AngleSixTuple, cofactor_matrix,
                    gram_from_angles, signature, tol_sign)
-from .qnum import TWO_PI, _ValueRecord
+from .qnum import TWO_PI, _integral_level, _ValueRecord
 from .sixj import ColorSixTuple, sixj_log
 from .tetra import edge_length_tuple
 from .volfun import volume
@@ -40,14 +40,15 @@ class LevelSkipped(UserWarning):
 
 
 def _int_levels(r_list) -> tuple[int, ...]:
-    """The levels as ints; a level with a fractional part raises
-    ValueError instead of being truncated."""
-    given = tuple(r_list)
-    levels = tuple([int(r) for r in given])
-    for r, x in zip(levels, given):
-        if r != x:
+    """The levels as ints, by `qnum._integral_level`; a level it refuses
+    raises ValueError instead of being truncated."""
+    levels = []
+    for x in r_list:
+        r = _integral_level(x)
+        if r is None:
             raise ValueError(f"levels must be integers, got {x!r}")
-    return levels
+        levels.append(r)
+    return tuple(levels)
 
 
 class GrowthPlan(_ValueRecord):

@@ -90,21 +90,32 @@ class OddLevel(_ValueRecord):
         object.__setattr__(self, "r", r)
 
 
+def _integral_level(x) -> int | None:
+    """x as an int if it is an int, a numpy integer or a float with no
+    fractional part; None for anything else (a float with a fractional
+    part, NaN, infinity, a string, a Fraction), which is never
+    truncated."""
+    if isinstance(x, (int, np.integer)) or (
+            isinstance(x, (float, np.floating)) and float(x).is_integer()):
+        return int(x)
+    return None
+
+
 def _level(level) -> OddLevel:
     """Coerce a level to OddLevel.
 
-    An OddLevel passes through; an int, a numpy integer or an integral
-    float becomes OddLevel(int(level)).  Anything else -- a float with a
-    fractional part, a string -- raises TypeError instead of being
-    truncated.
+    An OddLevel or an int takes the short path; anything else becomes
+    OddLevel(_integral_level(level)), and raises TypeError where that
+    is None.
     """
     if isinstance(level, OddLevel):
         return level
-    if isinstance(level, (int, np.integer)) or (
-            isinstance(level, (float, np.floating))
-            and float(level).is_integer()):
-        return OddLevel(int(level))
-    raise TypeError(f"level must be an integer, got {level!r}")
+    if type(level) is int:
+        return OddLevel(level)
+    r = _integral_level(level)
+    if r is None:
+        raise TypeError(f"level must be an integer, got {level!r}")
+    return OddLevel(r)
 
 
 class QuarterPhaseLog(tuple):

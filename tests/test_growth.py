@@ -4,6 +4,7 @@ extrapolation fits, and the sharper magnitude prediction."""
 import logging
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +85,22 @@ def test_non_integral_levels_are_refused_not_truncated():
         assert all(type(r) is int for r in plan.r_list)
     chk = sv.prism_conjecture_check(sym, np.arange(101, 502, 100))
     assert [s.r for s in chk.samples] == [101, 201, 301, 401, 501]
+
+
+@pytest.mark.parametrize("level", [101, 101.0, np.int64(101),
+                                   np.float64(101.0), 101.9, "101",
+                                   Fraction(101), float("nan"), None])
+def test_growth_plans_and_color_tuples_accept_the_same_levels(level):
+    # one integral-level test serves both: a growth plan refuses with
+    # ValueError exactly the levels a color tuple refuses with TypeError
+    al = alpha_of((PI / 6,) * 6)
+    try:
+        lv = sv.ColorSixTuple((42,) * 6, level).level.r
+    except TypeError:
+        with pytest.raises(ValueError, match="levels must be integers"):
+            sv.GrowthPlan(al, (level, 103, 105))
+    else:
+        assert sv.GrowthPlan(al, (level, 103, 105)).r_list[0] == lv == 101
 
 
 def test_growth_series_skips_bad_levels_with_warning():
