@@ -32,8 +32,9 @@ keeps a least-recently-used table of one entry, keyed by the exact
 bytes of its input: the packed angles of an AlphaSixTuple, or the
 4x4 float64 matrix.  A hit returns the object the miss built, so the
 arrays they hold are read-only, and calls of `gram_from_alpha` in a row
-with the same angles return one shared GramMatrix.  `gram_cache_info()` reports the counters.  The
-batched cores behind the samplers are not memoized.
+with the same angles return one shared GramMatrix.  `gram_cache_info()`
+reports the counters.  The batched cores behind the samplers are not
+memoized.
 """
 
 from __future__ import annotations
