@@ -348,39 +348,38 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sixjvol",
         description="Quantum 6j-symbols, generalized hyperbolic tetrahedra, "
                     "volumes, and growth-rate checks.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format for streaming commands "
-                             "(default %(default)s)")
-    common.add_argument("--mu", type=mu_literal, default=(-1,) * 6,
-                        metavar="SIGNS",
-                        help="six +/- signs choosing alpha = pi + mu*theta "
-                             "per edge (default ------)")
+    streaming = argparse.ArgumentParser(add_help=False)
+    streaming.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="output format for streaming commands "
+                                "(default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def angles6(p):
         p.add_argument("angles", nargs=6, type=angle_literal, metavar="ANGLE",
                        help="dihedral angle: decimal radians or pi*p/q")
+        p.add_argument("--mu", type=mu_literal, default=(-1,) * 6,
+                       metavar="SIGNS",
+                       help="six +/- signs choosing alpha = pi + mu*theta "
+                            "per edge (default ------)")
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify",
                        help="admissibility, Gram matrix, signature, class")
     angles6(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("tetra", parents=[common],
+    p = sub.add_parser("tetra",
                        help="reconstruct the generalized hyperbolic "
                             "tetrahedron: vertices, edge lengths, case")
     angles6(p)
     p.set_defaults(func=cmd_tetra)
 
-    p = sub.add_parser("volume", parents=[common],
+    p = sub.add_parser("volume",
                        help="hyperbolic volume via the critical-point "
                             "formula")
     angles6(p)
     p.set_defaults(func=cmd_volume)
 
-    p = sub.add_parser("sixj", parents=[common],
-                       help="evaluate one quantum 6j-symbol")
+    p = sub.add_parser("sixj", help="evaluate one quantum 6j-symbol")
     p.add_argument("colors", nargs=6, type=int, metavar="COLOR")
     p.add_argument("--r", type=odd_level, required=True,
                    help="odd level r of the root of unity")
@@ -391,20 +390,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r-end", type=int, default=1001)
         p.add_argument("--r-step", type=even_step, default=2)
 
-    p = sub.add_parser("growth", parents=[common],
+    p = sub.add_parser("growth", parents=[streaming],
                        help="6j growth samples across levels, with fit")
     angles6(p)
     rrange(p)
     p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("prism", parents=[common],
+    p = sub.add_parser("prism", parents=[streaming],
                        help="prism bracket growth vs split-volume sum")
     p.add_argument("spec", help="JSON file with keys vertical, base_b, "
                                 "base_c (three angles each)")
     rrange(p)
     p.set_defaults(func=cmd_prism)
 
-    p = sub.add_parser("schlafli", parents=[common],
+    p = sub.add_parser("schlafli",
                        help="central-difference residuals of the volume "
                             "derivative identity dV/dtheta_k = -l_k/2")
     angles6(p)
@@ -412,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="finite-difference step (default %(default)g)")
     p.set_defaults(func=cmd_schlafli)
 
-    p = sub.add_parser("lobachevsky-table", parents=[common],
+    p = sub.add_parser("lobachevsky-table", parents=[streaming],
                        help="tabulate the Lobachevsky function")
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--end", type=float, default=math.pi)

@@ -30,11 +30,12 @@ passes through several of them more than once (a geometry row reaches
 each through `classify`, `reconstruct` and `volume_by_max`).  Each
 keeps a least-recently-used table of one entry, keyed by the exact
 bytes of its input: the packed angles of an AlphaSixTuple, or the
-4x4 float64 matrix.  A hit returns the object the miss built, so the
-arrays they hold are read-only, and calls of `gram_from_alpha` in a row
-with the same angles return one shared GramMatrix.  `gram_cache_info()`
-reports the counters.  The batched cores behind the samplers are not
-memoized.
+4x4 float64 matrix.  A hit returns the object the miss built, so calls
+of `gram_from_alpha` in a row with the same angles return one shared
+GramMatrix.  Every GramMatrix holds its own read-only float64 copy of
+the matrix it was given, and the cofactor arrays are read-only too.
+`gram_cache_info()` reports the counters.  The batched cores behind the
+samplers are not memoized.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qnum import TWO_PI, _FrozenRecord
+from .sixj import VERTEX_TRIPLES
 
 FOUR_PI = 4.0 * math.pi
 
@@ -62,10 +64,8 @@ FOUR_PI = 4.0 * math.pi
 # 100 * DEFAULT_TOL.
 DEFAULT_TOL = 1e-9
 
-# Vertex triples in edge indices (0-based); same combinatorics as the
-# color tuples in sixj.
-ANGLE_VERTEX_TRIPLES = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (2, 3, 4))
-_VERTEX_INDEX = np.array(ANGLE_VERTEX_TRIPLES)
+# The edges at each vertex: the vertex triples of the colour tuples.
+_VERTEX_INDEX = np.array(VERTEX_TRIPLES)
 
 # Edge index -> unordered pair of Gram indices (faces meeting there).
 EDGE_TO_FACEPAIR = ((0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 3))
@@ -187,9 +187,10 @@ def _isclose(x: float, y: float) -> bool:
 class GramMatrix(_FrozenRecord):
     """Symmetric 4x4, unit diagonal, off-diagonal -cos theta_ij.
 
-    Immutable, and equal only to itself.  Validation accepts exactly the
-    finite matrices with np.allclose(m, m.T, atol=1e-12) and
-    np.allclose(diag(m), 1, atol=1e-12), entry by entry on Python floats.
+    Immutable, and equal only to itself; `mat` is a read-only float64
+    copy.  Validation accepts exactly the finite matrices with
+    np.allclose(m, m.T, atol=1e-12) and np.allclose(diag(m), 1,
+    atol=1e-12), entry by entry on Python floats.
     Both keep allclose's default rtol=1e-5, so the diagonal test is
     effectively |m_ii - 1| <= 1e-5 and the symmetry test is relative to
     |m_ji|.  A NaN or an infinity anywhere is rejected as not finite: every
@@ -200,7 +201,8 @@ class GramMatrix(_FrozenRecord):
     __slots__ = ("mat",)
 
     def __init__(self, mat) -> None:
-        m = np.asarray(mat, dtype=np.float64)
+        m = np.array(mat, dtype=np.float64)
+        m.flags.writeable = False
         object.__setattr__(self, "mat", m)
         if m.shape != (4, 4):
             raise ValueError(f"Gram matrix must be 4x4, got {m.shape}")
@@ -270,7 +272,7 @@ def strictly_admissible(alpha: AlphaSixTuple) -> bool:
     for x in al:
         if x <= 0.0 or x >= TWO_PI or x == math.pi:
             return False
-    for (i, j, k) in ANGLE_VERTEX_TRIPLES:
+    for (i, j, k) in VERTEX_TRIPLES:
         s = al[i] + al[j] + al[k]
         if s >= FOUR_PI:
             return False
@@ -280,27 +282,24 @@ def strictly_admissible(alpha: AlphaSixTuple) -> bool:
 
 
 def gram_from_angles(theta: AngleSixTuple) -> GramMatrix:
-    """The 4x4 Gram matrix with entries -cos theta_ij."""
-    m = np.eye(4)
-    for edge, (i, j) in enumerate(EDGE_TO_FACEPAIR):
-        m[i, j] = m[j, i] = -math.cos(theta.theta[edge])
-    return GramMatrix(m)
+    """The 4x4 Gram matrix with entries -cos theta_ij, by `_GRAM_ENTRY`."""
+    c = [-math.cos(t) for t in theta.theta]
+    c.append(1.0)
+    return GramMatrix(np.array(c)[_GRAM_ENTRY].reshape(4, 4))
 
 
 def gram_from_alpha(alpha: AlphaSixTuple) -> GramMatrix:
     """Same matrix through cos alpha = -cos theta; branch-independent.
 
     Memoized on the packed angles, one entry: calls in a row with the
-    same angles share one GramMatrix, whose `mat` is read-only.
+    same angles share one GramMatrix.
     """
     return _gram_of(alpha._packed)
 
 
 @_memo
 def _gram_of(packed: bytes) -> GramMatrix:
-    m = _gram_batch(np.frombuffer(packed)[None])[0]
-    m.flags.writeable = False
-    return GramMatrix(m)
+    return GramMatrix(_gram_batch(np.frombuffer(packed)[None])[0])
 
 
 def signature(G: GramMatrix) -> Signature:
@@ -463,18 +462,18 @@ def _hyperbolic_rows(al: np.ndarray) -> np.ndarray:
     return (sig[:, 0] == 3) & (sig[:, 1] == 1)
 
 
-def sample_admissible_alpha(n: int, rng=None, strict: bool = False,
-                            margin: float = 1e-6) -> np.ndarray:
+def sample_admissible_alpha(n: int, rng=None,
+                            margin: float = 0.0) -> np.ndarray:
     """n admissible alpha rows, uniform on the admissible region.
 
-    strict=True additionally rejects a `margin` neighborhood of every
+    A positive `margin` additionally rejects that neighborhood of every
     equality case, so the rows are strictly admissible with room to
     spare.
     """
-    return _sample_alpha(n, rng, margin if strict else 0.0)
+    return _sample_alpha(n, rng, margin)
 
 
-def sample_hyperbolic_alpha(n: int, rng=None, strict: bool = True,
+def sample_hyperbolic_alpha(n: int, rng=None,
                             margin: float = 1e-6) -> np.ndarray:
-    """n admissible alpha rows whose Gram signature is (3,1)."""
-    return _sample_alpha(n, rng, margin if strict else 0.0, _hyperbolic_rows)
+    """`sample_admissible_alpha` rows whose Gram signature is (3,1)."""
+    return _sample_alpha(n, rng, margin, _hyperbolic_rows)

@@ -171,8 +171,8 @@ def prism_conjecture_check(p: PrismSpec, r_list) -> PrismCheck:
     """Scaled bracket logs across levels vs the prism volume.
 
     Fits c0 + c1 log(r)/r + c2/r to (2 pi / r) ln|<prism, col_r>| and
-    reports the gap |c0 - Vol(P)|.  Failing levels are skipped with a
-    LevelSkipped warning.
+    reports the gap |c0 - Vol(P)|.  Levels are checked as in a GrowthPlan;
+    failing levels are skipped with a LevelSkipped warning.
     """
     graph = prism_graph()
     samples = scan_levels(

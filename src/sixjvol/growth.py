@@ -40,31 +40,30 @@ class LevelSkipped(UserWarning):
 
 
 def _int_levels(r_list) -> tuple[int, ...]:
-    """The levels as ints, by `qnum._integral_level`; a level it refuses
-    raises ValueError instead of being truncated."""
+    """The levels as ints, odd, >= 5 and strictly increasing, or
+    ValueError; a level `qnum._integral_level` refuses is not truncated."""
     levels = []
     for x in r_list:
         r = _integral_level(x)
         if r is None:
             raise ValueError(f"levels must be integers, got {x!r}")
         levels.append(r)
+    if any(r < 5 or r % 2 == 0 for r in levels):
+        raise ValueError("levels must be odd integers >= 5")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be strictly increasing")
     return tuple(levels)
 
 
 class GrowthPlan(_ValueRecord):
-    """Limit angles and the strictly increasing odd levels r >= 5 at
-    which to evaluate them; an immutable record."""
+    """Limit angles and the levels at which to evaluate them, as
+    `_int_levels` requires them; an immutable record."""
 
     __slots__ = ("alpha", "r_list")
 
     def __init__(self, alpha: AlphaSixTuple, r_list) -> None:
         object.__setattr__(self, "alpha", alpha)
-        rl = _int_levels(r_list)
-        object.__setattr__(self, "r_list", rl)
-        if any(r < 5 or r % 2 == 0 for r in rl):
-            raise ValueError("levels must be odd integers >= 5")
-        if any(b <= a for a, b in zip(rl, rl[1:])):
-            raise ValueError("levels must be strictly increasing")
+        object.__setattr__(self, "r_list", _int_levels(r_list))
 
 
 class GrowthSample(NamedTuple):
@@ -115,23 +114,19 @@ def colors_for_r(alpha: AlphaSixTuple, r: int) -> ColorSixTuple:
 def scan_levels(r_list, evaluate) -> list[GrowthSample]:
     """Growth samples of evaluate(r) -> QuarterPhaseLog, ordered by r.
 
-    A level whose evaluation raises ValueError or ArithmeticError (an
-    inadmissible rounding, an imaginary symbol) is skipped with a
-    LevelSkipped warning attributed to the scan's caller, and a debug
-    event on the "sixjvol" logger whose arguments are r and the reason.
-    Any other exception is a defect and propagates.
+    A level whose evaluation or `real_sign` raises ValueError or
+    ArithmeticError (an inadmissible rounding, an imaginary symbol) is
+    skipped with a LevelSkipped warning attributed to the scan's caller,
+    and a debug event on the "sixjvol" logger whose arguments are r and
+    the reason.  Any other exception is a defect and propagates.
     """
     out: list[GrowthSample] = []
     for r in r_list:
         try:
-            log_mag, phase = evaluate(r)
-            if log_mag == -math.inf:
-                out.append(GrowthSample(r, -math.inf, -math.inf, 0))
-            elif phase & 1:
-                raise ValueError(f"value has imaginary phase {phase}")
-            else:
-                out.append(GrowthSample(r, log_mag, TWO_PI * log_mag / r,
-                                        1 if phase == 0 else -1))
+            value = evaluate(r)
+            log_mag = value.log_mag
+            out.append(GrowthSample(r, log_mag, TWO_PI * log_mag / r,
+                                    value.real_sign()))
         except (ValueError, ArithmeticError) as exc:
             # imported here: logging adds ~5 ms to every process start
             # and is needed only once a level is skipped

@@ -85,6 +85,24 @@ def _triple_ok(a1: int, a2: int, a3: int, r: int) -> bool:
             and a3 + a1 - a2 >= 0)
 
 
+def _colors_ok(a, r: int) -> bool:
+    """`_triple_ok` on the four vertex triples, in one pass.  With s =
+    x+y+z even, the triangle inequalities say x, y, z <= s/2, and they
+    imply x, y, z >= 0; every color sits in some triple, so s/2 <= r-2
+    bounds it too."""
+    a1, a2, a3, a4, a5, a6 = a
+    s1, s2 = a1 + a2 + a3, a1 + a5 + a6
+    s3, s4 = a2 + a4 + a6, a3 + a4 + a5
+    if s1 % 2 or s2 % 2 or s3 % 2 or s4 % 2:
+        return False
+    t1, t2, t3, t4 = s1 // 2, s2 // 2, s3 // 2, s4 // 2
+    top = r - 2
+    return (a1 <= t1 and a2 <= t1 and a3 <= t1 and t1 <= top
+            and a1 <= t2 and a5 <= t2 and a6 <= t2 and t2 <= top
+            and a2 <= t3 and a4 <= t3 and a6 <= t3 and t3 <= top
+            and a3 <= t4 and a4 <= t4 and a5 <= t4 and t4 <= top)
+
+
 def is_admissible_tuple(colors, level) -> bool:
     """True iff the six colors are r-admissible; any other number of
     colors raises ValueError, as `ColorSixTuple` does."""
@@ -92,10 +110,7 @@ def is_admissible_tuple(colors, level) -> bool:
     a = tuple(colors)
     if len(a) != 6:
         raise ValueError("need exactly six colors")
-    for (i, j, k) in VERTEX_TRIPLES:
-        if not _triple_ok(a[i], a[j], a[k], r):
-            return False
-    return True
+    return _colors_ok(a, r)
 
 
 class ColorTriple(_ValueRecord):
@@ -136,21 +151,8 @@ class ColorSixTuple(_ValueRecord):
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "level", level)
         r = level.r
-        # One pass over the four vertex triples.  With s = x+y+z even,
-        # the triangle inequalities say x, y, z <= s/2, and they imply
-        # x, y, z >= 0; every color sits in some triple, so s/2 <= r-2
-        # bounds it too.  This is `_triple_ok` for all four at once.
-        a1, a2, a3, a4, a5, a6 = colors
-        s1, s2 = a1 + a2 + a3, a1 + a5 + a6
-        s3, s4 = a2 + a4 + a6, a3 + a4 + a5
-        if not (s1 | s2 | s3 | s4) & 1:
-            t1, t2, t3, t4 = s1 >> 1, s2 >> 1, s3 >> 1, s4 >> 1
-            top = r - 2
-            if (a1 <= t1 and a2 <= t1 and a3 <= t1 and t1 <= top
-                    and a1 <= t2 and a5 <= t2 and a6 <= t2 and t2 <= top
-                    and a2 <= t3 and a4 <= t3 and a6 <= t3 and t3 <= top
-                    and a3 <= t4 and a4 <= t4 and a5 <= t4 and t4 <= top):
-                return
+        if _colors_ok(colors, r):
+            return
         for (i, j, k) in VERTEX_TRIPLES:  # name the first failing triple
             if not _triple_ok(colors[i], colors[j], colors[k], r):
                 raise ValueError(

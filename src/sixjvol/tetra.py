@@ -115,12 +115,9 @@ class GeneralizedTetrahedron(NamedTuple):
     case: CaseLabel
 
     def edge_distance(self, e: int) -> EdgeDistance:
-        """`distance` of the endpoint pair opposite edge e (0-based), read
-        from the vertex types and the edge length e."""
-        ends = [self.vertex_types[k] for k in EDGE_COMPLEMENT[e]]
-        kind = _pair_kind(*(v is VertexType.HYPERIDEAL for v in ends))
-        return EdgeDistance(abs(self.edge_lengths[e]), kind,
-                            ideal=VertexType.IDEAL in ends)
+        """`distance` of the endpoint pair opposite edge e (0-based)."""
+        k, l = EDGE_COMPLEMENT[e]
+        return distance(self.gram, k + 1, l + 1)
 
 
 # Sign of the diagonal cofactor cof_ii -> type of vertex i.
@@ -171,14 +168,18 @@ def _distance_from_cofactors(cii: float, cjj: float,
     return EdgeDistance(math.acosh(arg), kind)
 
 
+def _check_pair(i: int, j: int) -> None:
+    if i == j or i not in (1, 2, 3, 4) or j not in (1, 2, 3, 4):
+        raise ValueError("need two distinct indices in 1..4")
+
+
 def distance(G: GramMatrix, i: int, j: int) -> EdgeDistance:
     """Hyperbolic distance between endpoints i and j (1..4, i != j).
 
     Point-point and plane-plane pairs use arccosh, mixed pairs arcsinh,
     always on |cof_ij| / sqrt(|cof_ii cof_jj|).
     """
-    if i == j or i not in (1, 2, 3, 4) or j not in (1, 2, 3, 4):
-        raise ValueError("need two distinct indices in 1..4")
+    _check_pair(i, j)
     cof = cofactor_matrix(G.mat)
     return _distance_from_cofactors(cof[i - 1, i - 1], cof[j - 1, j - 1],
                                     cof[i - 1, j - 1])
@@ -197,8 +198,7 @@ def edge_length(G: GramMatrix, i: int, j: int) -> float:
     The magnitude is the distance of the complementary pair {k,l}; the
     sign is that of cof_kl (non-positive cofactor -> negative length).
     """
-    if i == j or i not in (1, 2, 3, 4) or j not in (1, 2, 3, 4):
-        raise ValueError("need two distinct indices in 1..4")
+    _check_pair(i, j)
     k, l = (x for x in range(4) if x not in (i - 1, j - 1))
     return _signed_length(cofactor_matrix(G.mat).tolist(), k, l)
 
@@ -216,8 +216,7 @@ def segment_side(G: GramMatrix, i: int, j: int) -> SegmentSide:
     the opposite sign; anything strictly in between means the line
     avoids the ball entirely (deep truncation, unsupported here).
     """
-    if i == j or i not in (1, 2, 3, 4) or j not in (1, 2, 3, 4):
-        raise ValueError("need two distinct indices in 1..4")
+    _check_pair(i, j)
     cof = cofactor_matrix(G.mat)
     cii, cjj, cij = cof[i - 1, i - 1], cof[j - 1, j - 1], cof[i - 1, j - 1]
     if not (tol_sign(cii) < 0 and tol_sign(cjj) < 0):

@@ -35,10 +35,11 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .gram import (ANGLE_VERTEX_TRIPLES, DEFAULT_TOL, AlphaSixTuple,
-                   AngleSixTuple, admissible, cofactor_matrix,
-                   gram_from_alpha, gram_from_angles, signature, tol_sign)
+from .gram import (DEFAULT_TOL, AlphaSixTuple, AngleSixTuple, admissible,
+                   cofactor_matrix, gram_from_alpha, gram_from_angles,
+                   signature, tol_sign)
 from .qnum import TWO_PI
+from .sixj import VERTEX_TRIPLES
 from .tetra import edge_length_tuple
 
 ALPHA_QUADS = ((0, 1, 3, 4), (0, 2, 3, 5), (1, 2, 4, 5))
@@ -109,7 +110,7 @@ class TauEta(NamedTuple):
 def tau_eta(alpha: AlphaSixTuple) -> TauEta:
     al = alpha.alpha
     tau = tuple((al[i] + al[j] + al[k]) / 2.0
-                for (i, j, k) in ANGLE_VERTEX_TRIPLES)
+                for (i, j, k) in VERTEX_TRIPLES)
     eta = tuple((al[i] + al[j] + al[k] + al[l]) / 2.0
                 for (i, j, k, l) in ALPHA_QUADS)
     return TauEta(tau, eta)
@@ -126,7 +127,7 @@ def delta_vertex(a: float, b: float, c: float) -> float:
 def _delta_sum(alpha: AlphaSixTuple) -> float:
     al = alpha.alpha
     return sum(delta_vertex(al[i], al[j], al[k])
-               for (i, j, k) in ANGLE_VERTEX_TRIPLES)
+               for (i, j, k) in VERTEX_TRIPLES)
 
 
 def big_V(alpha: AlphaSixTuple, xi: float) -> float:

@@ -106,6 +106,27 @@ def test_no_tolerance_option(capsys):
             assert "tol" not in inspect.signature(obj).parameters, name
 
 
+# Each command takes --format only if it streams, and --mu only if it
+# reads angles; every pairing outside that is a usage error.
+@pytest.mark.parametrize("argv", [
+    ["classify", *PI6, "--format", "csv"],
+    ["tetra", *PI6, "--format", "csv"],
+    ["volume", *PI6, "--format", "csv"],
+    ["schlafli", *PI6, "--format", "csv"],
+    ["sixj", "0", "0", "0", "0", "0", "0", "--r", "7", "--format", "csv"],
+    ["sixj", "0", "0", "0", "0", "0", "0", "--r", "7", "--mu", "++++++"],
+    ["prism", "SPEC", "--r-end", "109", "--mu", "++++++"],
+    ["lobachevsky-table", "--points", "3", "--mu", "++++++"],
+])
+def test_options_only_where_the_command_reads_them(capsys, tmp_path, argv):
+    spec = write_spec(tmp_path, {"vertical": [0.5, 0.5, 0.5],
+                                 "base_b": [0.6, 0.7, 0.8],
+                                 "base_c": [0.9, 1.0, 1.1]})
+    code, out, err = run(capsys, [spec if a == "SPEC" else a for a in argv])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_mu_flag_validation(capsys):
     code, _, err = run(capsys, ["classify", "--mu", "+++"] + PI6)
     assert code == 2

@@ -156,6 +156,18 @@ def test_gram_matrix_rejects_non_finite_entries(x):
             sv.GramMatrix(m)
 
 
+def test_gram_matrix_keeps_its_own_read_only_copy():
+    m = np.eye(4)
+    G = sv.GramMatrix(m)
+    m[0, 1] = 5.0  # the caller's array, not the validated one
+    assert G.mat.tolist() == np.eye(4).tolist()
+    theta = sv.AngleSixTuple((PI / 2,) * 6)
+    for arr in (G.mat, sv.gram_from_angles(theta).mat):
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 1] = 5.0
+
+
 def test_signature_examples():
     def sig(theta):
         return sv.signature(sv.gram_from_angles(sv.AngleSixTuple(theta)))
@@ -355,7 +367,7 @@ def test_package_sampler_outputs_are_admissible(rng):
     al6 = sv.sample_admissible_alpha(200, rng=rng)
     assert al6.shape == (200, 6)
     assert batch_admissible_alpha(al6).all()
-    st = sv.sample_admissible_alpha(100, rng=rng, strict=True)
+    st = sv.sample_admissible_alpha(100, rng=rng, margin=1e-6)
     for row in st:
         assert sv.strictly_admissible(alpha_of(row))
     hy = sv.sample_hyperbolic_alpha(50, rng=rng)

@@ -52,7 +52,7 @@ def test_colors_for_r_rejects_bad_level():
 def test_colors_for_r_all_even_and_convergent(rng):
     # margin 0.05 keeps the rounded tuple admissible: rounding moves each
     # alpha by at most pi/r, so triple sums shift by well under the margin
-    rows = sv.sample_admissible_alpha(20, rng, strict=True, margin=0.05)
+    rows = sv.sample_admissible_alpha(20, rng, margin=0.05)
     for row in rows:
         al = sv.AlphaSixTuple.from_alpha(row)
         t = sv.colors_for_r(al, 1001)
@@ -85,6 +85,22 @@ def test_non_integral_levels_are_refused_not_truncated():
         assert all(type(r) is int for r in plan.r_list)
     chk = sv.prism_conjecture_check(sym, np.arange(101, 502, 100))
     assert [s.r for s in chk.samples] == [101, 201, 301, 401, 501]
+
+
+@pytest.mark.parametrize("levels, reason", [
+    ((101, 101, 103, 105, 107, 109), "strictly increasing"),
+    ((100, 101, 103, 105, 107, 109), "odd integers"),
+    ((109, 107, 105, 103, 101), "strictly increasing"),
+    ((3, 101, 103, 105, 107, 109), "odd integers"),
+])
+def test_growth_plans_and_prism_checks_refuse_the_same_level_lists(
+        levels, reason):
+    al = alpha_of((PI / 6,) * 6)
+    sym = sv.PrismSpec((PI / 6,) * 3, (PI / 6,) * 3, (PI / 6,) * 3)
+    with pytest.raises(ValueError, match=reason):
+        sv.GrowthPlan(al, levels)
+    with pytest.raises(ValueError, match=reason):
+        sv.prism_conjecture_check(sym, levels)
 
 
 @pytest.mark.parametrize("level", [101, 101.0, np.int64(101),
@@ -204,7 +220,7 @@ def test_scans_match_a_per_level_loop_and_read_one_table_per_symbol(
     levels = tuple(range(7, 40, 2)) + tuple(range(101, 302, 6))
     rows = [sv.AlphaSixTuple.from_alpha(row) for row in
             sv.sample_admissible_alpha(6, np.random.default_rng(8),
-                                       strict=True, margin=0.05)]
+                                       margin=0.05)]
     rows += [sv.AlphaSixTuple.from_alpha((6.2, PI, PI, PI, PI, PI)),
              alpha_of(THETA_E)]
     reasons, n_symbols = [], 0
