@@ -20,8 +20,8 @@ import re
 import sys
 
 from .gram import (AlphaSixTuple, AngleSixTuple, admissible, classify,
-                   cofactor_matrix, gram_from_angles, signature,
-                   strictly_admissible, tol_sign)
+                   cofactor_matrix, gram_from_alpha, gram_from_angles,
+                   signature, strictly_admissible, tol_sign)
 from .graphs import PrismSpec, prism_conjecture_check
 from .growth import GrowthPlan, GrowthSample, fit_growth, growth_series
 from .qnum import OddLevel
@@ -35,7 +35,7 @@ _PI_FORM = re.compile(r"^pi(?:\*(-?\d+))?(?:/(-?\d+))?$")
 
 
 def angle_literal(text: str) -> float:
-    """Parse decimal radians or "pi*p/q"; must land in [0, 2*pi]."""
+    """Parse decimal radians or "pi*p/q"; must land in [0, pi]."""
     s = text.strip()
     m = _PI_FORM.match(s)
     if m:
@@ -51,9 +51,10 @@ def angle_literal(text: str) -> float:
             raise argparse.ArgumentTypeError(
                 f"bad angle {text!r}: expected decimal radians or pi*p/q"
             ) from None
-    if not 0.0 <= value <= 2.0 * math.pi + 1e-12:
+    # pi + 1e-12: the upper end of the range AngleSixTuple accepts
+    if not 0.0 <= value <= math.pi + 1e-12:
         raise argparse.ArgumentTypeError(
-            f"angle {text!r} = {value} outside [0, 2*pi]")
+            f"angle {text!r} = {value} outside [0, pi]")
     return value
 
 
@@ -140,11 +141,6 @@ def _theta(args) -> AngleSixTuple:
     return AngleSixTuple(tuple(args.angles))
 
 
-def _sig_list(G):
-    s = signature(G)
-    return [s.pos, s.neg, s.zero]
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
@@ -152,8 +148,9 @@ def _sig_list(G):
 def cmd_classify(args) -> int:
     theta = _theta(args)
     alpha = AlphaSixTuple.from_theta(theta, args.mu)
-    G = gram_from_angles(theta)
+    G = gram_from_alpha(alpha)
     cof = cofactor_matrix(G.mat)
+    sig = signature(G)
     adm = admissible(alpha)
     out = {
         "theta": list(theta.theta),
@@ -162,7 +159,8 @@ def cmd_classify(args) -> int:
         "admissible": adm,
         "strictly_admissible": strictly_admissible(alpha),
         "gram": G.mat.tolist(),
-        "signature": _sig_list(G),
+        "signature": list(sig),
+        # classify finds G and its signature in the gram memos
         "class": classify(alpha).tag.value if adm else None,
         "cofactors": cof.tolist(),
         "cofactor_signs": [[tol_sign(cof[i, j]) for j in range(4)]
@@ -175,7 +173,7 @@ def cmd_classify(args) -> int:
 def cmd_tetra(args) -> int:
     theta = _theta(args)
     alpha = AlphaSixTuple.from_theta(theta, args.mu)
-    G = gram_from_angles(theta)
+    G = gram_from_alpha(alpha)
     t = reconstruct(G)
     kinds = []
     for e in range(6):
@@ -204,7 +202,7 @@ def cmd_volume(args) -> int:
     alpha = AlphaSixTuple.from_theta(theta, args.mu)
     data = critical_xi(alpha)
     vol = big_V(alpha, data.xi)
-    G = gram_from_angles(theta)
+    G = gram_from_alpha(alpha)
     lengths = None
     if signature(G).as_pair() == (3, 1):
         lengths = list(edge_length_tuple(G))
@@ -281,23 +279,27 @@ def cmd_growth(args) -> int:
 def _load_prism_spec(path: str) -> PrismSpec:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise argparse.ArgumentTypeError("prism spec must be a JSON object")
     angles = {}
     for key in ("vertical", "base_b", "base_c"):
         if key not in raw:
-            raise KeyError(f"prism spec missing key {key!r}")
+            raise argparse.ArgumentTypeError(
+                f"prism spec missing key {key!r}")
         entry = raw[key]
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ValueError(f"prism spec key {key!r} needs three angles")
-        angles[key] = tuple(
-            angle_literal(a) if isinstance(a, str) else float(a)
-            for a in entry)
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise argparse.ArgumentTypeError(
+                f"prism spec key {key!r} needs three angles")
+        # a JSON number reaches the parser as its exact decimal repr, so
+        # numbers and strings pass the same checks
+        angles[key] = tuple(angle_literal(str(a)) for a in entry)
     return PrismSpec(angles["vertical"], angles["base_b"], angles["base_c"])
 
 
 def cmd_prism(args) -> int:
     try:
         spec = _load_prism_spec(args.spec)
-    except (OSError, json.JSONDecodeError, KeyError,
+    except (OSError, json.JSONDecodeError,
             argparse.ArgumentTypeError) as exc:
         print(f"error: cannot read prism spec: {exc}", file=sys.stderr)
         return 2

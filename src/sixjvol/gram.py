@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qnum import TWO_PI, _FrozenRecord
-from .sixj import VERTEX_TRIPLES
+from .sixj import FACE_TRIPLES, VERTEX_TRIPLES
 
 FOUR_PI = 4.0 * math.pi
 
@@ -80,11 +80,6 @@ _GRAM_ENTRY = np.array([EDGE_TO_FACEPAIR.index((min(i, j), max(i, j)))
 # them.
 EDGE_COMPLEMENT = ((2, 3), (1, 3), (0, 3), (0, 1), (0, 2), (1, 2))
 
-# Gram index i -> the three edges whose face pair contains i.  Negating
-# row and column i of the Gram matrix replaces exactly these angles by
-# pi - theta and is a congruence (signature preserved).
-FACEPAIR_TRIPLES = ((0, 1, 5), (0, 2, 4), (1, 2, 3), (3, 4, 5))
-
 # Row/column indices of the sixteen 3x3 minors, stacked as (4, 4, 3, 3),
 # and the checkerboard signs (-1)^(i+j) that turn them into cofactors.
 _KEEP = np.array([[j for j in range(4) if j != i] for i in range(4)])
@@ -97,9 +92,8 @@ _CHECKERBOARD = np.array([[(-1.0) ** (i + j) for j in range(4)]
 _ENTRIES = tuple((i, j) for i in range(4) for j in range(4))
 
 # Entries in each single-row memo.  Every caller in the package reuses
-# only the last input of each core: a geometry row and the tetra and
-# volume commands pass one tuple through the cores, and the classify
-# command's two matrices (from theta, then from alpha) never alternate.
+# only the last input of each core: a geometry row and the classify,
+# tetra and volume commands pass one tuple through the cores.
 _memo = functools.lru_cache(maxsize=1)
 
 
@@ -282,14 +276,13 @@ def strictly_admissible(alpha: AlphaSixTuple) -> bool:
 
 
 def gram_from_angles(theta: AngleSixTuple) -> GramMatrix:
-    """The 4x4 Gram matrix with entries -cos theta_ij, by `_GRAM_ENTRY`."""
-    c = [-math.cos(t) for t in theta.theta]
-    c.append(1.0)
-    return GramMatrix(np.array(c)[_GRAM_ENTRY].reshape(4, 4))
+    """The 4x4 Gram matrix with entries -cos theta_ij: `gram_from_alpha`
+    at alpha = pi - theta, since cos(pi - theta) = -cos theta."""
+    return gram_from_alpha(AlphaSixTuple.from_theta(theta, (-1,) * 6))
 
 
 def gram_from_alpha(alpha: AlphaSixTuple) -> GramMatrix:
-    """Same matrix through cos alpha = -cos theta; branch-independent.
+    """The Gram matrix through cos alpha = -cos theta; branch-independent.
 
     Memoized on the packed angles, one entry: calls in a row with the
     same angles share one GramMatrix.
@@ -390,7 +383,9 @@ def change_angles_opposite_vertex(theta: AngleSixTuple, i: int) -> AngleSixTuple
     if i not in (1, 2, 3, 4):
         raise ValueError(f"vertex index must be 1..4, got {i}")
     th = list(theta.theta)
-    for e in FACEPAIR_TRIPLES[i - 1]:
+    # Gram index i is the face opposite colour vertex 5 - i: its three
+    # edges, the ones whose face pair contains i, are FACE_TRIPLES[4 - i].
+    for e in FACE_TRIPLES[4 - i]:
         th[e] = math.pi - th[e]
     return AngleSixTuple(tuple(th))
 

@@ -29,7 +29,7 @@ from .growth import (GrowthFit, GrowthSample, _int_levels, even_colors,
                      fit_growth, scan_levels)
 from .qnum import (OddLevel, QuarterPhaseLog, _ValueRecord, _level,
                    quantum_integer)
-from .sixj import ColorSixTuple, sixj_log
+from .sixj import VERTEX_TRIPLES, ColorSixTuple, sixj_log
 from .volfun import volume
 
 
@@ -61,8 +61,7 @@ class BlowUpGraph(NamedTuple):
 
     @staticmethod
     def tetrahedral() -> "BlowUpGraph":
-        verts = {"g1": (0, 1, 2), "g2": (0, 4, 5),
-                 "g3": (1, 3, 5), "g4": (2, 3, 4)}
+        verts = {f"g{n}": t for n, t in enumerate(VERTEX_TRIPLES, 1)}
         return BlowUpGraph(6, verts, ((0, 1, 2, 3, 4, 5),), ())
 
     def blow_up(self, vertex: str) -> "BlowUpGraph":

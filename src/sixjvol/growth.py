@@ -112,9 +112,10 @@ def colors_for_r(alpha: AlphaSixTuple, r: int) -> ColorSixTuple:
 
 
 def scan_levels(r_list, evaluate) -> list[GrowthSample]:
-    """Growth samples of evaluate(r) -> QuarterPhaseLog, ordered by r.
+    """Growth samples of evaluate(r) -> QuarterPhaseLog, in r_list order.
 
-    A level whose evaluation or `real_sign` raises ValueError or
+    Both callers pass levels `_int_levels` has checked to be strictly
+    increasing, so the samples are ordered by r with no sort.  A level whose evaluation or `real_sign` raises ValueError or
     ArithmeticError (an inadmissible rounding, an imaginary symbol) is
     skipped with a LevelSkipped warning attributed to the scan's caller,
     and a debug event on the "sixjvol" logger whose arguments are r and
@@ -135,7 +136,7 @@ def scan_levels(r_list, evaluate) -> list[GrowthSample]:
                                                r, exc)
             warnings.warn(f"level r={r} skipped: {exc}", LevelSkipped,
                           stacklevel=3)
-    return sorted(out, key=lambda s: s.r)
+    return out
 
 
 def growth_series(plan: GrowthPlan) -> list[GrowthSample]:

@@ -383,36 +383,36 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     u_rows = np.empty((4, 4))
     u_rows[0:3] = np.sqrt(lam[1:4, None]) * q[:, 1:4].T
     u_rows[3] = math.sqrt(-lam[0]) * q[:, 0]
-    normals = tuple(MinkowskiVector(u_rows[:, i].copy()) for i in range(4))
 
     cof = cofactor_matrix(G.mat)
     cofs = cof.tolist()
     det = float(np.linalg.det(G.mat))
-    verts = []
+    v = np.empty((4, 4))  # coordinates x vertices
     types = []
     for i in range(4):
         w = u_rows @ cof[i]
         s = tol_sign(cofs[i][i])
         if s != 0:
             w = w / math.sqrt(abs(cofs[i][i] * det))
-        verts.append(MinkowskiVector(w))
+        v[:, i] = w
         types.append(_VERTEX_TYPE_OF_SIGN[s])
 
-    _check_reconstruction(G, normals, verts, types, det)
+    _check_reconstruction(G, u_rows, v, types, det)
     return GeneralizedTetrahedron(
         gram=G,
-        normals=normals,
-        vertices=tuple(verts),
+        normals=tuple(MinkowskiVector(u_rows[:, i].copy()) for i in range(4)),
+        vertices=tuple(MinkowskiVector(v[:, i].copy()) for i in range(4)),
         vertex_types=tuple(types),
         edge_lengths=edge_length_tuple(G),
         case=case_label(G),
     )
 
 
-def _check_reconstruction(G, normals, verts, types, det) -> None:
+def _check_reconstruction(G, u, v, types, det) -> None:
     """Verify the defining inner-product identities before returning.
 
-    Four checks, each within 100 * DEFAULT_TOL: the normals reproduce G,
+    Column i of the 4x4 arrays u and v is the normal u_i and the vertex
+    v_i.  Four checks, each within 100 * DEFAULT_TOL: the normals reproduce G,
     <u_i, u_j> = G_ij; vertex i lies on the inner side of its own face,
     <u_i, v_i> < 0; it lies on the three other face planes, |<u_j, v_i>|
     within the bound times max(1, |det G|); and <v_i, v_i> is -1, 0 or
@@ -423,8 +423,6 @@ def _check_reconstruction(G, normals, verts, types, det) -> None:
     three), raises ArithmeticError.
     """
     check = 100 * DEFAULT_TOL
-    u = np.array([n.x for n in normals]).T  # coordinates x faces
-    v = np.array([w.x for w in verts]).T    # coordinates x vertices
     uu = _mdot(u[:, :, None], u[:, None, :]).tolist()  # [i][j]: <u_i,u_j>
     uv = _mdot(u[:, None, :], v[:, :, None]).tolist()  # [i][j]: <u_j,v_i>
     vv = _mdot(v, v).tolist()

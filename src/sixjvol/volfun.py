@@ -39,10 +39,8 @@ from .gram import (DEFAULT_TOL, AlphaSixTuple, AngleSixTuple, admissible,
                    cofactor_matrix, gram_from_alpha, gram_from_angles,
                    signature, tol_sign)
 from .qnum import TWO_PI
-from .sixj import VERTEX_TRIPLES
+from .sixj import QUAD_MOVES, VERTEX_TRIPLES
 from .tetra import edge_length_tuple
-
-ALPHA_QUADS = ((0, 1, 3, 4), (0, 2, 3, 5), (1, 2, 4, 5))
 
 
 # Coefficients of the Lobachevsky power series
@@ -108,11 +106,13 @@ class TauEta(NamedTuple):
 
 
 def tau_eta(alpha: AlphaSixTuple) -> TauEta:
+    """tau_i over VERTEX_TRIPLES; eta_j over QUAD_MOVES in reverse order,
+    the order of the quadrilateral sums Q_j of the 6j-symbol."""
     al = alpha.alpha
     tau = tuple((al[i] + al[j] + al[k]) / 2.0
                 for (i, j, k) in VERTEX_TRIPLES)
     eta = tuple((al[i] + al[j] + al[k] + al[l]) / 2.0
-                for (i, j, k, l) in ALPHA_QUADS)
+                for (i, j, k, l) in reversed(QUAD_MOVES))
     return TauEta(tau, eta)
 
 

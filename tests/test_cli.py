@@ -136,7 +136,32 @@ def test_mu_flag_validation(capsys):
 def test_angle_range_validation(capsys):
     code, _, err = run(capsys, ["classify", "7.0", "0", "0", "0", "0", "0"])
     assert code == 2
-    assert "outside [0, 2*pi]" in err
+    assert "outside [0, pi]" in err
+
+
+# Every angle above pi + 1e-12, the range AngleSixTuple accepts, is a
+# usage error of the parser, up to 2 pi as well as beyond it.
+@pytest.mark.parametrize("command", ["classify", "tetra", "volume"])
+@pytest.mark.parametrize("angle", ["3.1415926536", "4", "pi*3/2", "pi*2"])
+def test_angles_above_pi_are_usage_errors(capsys, command, angle):
+    code, out, err = run(capsys, [command, angle] + PI6[1:])
+    assert code == 2 and out == ""
+    assert "outside [0, pi]" in err
+
+
+def test_classify_computes_one_gram_matrix_and_signature(capsys,
+                                                         empty_gram_memos):
+    code, out, _ = run(capsys, ["classify", "--mu", "+-+-+-", "0.6", "0.7",
+                                "0.8", "0.9", "1.0", "1.1"])
+    assert code == 0
+    info = sixjvol.gram_cache_info()
+    assert info["gram_from_alpha"].misses == info["signature"].misses == 1
+    doc = json.loads(out)
+    alpha = sixjvol.AlphaSixTuple(doc["alpha"], doc["mu"])
+    G = sixjvol.gram_from_alpha(alpha)
+    assert doc["gram"] == G.mat.tolist()
+    assert doc["signature"] == list(sixjvol.classify(alpha).signature)
+    assert doc["cofactors"] == sixjvol.cofactor_matrix(G.mat).tolist()
 
 
 def test_volume_octahedral(capsys):
@@ -295,6 +320,33 @@ def test_prism_spec_file_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["prism", write_spec(
         tmp_path, {"vertical": [0.1, 0.1, 0.1]}, "miss.json")])
     assert code == 2 and "missing key" in err
+
+
+# A spec that is not an object of three three-angle lists, or holds an
+# angle outside [0, pi], is a usage error like a missing key; numbers
+# get the range check of angle strings.
+_GOOD_SPEC = {"vertical": [0.5] * 3, "base_b": [0.6] * 3, "base_c": [0.7] * 3}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (5, "must be a JSON object"),
+    (dict(_GOOD_SPEC, base_b=0.6), "'base_b' needs three angles"),
+    (dict(_GOOD_SPEC, base_b={"a": 0.6}), "'base_b' needs three angles"),
+    (dict(_GOOD_SPEC, base_c=[0.7, 0.7]), "'base_c' needs three angles"),
+    (dict(_GOOD_SPEC, base_c=[0.7] * 4), "'base_c' needs three angles"),
+    (dict(_GOOD_SPEC, base_b=[0.6, 0.6, 4.0]), "outside [0, pi]"),
+    (dict(_GOOD_SPEC, base_b=[0.6, -0.5, 0.6]), "outside [0, pi]"),
+    (dict(_GOOD_SPEC, base_c=["pi*3/2", 0.7, 0.7]), "outside [0, pi]"),
+    (dict(_GOOD_SPEC, vertical=[None, 0.5, 0.5]), "bad angle 'None'"),
+    (dict(_GOOD_SPEC, vertical=[True, 0.5, 0.5]), "bad angle 'True'"),
+], ids=["not-object", "entry-number", "entry-object", "two-angles",
+        "four-angles", "number-above-pi", "negative-number",
+        "string-above-pi", "null-angle", "bool-angle"])
+def test_malformed_prism_spec_is_usage_error(capsys, tmp_path, doc, message):
+    code, out, err = run(capsys, ["prism", write_spec(tmp_path, doc),
+                                  "--r-end", "111"])
+    assert code == 2 and out == ""
+    assert "cannot read prism spec" in err and message in err
 
 
 def test_prism_apex_validation_is_domain_error(capsys, tmp_path):

@@ -11,6 +11,7 @@ from conftest import (THETA_TRIPLE_AT_VERTEX, batch_admissible_alpha,
                       batch_cofactors, hyperideal_by_bonahon_bao,
                       sample_admissible_alpha_np)
 from sixjvol import gram
+from sixjvol.sixj import FACE_TRIPLES
 
 PI = math.pi
 
@@ -325,6 +326,19 @@ def test_change_angles_opposite_vertex():
         sv.change_angles_opposite_vertex(th, 5)
 
 
+def test_change_angles_flips_the_face_triple_at_gram_index():
+    # Gram index i is the face opposite colour vertex 5 - i: the edges
+    # whose face pair contains i - 1 are exactly FACE_TRIPLES[4 - i].
+    th = sv.AngleSixTuple((0.3, 0.5, 0.7, 0.9, 1.1, 1.3))
+    for i in range(1, 5):
+        at_i = {e for e, pair in enumerate(gram.EDGE_TO_FACEPAIR)
+                if i - 1 in pair}
+        assert set(FACE_TRIPLES[4 - i]) == at_i
+        moved = sv.change_angles_opposite_vertex(th, i)
+        assert moved.theta == tuple(PI - t if e in at_i else t
+                                    for e, t in enumerate(th.theta))
+
+
 def test_change_angles_composition_flips_symmetric_difference():
     th = sv.AngleSixTuple((0.3, 0.5, 0.7, 0.9, 1.1, 1.3))
     one = sv.change_angles_opposite_vertex(th, 1)
@@ -419,6 +433,15 @@ def test_memoized_arrays_are_read_only_and_the_gram_matrix_is_shared():
             arr[0, 0] = 0.0
     with pytest.raises(ValueError, match="4x4"):
         sv.cofactor_matrix(np.eye(3))
+
+
+def test_gram_from_angles_is_the_alpha_core_at_pi_minus_theta():
+    theta = sv.AngleSixTuple((0.3, 0.5, 0.7, 0.9, 1.1, 1.3))
+    G = sv.gram_from_angles(theta)
+    assert G is sv.gram_from_alpha(sv.AlphaSixTuple.from_theta(theta,
+                                                               (-1,) * 6))
+    assert G.mat[0, 1] == pytest.approx(-math.cos(theta.theta[0]),
+                                        rel=0, abs=1e-15)
 
 
 def test_memo_size_stays_bounded_over_a_long_sweep(rng):

@@ -63,22 +63,18 @@ def test_reconstruct_rejects_wrong_signature():
         sv.reconstruct(gram((PI / 2,) * 6))
 
 
-def _vec(x):
-    return sv.MinkowskiVector(np.asarray(x, dtype=float))
-
-
-# One broken identity per check of tetra._check_reconstruction: a moved
-# normal, vertex 0 reflected to the outer side of its face, vertex 0
-# pushed off face plane 1, and vertex 0 rescaled off its norm.
+# One broken identity per check of tetra._check_reconstruction, on its
+# coordinates x faces and coordinates x vertices arrays: a moved normal,
+# vertex 0 reflected to the outer side of its face, vertex 0 pushed off
+# face plane 1, and vertex 0 rescaled off its norm.
 _BREAKS = {
-    "normal_gram": (lambda u, v: u.__setitem__(0, _vec(u[0].x
-                                                    + [1e-3, 0, 0, 0])),
+    "normal_gram": (lambda u, v: u[:, 0].__iadd__([1e-3, 0, 0, 0]),
                     r"^normal Gram mismatch at \(0,0\): "),
-    "inner_side": (lambda u, v: v.__setitem__(0, _vec(-v[0].x)),
+    "inner_side": (lambda u, v: v[:, 0].__imul__(-1.0),
                    r"^vertex 0 not on the inner side of its face$"),
-    "face_plane": (lambda u, v: v.__setitem__(0, _vec(v[0].x + 1e-3 * u[1].x)),
+    "face_plane": (lambda u, v: v[:, 0].__iadd__(1e-3 * u[:, 1]),
                    r"^vertex 0 off face plane 1: <u,v>="),
-    "vertex_norm": (lambda u, v: v.__setitem__(0, _vec(1.01 * v[0].x)),
+    "vertex_norm": (lambda u, v: v[:, 0].__imul__(1.01),
                     r"^vertex 0 norm .* inconsistent with type VertexType\."),
 }
 
@@ -91,13 +87,14 @@ def test_check_reconstruction_failure_messages(theta, kind):
     from sixjvol.tetra import _check_reconstruction
     G = gram(theta)
     t = sv.reconstruct(G)
-    normals, verts = list(t.normals), list(t.vertices)
+    u = np.array([n.x for n in t.normals]).T
+    v = np.array([w.x for w in t.vertices]).T
     args = (list(t.vertex_types), float(np.linalg.det(G.mat)))
-    _check_reconstruction(G, normals, verts, *args)
+    _check_reconstruction(G, u, v, *args)
     breaks, message = _BREAKS[kind]
-    breaks(normals, verts)
+    breaks(u, v)
     with pytest.raises(ArithmeticError, match=message):
-        _check_reconstruction(G, normals, verts, *args)
+        _check_reconstruction(G, u, v, *args)
 
 
 def test_reconstruct_invariants_random(rng):

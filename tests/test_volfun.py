@@ -15,6 +15,7 @@ import sixjvol as sv
 from conftest import (batch_admissible_alpha, big_U, dilog_unit_circle,
                       lob_coeff_exact, lob_quad, sample_theta31)
 from sixjvol.gram import tol_sign
+from sixjvol.sixj import QUAD_MOVES, ColorSixTuple, SumBounds
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -126,6 +127,19 @@ def test_tau_eta_uses_vertex_triples_and_quads(rng):
         assert got == pytest.approx((a[i] + a[j] + a[k]) / 2)
     for got, q in zip(te.eta, QUAD_TUPLES_0):
         assert got == pytest.approx(sum(a[i] for i in q) / 2)
+
+
+def test_tau_eta_follows_the_half_sums_of_the_symbol():
+    # eta_j sums the edges of reversed(QUAD_MOVES)[j], the order of the
+    # quadrilateral sums Q_j of sixj; tau_i those of VERTEX_TRIPLES, T_i.
+    assert tuple(reversed(QUAD_MOVES)) == QUAD_TUPLES_0
+    r = 101
+    t = ColorSixTuple((20, 30, 40, 50, 60, 70), r)
+    te = sv.tau_eta(sv.AlphaSixTuple.from_alpha(
+        [TWO_PI * a / r for a in t.colors]))
+    bounds = SumBounds.of(t)
+    assert [x * r / TWO_PI for x in te.tau] == pytest.approx(bounds.T)
+    assert [x * r / TWO_PI for x in te.eta] == pytest.approx(bounds.Q)
 
 
 def test_delta_vertex_zero_at_origin():
