@@ -20,16 +20,15 @@ import re
 import sys
 
 from .gram import (AlphaSixTuple, AngleSixTuple, admissible, classify,
-                   cofactor_matrix, gram_from_alpha, gram_from_angles,
-                   signature, strictly_admissible, tol_sign)
+                   cofactor_matrix, gram_from_alpha, signature,
+                   strictly_admissible, tol_sign)
 from .graphs import PrismSpec, prism_conjecture_check
 from .growth import GrowthPlan, GrowthSample, fit_growth, growth_series
 from .qnum import OddLevel
 from .sixj import tuple_of
 from .sixj import sixj_log as _sixj_log
 from .tetra import edge_length_tuple, reconstruct
-from .volfun import (big_V, critical_xi, lobachevsky, schlafli_residual,
-                     volume)
+from .volfun import _schlafli, big_V, critical_xi, lobachevsky, volume
 
 _PI_FORM = re.compile(r"^pi(?:\*(-?\d+))?(?:/(-?\d+))?$")
 
@@ -103,6 +102,18 @@ def finite_step(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"--h must be positive and finite: {text}")
     return h
+
+
+def finite_float(text: str) -> float:
+    """A float option that must be finite; argparse names the option."""
+    try:
+        x = float(text)
+    except ValueError:  # the message argparse gives for type=float
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite: {text}")
+    return x
 
 
 def _jsonable(x):
@@ -312,15 +323,14 @@ def cmd_prism(args) -> int:
 
 def cmd_schlafli(args) -> int:
     theta = _theta(args)
-    res = schlafli_residual(theta, args.mu, h=args.h)
-    G = gram_from_angles(theta)
+    res, lengths = _schlafli(theta, args.mu, args.h)
     out = {
         "theta": list(theta.theta),
         "mu": list(args.mu),
         "h": args.h,
         "residuals": list(res),
         "max_abs": max(abs(x) for x in res),
-        "edge_lengths": list(edge_length_tuple(G)),
+        "edge_lengths": list(lengths),
     }
     _emit_json(out)
     return 0
@@ -371,7 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tetra",
                        help="reconstruct the generalized hyperbolic "
-                            "tetrahedron: vertices, edge lengths, case")
+                            "tetrahedron: vertices, edge lengths, case",
+                       description="Reconstruct the generalized hyperbolic "
+                                   "tetrahedron.  The vertices and normals "
+                                   "are coordinates fixed only up to an "
+                                   "O(3,1) isometry: only their Minkowski "
+                                   "inner products, the vertex types, the "
+                                   "edge lengths and the case are "
+                                   "invariant.")
     angles6(p)
     p.set_defaults(func=cmd_tetra)
 
@@ -415,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lobachevsky-table", parents=[streaming],
                        help="tabulate the Lobachevsky function")
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--end", type=float, default=math.pi)
+    p.add_argument("--start", type=finite_float, default=0.0)
+    p.add_argument("--end", type=finite_float, default=math.pi)
     p.add_argument("--points", type=point_count, default=181)
     p.set_defaults(func=cmd_lobachevsky_table)
     return parser

@@ -27,9 +27,9 @@ from typing import NamedTuple
 from .gram import AngleSixTuple
 from .growth import (GrowthFit, GrowthSample, _int_levels, even_colors,
                      fit_growth, scan_levels)
-from .qnum import (OddLevel, QuarterPhaseLog, _ValueRecord, _level,
+from .qnum import (QuarterPhaseLog, _odd_level, _ValueRecord, _level,
                    quantum_integer)
-from .sixj import VERTEX_TRIPLES, ColorSixTuple, sixj_log
+from .sixj import VERTEX_TRIPLES, _valid_tuple, sixj_log
 from .volfun import volume
 
 
@@ -94,17 +94,19 @@ def bracket_blowup(graph: BlowUpGraph, coloring, level) -> QuarterPhaseLog:
         col = list(coloring)
     if len(col) != graph.n_edges:
         raise ValueError(f"need {graph.n_edges} colors, got {len(col)}")
-    out = QuarterPhaseLog.one()
+    out = None
     for idx, tet in enumerate(graph.tet_decomposition):
-        try:
-            t = ColorSixTuple(tuple([col[e] for e in tet]), lv)
+        try:  # the coercion of ColorSixTuple, then its checks
+            t = _valid_tuple(tuple([int(col[e]) for e in tet]), lv)
         except ValueError as exc:
             raise ValueError(
                 f"inadmissible coloring on decomposition tetrahedron "
                 f"{idx + 1} (edges {tuple(e + 1 for e in tet)}): {exc}"
             ) from exc
-        out = out * sixj_log(t)
-    return out
+        value = sixj_log(t)
+        # one() * value is value: a symbol's log_mag is never -0.0
+        out = value if out is None else out * value
+    return QuarterPhaseLog.one() if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +155,14 @@ def prism_volume(p: PrismSpec, mu=(-1, -1, -1, -1, -1, -1)) -> float:
     return volume(t1, mu) + volume(t2, mu)
 
 
+def _prism_alpha(p: PrismSpec) -> list[float]:
+    """The nine limit angles pi - theta of a prism, in edge-id order."""
+    return [math.pi - t for t in p.vertical + p.base_b + p.base_c]
+
+
 def prism_colors_for_r(p: PrismSpec, r: int) -> tuple[int, ...]:
     """Even rounding of the nine limit angles pi - theta at level r."""
-    angles = p.vertical + p.base_b + p.base_c
-    return even_colors([math.pi - t for t in angles], r)
+    return even_colors(_prism_alpha(p), r)
 
 
 class PrismCheck(NamedTuple):
@@ -174,9 +180,11 @@ def prism_conjecture_check(p: PrismSpec, r_list) -> PrismCheck:
     failing levels are skipped with a LevelSkipped warning.
     """
     graph = prism_graph()
+    alpha = _prism_alpha(p)  # prism_colors_for_r, with the angles once
     samples = scan_levels(
         _int_levels(r_list),
-        lambda r: bracket_blowup(graph, prism_colors_for_r(p, r), OddLevel(r)))
+        lambda r: bracket_blowup(graph, even_colors(alpha, r),
+                                 _odd_level(r)))
     fit = fit_growth(samples)
     vol = prism_volume(p)
     return PrismCheck(fit, vol, abs(fit.c0 - vol), tuple(samples))

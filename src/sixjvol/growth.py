@@ -22,14 +22,16 @@ from __future__ import annotations
 
 import math
 import warnings
+from math import ceil
 from typing import NamedTuple
 
 import numpy as np
 
 from .gram import (AlphaSixTuple, AngleSixTuple, cofactor_matrix,
                    gram_from_angles, signature, tol_sign)
-from .qnum import TWO_PI, _integral_level, _ValueRecord
-from .sixj import ColorSixTuple, sixj_log
+from .qnum import (TWO_PI, _integral_level, _level, _odd_level,
+                   _ValueRecord)
+from .sixj import ColorSixTuple, _valid_tuple, sixj_log
 from .tetra import edge_length_tuple
 from .volfun import volume
 
@@ -83,15 +85,19 @@ class GrowthFit(NamedTuple):
 def even_colors(angles, r: int) -> tuple[int, ...]:
     """Even rounding of r*a/(2*pi) for each limit angle a: the nearest
     even integer, ties broken downward, clamped to the even colors of
-    level r."""
+    level r.
+
+    The nearest even integer to x with ties down is 2*ceil((x - 1)/2).
+    For x in [1/2, 2^53) the subtraction and the halving are exact, so
+    this is the rounding of x itself.  Below 1/2 it gives 0 and from
+    2^53 up it is clamped to r - 3, as the exact rounding is.
+    """
     if r < 5 or r % 2 == 0:
         raise ValueError("level must be an odd integer >= 5")
     top = r - 3  # largest even value in the color range [0, r-2]
     out = []
     for a in angles:
-        x = r * a / TWO_PI
-        lo = 2 * math.floor(x / 2.0)
-        c = lo if x - lo <= lo + 2 - x else lo + 2
+        c = 2 * ceil((r * a / TWO_PI - 1.0) / 2.0)
         out.append(0 if c < 0 else (top if c > top else c))
     return tuple(out)
 
@@ -104,18 +110,25 @@ def colors_for_r(alpha: AlphaSixTuple, r: int) -> ColorSixTuple:
     boundary at small r, which is reported rather than repaired.
     """
     colors = even_colors(alpha.alpha, r)
+    # even_colors has checked r odd and >= 5; _level coerces (or refuses)
+    # a level of another type as ColorSixTuple would
+    level = _odd_level(r) if type(r) is int else _level(r)
     try:
-        return ColorSixTuple(colors, r)
+        return _valid_tuple(colors, level)
     except ValueError as exc:
         raise ValueError(f"no admissible rounding at this level: r={r}, "
                          f"colors={colors}") from exc
+
+
+_new_sample = tuple.__new__  # GrowthSample(...) without its Python frame
 
 
 def scan_levels(r_list, evaluate) -> list[GrowthSample]:
     """Growth samples of evaluate(r) -> QuarterPhaseLog, in r_list order.
 
     Both callers pass levels `_int_levels` has checked to be strictly
-    increasing, so the samples are ordered by r with no sort.  A level whose evaluation or `real_sign` raises ValueError or
+    increasing, so the samples are ordered by r with no sort.  A level
+    whose evaluation or `real_sign` raises ValueError or
     ArithmeticError (an inadmissible rounding, an imaginary symbol) is
     skipped with a LevelSkipped warning attributed to the scan's caller,
     and a debug event on the "sixjvol" logger whose arguments are r and
@@ -126,8 +139,8 @@ def scan_levels(r_list, evaluate) -> list[GrowthSample]:
         try:
             value = evaluate(r)
             log_mag = value.log_mag
-            out.append(GrowthSample(r, log_mag, TWO_PI * log_mag / r,
-                                    value.real_sign()))
+            out.append(_new_sample(GrowthSample, (
+                r, log_mag, TWO_PI * log_mag / r, value.real_sign())))
         except (ValueError, ArithmeticError) as exc:
             # imported here: logging adds ~5 ms to every process start
             # and is needed only once a level is skipped
@@ -145,8 +158,10 @@ def growth_series(plan: GrowthPlan) -> list[GrowthSample]:
     Failing levels are skipped with a LevelSkipped warning; the output
     is ordered by r.
     """
+    alpha = plan.alpha
+    # both names are read at each call, so a rebinding of either is seen
     return scan_levels(plan.r_list,
-                       lambda r: sixj_log(colors_for_r(plan.alpha, r)))
+                       lambda r: sixj_log(colors_for_r(alpha, r)))
 
 
 def fit_growth(samples: list[GrowthSample]) -> GrowthFit:

@@ -90,6 +90,17 @@ class OddLevel(_ValueRecord):
         object.__setattr__(self, "r", r)
 
 
+_set_r = OddLevel.r.__set__
+
+
+def _odd_level(r: int) -> OddLevel:
+    """OddLevel(r) for an r already known to be an int, odd and >= 3,
+    without the checks (a level scan builds one per level)."""
+    level = object.__new__(OddLevel)
+    _set_r(level, r)
+    return level
+
+
 def _integral_level(x) -> int | None:
     """x as an int if it is an int, a numpy integer or a float with no
     fractional part; None for anything else (a float with a fractional
@@ -174,13 +185,14 @@ class QuarterPhaseLog(tuple):
 
     def real_sign(self) -> int:
         """+1/-1/0 for a real-phased value; raises if the phase is odd."""
-        if self.is_zero:
+        log_mag, phase = self
+        if log_mag == _NEG_INF:
             return 0
-        if self.phase == 0:
+        if phase == 0:
             return 1
-        if self.phase == 2:
+        if phase == 2:
             return -1
-        raise ValueError(f"value has imaginary phase {self.phase}")
+        raise ValueError(f"value has imaginary phase {phase}")
 
 
 class LevelTables:

@@ -45,11 +45,11 @@ The tables come from `qnum.level_tables`, a cache bounded by
 A repeated sweep whose tables together exceed the bound rebuilds every
 level on every pass.  A build takes about 28 us at r = 2001, 91 us at
 r = 10001 and 171 us at r = 20001, and one symbol of the pi/6 colours
-(43, 417 and 4167 z-terms) about 17, 21 and 73 us at r = 101, 2001
-and 20001, so a sweep that rebuilds its tables costs about 2.3 times
+(43, 417 and 4167 z-terms) about 15, 20 and 73 us at r = 101, 2001
+and 20001, so a sweep that rebuilds its tables costs about 2.4 times
 one that does not at r = 2001 and 3.3 times at r = 20001 (best of 21
-runs on one core of a shared 2-core Xeon virtual machine, Python 3.11,
-numpy 2.4).
+runs for a build and of 41 for a symbol, on one core of a shared 2-core
+Xeon virtual machine, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qnum import QuarterPhaseLog, _ValueRecord, _level, level_tables
+from .qnum import (OddLevel, QuarterPhaseLog, _ValueRecord, _level,
+                   level_tables)
 
 # Index sets (0-based).  Vertex triples are the edges meeting at each
 # vertex of the tetrahedral graph; face triples are their complements
@@ -169,6 +170,22 @@ class ColorSixTuple(_ValueRecord):
         return ColorSixTuple(tuple(a), self.level)
 
 
+_set_colors = ColorSixTuple.colors.__set__
+_set_level = ColorSixTuple.level.__set__
+
+
+def _valid_tuple(colors: tuple, level: OddLevel) -> ColorSixTuple:
+    """ColorSixTuple(colors, level) for a tuple of ints and an
+    OddLevel: the same record, built without the constructor's
+    coercions, or the constructor's ValueError."""
+    if len(colors) != 6 or not _colors_ok(colors, level.r):
+        return ColorSixTuple(colors, level)  # raises its ValueError
+    t = object.__new__(ColorSixTuple)
+    _set_colors(t, colors)
+    _set_level(t, level)
+    return t
+
+
 def tuple_of(colors, level) -> ColorSixTuple:
     return ColorSixTuple(colors, level)  # converts colors and level itself
 
@@ -181,32 +198,31 @@ class SumBounds(NamedTuple):
 
     @staticmethod
     def of(t: ColorSixTuple) -> "SumBounds":
-        return SumBounds(*_half_sums(t.colors))
+        h = _half_sums(t.colors)
+        return SumBounds(h[:4], h[4:])
 
 
-def _half_sums(a) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(T, Q) of six colors; `sixj_log` calls this rather than build a
-    SumBounds per symbol."""
+def _half_sums(a) -> tuple[int, ...]:
+    """(T1, T2, T3, T4, Q1, Q2, Q3) of six colors, flat, so that
+    `sixj_log` unpacks them without building a SumBounds."""
     a1, a2, a3, a4, a5, a6 = a
-    return (((a1 + a2 + a3) // 2, (a1 + a5 + a6) // 2,
-             (a2 + a4 + a6) // 2, (a3 + a4 + a5) // 2),
-            ((a1 + a2 + a4 + a5) // 2, (a1 + a3 + a4 + a6) // 2,
-             (a2 + a3 + a5 + a6) // 2))
+    return ((a1 + a2 + a3) // 2, (a1 + a5 + a6) // 2,
+            (a2 + a4 + a6) // 2, (a3 + a4 + a5) // 2,
+            (a1 + a2 + a4 + a5) // 2, (a1 + a3 + a4 + a6) // 2,
+            (a2 + a3 + a5 + a6) // 2)
 
 
-def _delta_logs(tab, idx) -> tuple[float, int]:
+def _delta_logs(lf, h: int, idx) -> tuple[float, int]:
     """Summed log|Delta| and quarter turns of Delta factors.
 
     Delta(a,b,c) = sqrt([s-c]![s-a]![s-b]!/[s+1]!) with s = (a+b+c)/2,
     so idx lists four factorial indices (s-c, s-a, s-b, s+1) per factor,
-    read through a memoryview of `logfact` (sixteen such reads cost
-    about half of one `take` and `tolist`).  A negative radicand
-    contributes a single quarter turn (sqrt(x) = i sqrt|x|); [n]! is
-    negative exactly when n > h = (r-1)/2 and n - h is odd, so the turns
-    need no table read, and a factor with s+1 <= h has none.
+    read through lf, a memoryview of the level's `logfact` (sixteen
+    such reads cost about half of one `take` and `tolist`).  A negative
+    radicand contributes a single quarter turn (sqrt(x) = i sqrt|x|);
+    [n]! is negative exactly when n > h = (r-1)/2 and n - h is odd, so
+    the turns need no table read, and a factor with s+1 <= h has none.
     """
-    h = (tab.level.r - 1) // 2
-    lf = memoryview(tab.logfact)  # an item is a Python float
     n = iter(idx)
     log_mag = 0.0
     turns = 0
@@ -228,7 +244,9 @@ def delta_triple(triple: ColorTriple) -> QuarterPhaseLog:
     """Delta(a1,a2,a3) = sqrt([x]![y]![w]! / [T+1]!), imaginary-root convention."""
     a, b, c = triple.a1, triple.a2, triple.a3
     s = (a + b + c) // 2
-    return QuarterPhaseLog(*_delta_logs(level_tables(triple.level),
+    tab = level_tables(triple.level)
+    return QuarterPhaseLog(*_delta_logs(memoryview(tab.logfact),
+                                        (tab.level.r - 1) // 2,
                                         (s - c, s - a, s - b, s + 1)))
 
 
@@ -242,8 +260,9 @@ def _sign_flips(lo: int, hi: int, T, Q, h: int) -> tuple[int, int, int]:
     n > h = (r-1)/2, else 0 (see `LevelTables`).
     So a factor adds nothing while n <= h and z + k (mod 2) once n > h,
     with k = h + T_i for [z-T_i]! (T_i = -1 for [z+1]!) and k = h + Q_j
-    for [Q_j-z]!.  [z-T_i]! comes on at z = h+1+T_i and [Q_j-z]! goes
-    off at z = Q_j-h.  Below every such breakpoint only the three
+    for [Q_j-z]!.  [z-T_i]! comes on at z = e = h+1+T_i, where k = e-1,
+    and [Q_j-z]! goes off at z = e = Q_j-h, where k = e+2h; only the
+    parity of k counts.  Below every such breakpoint only the three
     [Q_j-z]! are on and the parity is 4z + sum(h + Q_j) = K (mod 2);
     crossing one adds its k to K and toggles whether z counts, so
     between breakpoints the parity is K (constant) or z + K
@@ -260,20 +279,32 @@ def _sign_flips(lo: int, hi: int, T, Q, h: int) -> tuple[int, int, int]:
     is at least hi-1 > lo), while sum Q = sum T.  So the range is one
     segment, or one constant and one alternating segment.  Flipping
     the sum to the constant segment's sign leaves one strided slice to
-    negate.
+    negate.  A breakpoint at or above hi changes nothing, so the
+    [z-T_i]! are looked at only when the first of them lies below hi.
     """
-    K = Q[0] + Q[1] + Q[2] + h
-    alt, cut, k_cut = 0, None, 0
-    for e, k in ((h, h + 1), (h + 1 + T[0], h + T[0]),
-                 (h + 1 + T[1], h + T[1]), (h + 1 + T[2], h + T[2]),
-                 (h + 1 + T[3], h + T[3]), (Q[0] - h, Q[0] + h),
-                 (Q[1] - h, Q[1] + h), (Q[2] - h, Q[2] + h)):
+    Q1, Q2, Q3 = Q
+    K = Q1 + Q2 + Q3 + h
+    alt = cut = k_cut = 0  # no breakpoint is 0: cut > lo >= 0
+    if h <= lo:  # [z+1]!
+        alt = 1
+        K += h + 1
+    elif h < hi:
+        cut, k_cut = h, h + 1
+    if min(T) < hi - h - 1:
+        for Ti in T:
+            e = h + 1 + Ti
+            if e <= lo:
+                alt ^= 1
+                K += e - 1
+            elif e < hi:
+                cut, k_cut = e, e - 1
+    for e in (Q1 - h, Q2 - h, Q3 - h):
         if e <= lo:
             alt ^= 1
-            K += k
+            K += e
         elif e < hi:
-            cut, k_cut = e, k
-    if cut is None:
+            cut = k_cut = e
+    if not cut:
         if not alt:
             return K & 1, 0, 0
         start, stop, flip = lo, hi, 0
@@ -287,37 +318,9 @@ def _sign_flips(lo: int, hi: int, T, Q, h: int) -> tuple[int, int, int]:
     return flip, first - lo, stop - lo
 
 
-def _zsum_signed_log(tab, T, Q, r: int) -> tuple[float, int]:
-    """The alternating z-sum as (log-magnitude, phase 0 or 2).
-
-    Every factor of a term is a contiguous slice of the level's tables
-    over z in [lo, hi): [z+1]! reads [lo+1, hi+1), [z-T_i]! reads
-    [lo-T_i, hi-T_i) and [Q_j-z]! the reversed slice from Q_j-lo down
-    to Q_j-hi+1.  The signs come from `_sign_flips`: negation is exact
-    and pairwise summation is odd in its input, so every bit is that of
-    summing the signed terms.  An exactly zero sum returns (-inf, 0).
-    """
-    lo = max(T)
-    hi = min(min(Q), r - 2) + 1  # [z+1]! = 0 for z > r-2
-    lf = tab.logfact
-    log_mag = lf[lo + 1:hi + 1] - lf[lo - T[0]:hi - T[0]]
-    for Ti in T[1:]:
-        log_mag -= lf[lo - Ti:hi - Ti]
-    for Qj in Q:  # stop None: the slice ends at index 0
-        log_mag -= lf[Qj - lo:Qj - hi if Qj >= hi else None:-1]
-    m = float(np.maximum.reduce(log_mag))
-    log_mag -= m
-    terms = np.exp(log_mag, out=log_mag)
-    flip, start, stop = _sign_flips(lo, hi, T, Q, (r - 1) // 2)
-    if start < stop:
-        run = terms[start:stop:2]
-        run *= -1.0
-    total = float(np.add.reduce(terms))  # pairwise summation
-    if total == 0.0:
-        return -math.inf, 0
-    if flip:
-        total = -total
-    return m + math.log(abs(total)), 0 if total > 0.0 else 2
+# QuarterPhaseLog(x, p) without its Python frame, for a finite x and p
+# in 0..3, which the constructor would store unchanged
+_new_phase_log = tuple.__new__
 
 
 def sixj_log(t: ColorSixTuple) -> QuarterPhaseLog:
@@ -326,28 +329,59 @@ def sixj_log(t: ColorSixTuple) -> QuarterPhaseLog:
     Returns real symbols only (phase 0 or 2).  The i^{-sum a} prefactor
     and the imaginary Delta factors can leave an odd phase, i.e. a
     purely imaginary symbol; such tuples raise ArithmeticError.
+
+    The z-sum runs over z in [lo, hi), and every factor of its terms is
+    a contiguous slice of `logfact`: [z+1]! reads [lo+1, hi+1),
+    [z-T_i]! reads [lo-T_i, hi-T_i) and [Q_j-z]! the reversed slice
+    from Q_j-lo down to Q_j-hi+1.  The signs come from `_sign_flips`:
+    negation is exact and pairwise summation is odd in its input, so
+    every bit is that of summing the signed terms.  An exactly zero sum
+    gives the zero symbol.
     """
     level = t.level
     tab = level_tables(level)
-    a = t.colors
-    T, Q = _half_sums(a)
     r = level.r
-    zlog, zphase = _zsum_signed_log(tab, T, Q, r)
-    if zlog == -math.inf:
+    a = t.colors
+    T1, T2, T3, T4, Q1, Q2, Q3 = _half_sums(a)
+    lo = max(T1, T2, T3, T4)
+    hi = min(Q1, Q2, Q3, r - 2) + 1  # [z+1]! = 0 for z > r-2
+    lf = tab.logfact
+    log_mag = lf[lo + 1:hi + 1] - lf[lo - T1:hi - T1]
+    log_mag -= lf[lo - T2:hi - T2]
+    log_mag -= lf[lo - T3:hi - T3]
+    log_mag -= lf[lo - T4:hi - T4]
+    # stop None: the slice ends at index 0
+    log_mag -= lf[Q1 - lo:Q1 - hi if Q1 >= hi else None:-1]
+    log_mag -= lf[Q2 - lo:Q2 - hi if Q2 >= hi else None:-1]
+    log_mag -= lf[Q3 - lo:Q3 - hi if Q3 >= hi else None:-1]
+    m = float(np.maximum.reduce(log_mag))
+    log_mag -= m
+    terms = np.exp(log_mag, out=log_mag)
+    h = (r - 1) // 2
+    flip, start, stop = _sign_flips(lo, hi, (T1, T2, T3, T4),
+                                    (Q1, Q2, Q3), h)
+    if start < stop:
+        run = terms[start:stop:2]
+        run *= -1.0
+    total = float(np.add.reduce(terms))  # pairwise summation
+    if total == 0.0:
         return QuarterPhaseLog.zero()
+    if flip:
+        total = -total
     a1, a2, a3, a4, a5, a6 = a
-    T1, T2, T3, T4 = T
     # the four Delta factors in VERTEX_TRIPLES order, from the half-sums
-    dlog, turns = _delta_logs(tab, (T1 - a3, T1 - a1, T1 - a2, T1 + 1,
-                                    T2 - a6, T2 - a1, T2 - a5, T2 + 1,
-                                    T3 - a6, T3 - a2, T3 - a4, T3 + 1,
-                                    T4 - a5, T4 - a3, T4 - a4, T4 + 1))
-    phase = (-sum(a) + turns + zphase) % 4
+    dlog, turns = _delta_logs(memoryview(lf), h,
+                              (T1 - a3, T1 - a1, T1 - a2, T1 + 1,
+                               T2 - a6, T2 - a1, T2 - a5, T2 + 1,
+                               T3 - a6, T3 - a2, T3 - a4, T3 + 1,
+                               T4 - a5, T4 - a3, T4 - a4, T4 + 1))
+    phase = (turns - sum(a) + (0 if total > 0.0 else 2)) % 4
     if phase % 2 != 0:
         raise ArithmeticError(
             f"6j phase parity broken for {a} at r={r}: "
             f"phase={phase}")
-    return QuarterPhaseLog(dlog + zlog, phase)
+    return _new_phase_log(QuarterPhaseLog,
+                          (dlog + (m + math.log(abs(total))), phase))
 
 
 def sixj_exact_small(t: ColorSixTuple) -> complex:

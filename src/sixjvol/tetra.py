@@ -373,6 +373,12 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     ideal vertices and left lightlike at them.  The edge lengths and the
     case come from `edge_length_tuple` and `case_label`, which find the
     cofactor matrix in the memo of `cofactor_matrix`.
+
+    The coordinates are fixed only up to an O(3,1) isometry.  `eigh`
+    picks an arbitrary basis of a repeated eigenspace, so on symmetric
+    tuples (pi/3 x6, pi/4 x6) a last-bit change in G can move normals
+    and vertices by O(1).  Only the Minkowski inner products, the
+    vertex types, the edge lengths and the case are invariant.
     """
     sig = signature(G)
     if sig.as_pair() != (3, 1):

@@ -88,14 +88,21 @@ def lobachevsky(theta: float) -> float:
     """The Lobachevsky function Lambda(theta) = -int_0^theta log|2 sin t| dt.
 
     Odd, pi-periodic; reduced to [0, pi/2] via Lambda(pi - t) = -Lambda(t).
-    Absolute accuracy ~1e-15.
+    Absolute accuracy ~1e-15.  A NaN or infinite theta raises
+    ValueError.
     """
-    t = math.fmod(theta, math.pi)
+    try:
+        t = math.fmod(theta, math.pi)
+    except ValueError:  # fmod of an infinity
+        t = math.nan
     if t < 0.0:
         t += math.pi
     if t > math.pi / 2.0:
         return -_lob_series(math.pi - t)
-    return _lob_series(t)
+    if t >= 0.0:  # False only for NaN
+        return _lob_series(t)
+    raise ValueError(f"Lobachevsky function of a non-finite angle: "
+                     f"{theta!r}")
 
 
 class TauEta(NamedTuple):
@@ -306,6 +313,14 @@ def schlafli_residual(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1),
     stay inside the same classification stratum (same signature, same
     vertex-type signs).
     """
+    return _schlafli(theta, mu, h)[0]
+
+
+def _schlafli(theta: AngleSixTuple, mu, h: float
+              ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(residuals, edge lengths l_k) of `schlafli_residual`: the base
+    lengths come with the residuals, since its twelve stepped tuples
+    evict the base Gram matrix from the one-entry memos."""
     G = gram_from_angles(theta)
     if signature(G).as_pair() != (3, 1):
         raise ValueError("not a generalized hyperbolic tetrahedron")
@@ -332,4 +347,4 @@ def schlafli_residual(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1),
             vols.append(volume(t2, mu))
         deriv = (vols[0] - vols[1]) / (2.0 * h)
         out.append(deriv + lengths[k] / 2.0)
-    return tuple(out)
+    return tuple(out), lengths

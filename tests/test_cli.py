@@ -372,6 +372,19 @@ def test_schlafli_report(capsys):
                                                for x in doc["residuals"]))
 
 
+def test_schlafli_builds_each_gram_matrix_once(capsys, empty_gram_memos):
+    # the base tuple and its twelve steps: 13 tuples, 13 computations
+    code, out, _ = run(capsys, ["schlafli", "0.6", "0.7", "0.8", "0.9",
+                                "1.0", "1.1"])
+    assert code == 0
+    info = sixjvol.gram_cache_info()
+    assert info["gram_from_alpha"].misses == 13
+    assert info["cofactor_matrix"].misses == 13
+    theta = sixjvol.AngleSixTuple((0.6, 0.7, 0.8, 0.9, 1.0, 1.1))
+    assert json.loads(out)["edge_lengths"] == list(
+        sixjvol.edge_length_tuple(sixjvol.gram_from_angles(theta)))
+
+
 def test_schlafli_spherical_is_domain_error(capsys):
     code, _, err = run(capsys, ["schlafli"] + ["pi/2"] * 6)
     assert code == 1
@@ -408,6 +421,14 @@ def test_lobachevsky_table_points_validation(capsys, points):
     code, out, err = run(capsys, ["lobachevsky-table", f"--points={points}"])
     assert code == 2 and out == ""
     assert "--points" in err
+
+
+@pytest.mark.parametrize("bound", ["--start", "--end"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_lobachevsky_table_refuses_non_finite_bounds(capsys, bound, value):
+    code, out, err = run(capsys, ["lobachevsky-table", f"{bound}={value}"])
+    assert code == 2 and out == ""
+    assert f"argument {bound}: must be finite: {value}" in err
 
 
 @pytest.mark.parametrize("h", ["0", "-1e-4", "nan", "inf", "-inf"])

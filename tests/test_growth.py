@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sixjvol as sv
+from sixjvol import growth
 
 PI = math.pi
 
@@ -33,6 +34,37 @@ def test_colors_for_r_clamps_to_top_even_color():
     # to r - 3, the largest even admissible value
     al = sv.AlphaSixTuple.from_alpha((6.2, PI, PI, PI, PI, PI))
     assert sv.colors_for_r(al, 101).colors == (98, 50, 50, 50, 50, 50)
+
+
+# Exact ties at r = 101: r*a/(2 pi) is exactly the odd integer k, and
+# pi - (pi - a) == a, so a prism's bases can carry them too.
+TIE_1, TIE_7 = 0.062209755516629564, 0.43546828861640696
+TIE_31, TIE_45 = 1.9285024210155164, 2.7994389982483305
+
+
+def test_even_rounding_breaks_ties_downward_and_clamps():
+    r = 101
+    for a, k in ((TIE_1, 1), (TIE_7, 7), (TIE_31, 31), (TIE_45, 45)):
+        assert r * a / (2 * PI) == k
+    assert growth.even_colors((TIE_1, TIE_31), r) == (0, 30)
+    # just above a tie the rounding goes up; clamps at 0 and r - 3
+    above = TIE_31 + 1e-12
+    assert r * above / (2 * PI) > 31
+    assert growth.even_colors((above, -1.0, 7.0, 2 * PI), r) == (32, 0, 98,
+                                                                98)
+    al = sv.AlphaSixTuple.from_alpha((TIE_1, TIE_31, TIE_31,
+                                      TIE_1, TIE_31, TIE_31))
+    assert sv.colors_for_r(al, r).colors == (0, 30, 30, 0, 30, 30)
+    al = sv.AlphaSixTuple.from_alpha((0.0, TIE_31, TIE_31,
+                                      2 * PI, TIE_31, TIE_31))
+    with pytest.raises(ValueError, match=r"colors=\(0, 30, 30, 98, 30, 30\)"):
+        sv.colors_for_r(al, r)
+    for a in (TIE_7, TIE_31, TIE_45):
+        assert PI - (PI - a) == a
+    # the last two base angles put pi - theta below 0 and near 2 pi
+    p = sv.PrismSpec((PI - TIE_45,) * 3, (PI - TIE_31, PI - TIE_7, PI + 0.5),
+                     (PI - TIE_45, PI - TIE_31, -PI + 0.01))
+    assert sv.prism_colors_for_r(p, r) == (44, 44, 44, 30, 6, 0, 44, 30, 98)
 
 
 def test_colors_for_r_reports_inadmissible_rounding():

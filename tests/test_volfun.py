@@ -39,6 +39,12 @@ def test_lobachevsky_special_values():
                                                   abs=1e-12)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_lobachevsky_refuses_non_finite_angles(theta):
+    with pytest.raises(ValueError, match=f"non-finite angle: {theta!r}"):
+        sv.lobachevsky(theta)
+
+
 def test_lobachevsky_coefficients_match_zeta():
     from scipy.special import zeta
     from sixjvol.volfun import _LOB_COEFF
