@@ -22,7 +22,7 @@ import sys
 from .gram import (AlphaSixTuple, AngleSixTuple, admissible, classify,
                    cofactor_matrix, gram_from_alpha, signature,
                    strictly_admissible, tol_sign)
-from .graphs import PrismSpec, prism_conjecture_check
+from .graphs import PrismSpec, _prism_samples, prism_conjecture_check
 from .growth import GrowthPlan, GrowthSample, fit_growth, growth_series
 from .qnum import OddLevel
 from .sixj import tuple_of
@@ -314,7 +314,10 @@ def cmd_prism(args) -> int:
             argparse.ArgumentTypeError) as exc:
         print(f"error: cannot read prism spec: {exc}", file=sys.stderr)
         return 2
-    check = prism_conjecture_check(spec, tuple(_r_list(args)))
+    levels = tuple(_r_list(args))
+    if args.format == "csv":  # the samples alone, as for growth: no fit
+        return _emit_series(args, _prism_samples(spec, levels), None)
+    check = prism_conjecture_check(spec, levels)
     return _emit_series(args, check.samples, lambda: {
         "vertical": list(spec.vertical), "base_b": list(spec.base_b),
         "base_c": list(spec.base_c), "fit": check.fit._asdict(),
@@ -342,6 +345,9 @@ def cmd_lobachevsky_table(args) -> int:
     rows = []
     for k in range(n):
         t = lo + (hi - lo) * k / (n - 1) if n > 1 else lo
+        if not math.isfinite(t):  # hi - lo or its multiple overflowed
+            f = k / (n - 1)
+            t = lo * (1.0 - f) + hi * f  # a convex combination: finite
         rows.append((t, lobachevsky(t)))
     if args.format == "csv":
         _emit_csv(("theta", "lambda"), rows)

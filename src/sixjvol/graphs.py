@@ -29,7 +29,7 @@ from .growth import (GrowthFit, GrowthSample, _int_levels, even_colors,
                      fit_growth, scan_levels)
 from .qnum import (QuarterPhaseLog, _odd_level, _ValueRecord, _level,
                    quantum_integer)
-from .sixj import VERTEX_TRIPLES, _valid_tuple, sixj_log
+from .sixj import VERTEX_TRIPLES, _color, _valid_tuple, sixj_log
 from .volfun import volume
 
 
@@ -85,19 +85,20 @@ def bracket_blowup(graph: BlowUpGraph, coloring, level) -> QuarterPhaseLog:
     """Product of the 6j-symbols of the decomposition tetrahedra.
 
     `coloring` is a sequence of colors indexed by edge id (or a dict);
-    it must be r-admissible on every decomposition tetrahedron.
+    it must be r-admissible on every decomposition tetrahedron.  A
+    non-integral color raises TypeError, as in `ColorSixTuple`.
     """
     lv = _level(level)
     if isinstance(coloring, dict):
-        col = [coloring[e] for e in range(graph.n_edges)]
-    else:
-        col = list(coloring)
+        coloring = [coloring[e] for e in range(graph.n_edges)]
+    # the colors of a level scan are ints and skip the call
+    col = [c if type(c) is int else _color(c) for c in coloring]
     if len(col) != graph.n_edges:
         raise ValueError(f"need {graph.n_edges} colors, got {len(col)}")
     out = None
     for idx, tet in enumerate(graph.tet_decomposition):
-        try:  # the coercion of ColorSixTuple, then its checks
-            t = _valid_tuple(tuple([int(col[e]) for e in tet]), lv)
+        try:  # the checks of ColorSixTuple
+            t = _valid_tuple(tuple([col[e] for e in tet]), lv)
         except ValueError as exc:
             raise ValueError(
                 f"inadmissible coloring on decomposition tetrahedron "
@@ -172,6 +173,16 @@ class PrismCheck(NamedTuple):
     samples: tuple[GrowthSample, ...]
 
 
+def _prism_samples(p: PrismSpec, r_list) -> list[GrowthSample]:
+    """The bracket samples of `prism_conjecture_check`, without the fit."""
+    graph = prism_graph()
+    alpha = _prism_alpha(p)  # prism_colors_for_r, with the angles once
+    return scan_levels(
+        _int_levels(r_list),
+        lambda r: bracket_blowup(graph, even_colors(alpha, r),
+                                 _odd_level(r)))
+
+
 def prism_conjecture_check(p: PrismSpec, r_list) -> PrismCheck:
     """Scaled bracket logs across levels vs the prism volume.
 
@@ -179,12 +190,7 @@ def prism_conjecture_check(p: PrismSpec, r_list) -> PrismCheck:
     reports the gap |c0 - Vol(P)|.  Levels are checked as in a GrowthPlan;
     failing levels are skipped with a LevelSkipped warning.
     """
-    graph = prism_graph()
-    alpha = _prism_alpha(p)  # prism_colors_for_r, with the angles once
-    samples = scan_levels(
-        _int_levels(r_list),
-        lambda r: bracket_blowup(graph, even_colors(alpha, r),
-                                 _odd_level(r)))
+    samples = _prism_samples(p, r_list)
     fit = fit_growth(samples)
     vol = prism_volume(p)
     return PrismCheck(fit, vol, abs(fit.c0 - vol), tuple(samples))

@@ -59,8 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qnum import (OddLevel, QuarterPhaseLog, _ValueRecord, _level,
-                   level_tables)
+from .qnum import (OddLevel, QuarterPhaseLog, _integral_level,
+                   _ValueRecord, _level, level_tables)
 
 # Index sets (0-based).  Vertex triples are the edges meeting at each
 # vertex of the tetrahedral graph; face triples are their complements
@@ -73,8 +73,20 @@ OPPOSITE_PAIRS = ((0, 3), (1, 4), (2, 5))
 
 
 def is_admissible_triple(a1: int, a2: int, a3: int, level) -> bool:
-    """True iff (a1,a2,a3) is r-admissible (False on out-of-range colors)."""
-    return _triple_ok(a1, a2, a3, _level(level).r)
+    """True iff (a1,a2,a3) is r-admissible (False on out-of-range or
+    non-integral colors)."""
+    r = _level(level).r
+    a = [_integral_level(x) for x in (a1, a2, a3)]
+    return None not in a and _triple_ok(*a, r)
+
+
+def _color(x) -> int:
+    """A color as an int, by the rule for levels (`qnum._integral_level`):
+    never truncated, and refused with the TypeError a level gets."""
+    a = _integral_level(x)
+    if a is None:
+        raise TypeError(f"color must be an integer, got {x!r}")
+    return a
 
 
 def _triple_ok(a1: int, a2: int, a3: int, r: int) -> bool:
@@ -105,24 +117,28 @@ def _colors_ok(a, r: int) -> bool:
 
 
 def is_admissible_tuple(colors, level) -> bool:
-    """True iff the six colors are r-admissible; any other number of
-    colors raises ValueError, as `ColorSixTuple` does."""
+    """True iff the six colors are r-admissible (False when one is not
+    integral); any other number of colors raises ValueError, as
+    `ColorSixTuple` does."""
     r = _level(level).r
-    a = tuple(colors)
+    a = tuple(map(_integral_level, colors))
     if len(a) != 6:
         raise ValueError("need exactly six colors")
-    return _colors_ok(a, r)
+    return None not in a and _colors_ok(a, r)
 
 
 class ColorTriple(_ValueRecord):
     """An r-admissible color triple (a1, a2, a3) at `level`.
 
-    An immutable record; an int level is stored as an OddLevel.
+    An immutable record: the colors are stored as ints and an int
+    level as an OddLevel.  A non-integral color or level raises
+    TypeError.
     """
 
     __slots__ = ("a1", "a2", "a3", "level")
 
     def __init__(self, a1: int, a2: int, a3: int, level) -> None:
+        a1, a2, a3 = _color(a1), _color(a2), _color(a3)
         level = _level(level)
         if not _triple_ok(a1, a2, a3, level.r):
             raise ValueError(f"inadmissible triple ({a1},{a2},{a3})"
@@ -137,15 +153,15 @@ class ColorSixTuple(_ValueRecord):
     """An r-admissible 6-tuple of colors at `level`.
 
     An immutable record: the colors are stored as a tuple of ints and an
-    int level as an OddLevel.  Wrong-length tuples, bad levels and
-    inadmissible tuples raise ValueError (or TypeError for a non-integer
-    level), in that order.
+    int level as an OddLevel.  Non-integral colors, wrong-length tuples,
+    bad levels and inadmissible tuples raise in that order: TypeError
+    for a non-integral color or level, ValueError for the rest.
     """
 
     __slots__ = ("colors", "level")
 
     def __init__(self, colors, level) -> None:
-        colors = tuple(map(int, colors))
+        colors = tuple(map(_color, colors))
         if len(colors) != 6:
             raise ValueError("need exactly six colors")
         level = _level(level)

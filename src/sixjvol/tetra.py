@@ -96,7 +96,8 @@ class CaseLabel(NamedTuple):
 
     `operations` lists the vertex indices (1..4) whose change-of-angles
     move was applied before the pattern matched one of the listed
-    configurations; empty when the raw pattern already matches.
+    configurations; empty when the raw pattern already matches.  It
+    holds at most two indices, and a pair always contains vertex 1.
     """
 
     label: str
@@ -231,106 +232,61 @@ def segment_side(G: GramMatrix, i: int, j: int) -> SegmentSide:
 
 # ---------------------------------------------------------------------------
 # Case labels: sign pattern of the cofactor matrix, normalized by
-# change-of-angles moves.  A move at vertex set S multiplies cof_ij by
-# sigma_i sigma_j (sigma = -1 on S) and fixes the diagonal, so the
-# normalization search runs over subsets of {1,2,3,4}; complementary
-# subsets act identically, so |S| <= 2 suffices.
+# change-of-angles moves.  A move at vertex set S negates cof_ij when
+# exactly one of i, j lies in S and fixes the diagonal, so S and its
+# complement make the same move: the empty set, the four single
+# vertices and the three pairs holding vertex 1 are every distinct one.
+_MOVES = ((), (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
 
-_SUBSETS = ((), (0,), (1,), (2,), (3,),
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# The letter of a moved pattern from its bad pairs.  A mixed pair joins
+# a hyperideal vertex to another one and is bad when cof_ij <= 0; a like
+# pair joins two of the same kind and is bad when cof_ij < 0.  Keys are
+# (hyperideal vertices, bad mixed, bad like, most bad pairs at one
+# hyperideal vertex, most at one other vertex).  The last two tell a
+# vertex star (1b) and a 4-cycle (1c) from other shapes of as many
+# pairs, and two pairs sharing a hyperideal end (3c) from disjoint ones
+# (3d, 4d, 5c).  Any other key has no letter.
+_CASE_LETTER = {
+    (0, 0, 0, 0, 0): "a", (0, 0, 3, 0, 3): "b", (0, 0, 4, 0, 2): "c",
+    (1, 0, 0, 0, 0): "a", (1, 1, 0, 1, 1): "b", (1, 2, 0, 2, 1): "c",
+    (1, 3, 0, 3, 1): "d",
+    (2, 0, 0, 0, 0): "a", (2, 1, 0, 1, 1): "b", (2, 2, 0, 2, 1): "c",
+    (2, 2, 0, 1, 1): "d",
+    (3, 0, 0, 0, 0): "a", (3, 1, 0, 1, 1): "b", (3, 0, 1, 1, 0): "c",
+    (3, 1, 1, 1, 1): "d",
+    (4, 0, 0, 0, 0): "a", (4, 0, 1, 1, 0): "b", (4, 0, 2, 1, 0): "c",
+}
 
 
-def _match_case(diag_sign, off_sign) -> str | None:
-    """Letter for a sign pattern, or None if no listed pattern fits.
-
-    diag_sign: four ints in {-1,0,+1} (cof_ii); off_sign: dict over
-    _PAIRS with ints in {-1,0,+1}.  "positive" below means strictly
-    (+1); "non-positive" admits 0.
-    """
-    neg = [i for i in range(4) if diag_sign[i] < 0]
-    pos = [i for i in range(4) if diag_sign[i] >= 0]
-    n = len(neg)
-
-    def s(i, j):
-        return off_sign[(i, j) if i < j else (j, i)]
-
-    def pairs_in(idx):
-        return [(a, b) for x, a in enumerate(idx) for b in idx[x + 1:]]
-
-    if n == 0:
-        if all(s(i, j) == 1 for i, j in _PAIRS):
-            return "a"
-        for l in range(4):
-            others = [x for x in range(4) if x != l]
-            if (all(s(x, l) == -1 for x in others)
-                    and all(s(a, b) == 1 for a, b in pairs_in(others))):
-                return "b"
-        for (i, j) in _PAIRS:
-            k, l = (x for x in range(4) if x not in (i, j))
-            cross = [(i, k), (i, l), (j, k), (j, l)]
-            if (s(i, j) == 1 and s(k, l) == 1
-                    and all(s(a, b) == -1 for a, b in cross)):
-                return "c"
-        return None
-
-    if n == 1:
-        l = neg[0]
-        if any(s(a, b) != 1 for a, b in pairs_in(pos)):
-            return None
-        nonpos = sum(1 for x in pos if s(x, l) <= 0)
-        return {0: "a", 1: "b", 2: "c", 3: "d"}[nonpos]
-
-    if n == 2:
-        k, l = neg
-        i, j = pos
-        if s(i, j) != 1 or s(k, l) != 1:
-            return None
-        cross = [(i, k), (i, l), (j, k), (j, l)]
-        bad = [(a, b) for a, b in cross if s(a, b) <= 0]
-        if len(bad) == 0:
-            return "a"
-        if len(bad) == 1:
-            return "b"
-        if len(bad) == 2:
-            (a1, b1), (a2, b2) = bad
-            if b1 == b2:      # same hyperideal endpoint
-                return "c"
-            if a1 != a2:      # fully disjoint cross pairs
-                return "d"
-        return None
-
-    if n == 3:
-        i = pos[0]
-        cross = [(i, x) for x in neg]
-        within = pairs_in(neg)
-        bad_cross = [(a, b) for a, b in cross if s(a, b) <= 0]
-        bad_within = [(a, b) for a, b in within if s(a, b) == -1]
-        if any(s(a, b) == 0 for a, b in within):
-            return None
-        if not bad_cross and not bad_within:
-            return "a"
-        if len(bad_cross) == 1 and not bad_within:
-            return "b"
-        if not bad_cross and len(bad_within) == 1:
-            return "c"
-        if len(bad_cross) == 1 and len(bad_within) == 1:
-            (_, hj), (wa, wb) = bad_cross[0], bad_within[0]
-            if hj not in (wa, wb):   # disjoint edges
-                return "d"
-        return None
-
-    # n == 4
-    bad = [(a, b) for a, b in _PAIRS if s(a, b) == -1]
-    if any(s(a, b) != 1 for a, b in _PAIRS if (a, b) not in bad):
-        return None
-    if not bad:
-        return "a"
-    if len(bad) == 1:
-        return "b"
-    if len(bad) == 2:
-        (a1, b1), (a2, b2) = bad
-        if len({a1, b1, a2, b2}) == 4:
-            return "c"
+def _case_of_signs(diag, off) -> CaseLabel | None:
+    """The case of a sign pattern: the signs (-1, 0, +1) of cof_11..cof_44
+    and of cof_ij in _PAIRS order.  The first move in _MOVES whose bad
+    pairs have a letter wins; None when no move gives one."""
+    hyper = [d < 0 for d in diag]
+    h = sum(hyper)
+    for move in _MOVES:
+        mixed = like = 0
+        at = [0, 0, 0, 0]
+        for (i, j), s in zip(_PAIRS, off):
+            if (i in move) != (j in move):
+                s = -s
+            if s > 0:
+                continue
+            if hyper[i] != hyper[j]:
+                mixed += 1
+            elif s:
+                like += 1
+            else:
+                return None  # a like pair at zero: no move changes it
+            at[i] += 1
+            at[j] += 1
+        letter = _CASE_LETTER.get((
+            h, mixed, like,
+            max([n for n, x in zip(at, hyper) if x], default=0),
+            max([n for n, x in zip(at, hyper) if not x], default=0)))
+        if letter is not None:
+            return CaseLabel(f"{h + 1}{letter}",
+                             tuple(i + 1 for i in move))
     return None
 
 
@@ -338,25 +294,18 @@ def case_label(G: GramMatrix) -> CaseLabel:
     """The case label "1a".."5c" of the cofactor sign pattern.
 
     The case number is 1 + (number of hyperideal vertices); the letter
-    is matched after normalizing with the smallest (by size, then
-    lexicographically) set of change-of-angles operations that lands on
-    a listed pattern.
+    and the operations come from the first change-of-angles move that
+    gives a letter (`_case_of_signs`).  The operations hold at most two
+    vertex indices, and a pair always contains vertex 1.
     """
     cof = cofactor_matrix(G.mat).tolist()
-    diag_sign = [tol_sign(cof[i][i]) for i in range(4)]
-    case_no = 1 + sum(1 for d in diag_sign if d < 0)
-    base = {(i, j): tol_sign(cof[i][j]) for i, j in _PAIRS}
-    for sub in _SUBSETS:
-        flipped = {
-            (i, j): (-v if (i in sub) != (j in sub) else v)
-            for (i, j), v in base.items()
-        }
-        letter = _match_case(diag_sign, flipped)
-        if letter is not None:
-            return CaseLabel(f"{case_no}{letter}",
-                             tuple(i + 1 for i in sub))
-    raise ValueError(
-        f"unclassified pattern: diag={diag_sign} off={base}")
+    diag = [tol_sign(cof[i][i]) for i in range(4)]
+    off = [tol_sign(cof[i][j]) for i, j in _PAIRS]
+    case = _case_of_signs(diag, off)
+    if case is None:
+        raise ValueError(f"unclassified pattern: diag={diag} "
+                         f"off={dict(zip(_PAIRS, off))}")
+    return case
 
 
 # ---------------------------------------------------------------------------

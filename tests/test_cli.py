@@ -184,6 +184,15 @@ def test_volume_flat_reports_degenerate(capsys):
     assert doc["edge_lengths"] is None
 
 
+def test_tetra_reports_case_operations(capsys):
+    th = ["0.86", "1.81", "2.52", "0.84", "0.89", "2.58"]
+    code, out, _ = run(capsys, ["tetra"] + th)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["case"] == "3a"
+    assert doc["case_operations"] == [1, 2]
+
+
 def test_tetra_report(capsys):
     th = ["1.2"] + [repr(PI - 1.2), repr(PI - 1.2), "1.2",
                     repr(PI - 1.2), repr(PI - 1.2)]
@@ -310,6 +319,26 @@ def test_prism_csv_stream(capsys, tmp_path):
     assert out.split("\r\n")[0] == "r,log_abs,scaled,sign"
 
 
+def test_prism_csv_needs_no_fit(capsys, tmp_path):
+    # three levels are too few to fit; CSV carries no fit, as for growth
+    spec = write_spec(tmp_path, {"vertical": ["pi/6"] * 3,
+                                 "base_b": ["pi/6"] * 3,
+                                 "base_c": ["pi/6"] * 3})
+    levels = ["--r-start", "101", "--r-end", "105"]
+    code, out, err = run(capsys, ["prism", spec, *levels, "--format", "csv"])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.split("\r\n")[1:-1]]
+    assert [row[0] for row in rows] == ["101", "103", "105"]
+    code, _, err = run(capsys, ["prism", spec, *levels])
+    assert code == 1 and "need at least 5 finite samples to fit" in err
+    code, out, _ = run(capsys, ["prism", spec, "--r-start", "101",
+                                "--r-end", "109"])
+    assert code == 0
+    assert [[float(x) for x in row] for row in rows] == [
+        [s["r"], s["log_abs"], s["scaled"], s["sign"]]
+        for s in json.loads(out)["samples"][:3]]
+
+
 def test_prism_spec_file_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["prism", str(tmp_path / "missing.json")])
     assert code == 2 and "cannot read prism spec" in err
@@ -429,6 +458,28 @@ def test_lobachevsky_table_refuses_non_finite_bounds(capsys, bound, value):
     code, out, err = run(capsys, ["lobachevsky-table", f"{bound}={value}"])
     assert code == 2 and out == ""
     assert f"argument {bound}: must be finite: {value}" in err
+
+
+@pytest.mark.parametrize("start, end, thetas", [
+    ("-1e308", "1e308", [-1e308, 0.0, 1e308]),  # hi - lo overflows
+    ("0", "1e308", [0.0, 5e307, 1e308]),        # 2 (hi - lo) overflows
+])
+def test_lobachevsky_table_overflowing_width(capsys, start, end, thetas):
+    code, out, err = run(capsys, ["lobachevsky-table", f"--start={start}",
+                                  f"--end={end}", "--points", "3"])
+    assert (code, err) == (0, "")
+    table = json.loads(out)["table"]
+    assert [t for t, _ in table] == thetas
+    assert all(math.isfinite(v) for _, v in table)
+
+
+def test_lobachevsky_table_finite_width_points_unchanged(capsys):
+    lo, hi, n = -2.5, 7.25, 11
+    code, out, _ = run(capsys, ["lobachevsky-table", f"--start={lo}",
+                                f"--end={hi}", f"--points={n}"])
+    assert code == 0
+    assert [t for t, _ in json.loads(out)["table"]] == [
+        lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
 @pytest.mark.parametrize("h", ["0", "-1e-4", "nan", "inf", "-inf"])

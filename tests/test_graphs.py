@@ -104,6 +104,14 @@ def test_bracket_coloring_errors():
         sv.bracket_blowup(p, (2, 2, 2, 2, 2, 2, 1, 2, 2), lvl)
 
 
+def test_bracket_refuses_non_integral_colors():
+    p = sv.prism_graph()
+    with pytest.raises(TypeError, match=r"color must be an integer, got 2\.7"):
+        sv.bracket_blowup(p, (2.7,) * 9, 11)
+    assert (sv.bracket_blowup(p, (2.0,) * 9, 11)
+            == sv.bracket_blowup(p, (2,) * 9, 11))
+
+
 def test_bracket_zero_color_collapses_factor():
     # coloring a triangle edge 0 forces its two neighbors equal and the
     # second factor collapses to 1/sqrt(|Delta Delta'|) times a sign,

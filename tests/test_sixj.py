@@ -94,6 +94,37 @@ def test_integral_levels_are_stored_as_int(level):
     assert t.level == sv.OddLevel(101) and type(t.level.r) is int
 
 
+@pytest.mark.parametrize("make, bad", [
+    (lambda: sv.ColorSixTuple([2.7, 2, 2, 2, 2, 2], 11), "2.7"),  # was (2,)*6
+    (lambda: sv.ColorTriple(2.5, 2.5, 3, 11), "2.5"),
+    (lambda: sv.tuple_of(("2", 2, 2, 2, 2, 2), 11), "'2'"),
+], ids=["six_tuple", "triple", "string"])
+def test_non_integral_colors_raise_type_error_not_truncate(make, bad):
+    with pytest.raises(TypeError) as exc:
+        make()
+    assert str(exc.value) == f"color must be an integer, got {bad}"
+
+
+@pytest.mark.parametrize("admissible", [
+    lambda: sv.is_admissible_triple(2.5, 2.5, 3, 11),
+    lambda: sv.is_admissible_tuple((2.5, 2.5, 3, 2.5, 2.5, 3), 11),
+    lambda: sv.is_admissible_triple(float("nan"), 0, 0, 11),
+], ids=["triple", "tuple", "nan"])
+def test_non_integral_colors_are_not_admissible(admissible):
+    assert admissible() is False
+
+
+def test_integral_colors_are_stored_as_int():
+    t = sv.ColorSixTuple([2.0, np.int64(2), np.float64(2.0), 2, 2, 2], 11)
+    assert t.colors == (2,) * 6
+    assert all(type(c) is int for c in t.colors)
+    assert sv.is_admissible_triple(2.0, np.int8(2), 2, 11)
+    assert sv.is_admissible_tuple((2.0,) * 6, 11)
+    tri = sv.ColorTriple(2.0, 2.0, np.int64(2), 11)
+    assert (type(tri.a1), type(tri.a3)) == (int, int)
+    assert sv.delta_triple(tri) == sv.delta_triple(sv.ColorTriple(2, 2, 2, 11))
+
+
 def test_color_six_tuple_accepts_exactly_the_admissible_tuples():
     # The constructor checks the four vertex triples in one pass; it must
     # agree with is_admissible_triple on every triple and name the first

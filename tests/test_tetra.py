@@ -1,12 +1,15 @@
 """Reconstruction from the Gram matrix: Minkowski data, vertex types,
 distances, signed edge lengths, and case labels."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import sixjvol as sv
+from sixjvol import tetra
 from conftest import angles_from_normals, sample_theta31
 
 PI = math.pi
@@ -285,6 +288,46 @@ def test_case_label_covers_random_samples(rng):
         assert lab.label[1] in "abcd"
         seen.add(lab.label)
     assert len(seen) >= 3
+
+
+@pytest.mark.parametrize("theta, label, operations", [
+    ((0.86, 1.81, 2.52, 0.84, 0.89, 2.58), "3a", (1, 2)),
+    ((3.02, 1.26, 0.93, 2.65, 0.4, 2.3), "5b", (1, 3)),
+    ((0.64, 0.83, 2.35, 0.88, 1.52, 3.07), "2c", (4,)),
+])
+def test_case_label_needs_a_move(theta, label, operations):
+    lab = sv.case_label(gram(theta))
+    assert (lab.label, lab.operations) == (label, operations)
+
+
+def test_case_of_signs_digest():
+    """Every sign pattern (four diagonal signs outer, six off-diagonal
+    signs inner, in _PAIRS order) keeps its case and operations, or its
+    refusal: sha256 over the repr of each (label, operations), or None."""
+    assert tetra._PAIRS == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    h = hashlib.sha256()
+    refused = 0
+    for diag in itertools.product((-1, 0, 1), repeat=4):
+        for off in itertools.product((-1, 0, 1), repeat=6):
+            case = tetra._case_of_signs(diag, off)
+            if case is None:
+                refused += 1
+                h.update(repr(None).encode())
+            else:
+                h.update(repr((case.label, case.operations)).encode())
+    assert refused == 50089
+    assert h.hexdigest() == ("34133b0fbc6ebdae9fcd71ac36ce368c"
+                             "c63da5e199db001e4d351a4e5b608457")
+
+
+def test_case_label_refusal_names_the_pattern():
+    # every cofactor pair of pi/2 x6 is zero, and a like pair at zero
+    # has no letter under any move
+    msg = ("unclassified pattern: diag=[1, 1, 1, 1] off={(0, 1): 0, "
+           "(0, 2): 0, (0, 3): 0, (1, 2): 0, (1, 3): 0, (2, 3): 0}")
+    with pytest.raises(ValueError) as exc:
+        sv.case_label(gram((PI / 2,) * 6))
+    assert str(exc.value) == msg
 
 
 def test_segment_side():
