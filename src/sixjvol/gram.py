@@ -332,6 +332,15 @@ def _cofactors_of(key: bytes) -> np.ndarray:
     return cof
 
 
+def _det_by_cofactors(G: GramMatrix) -> float:
+    """det G expanded along the first row of its memoized cofactor
+    matrix, summed left to right: no factorization beyond the one the
+    cofactors already took."""
+    g = G.mat[0].tolist()
+    c = cofactor_matrix(G.mat)[0].tolist()
+    return g[0] * c[0] + g[1] * c[1] + g[2] * c[2] + g[3] * c[3]
+
+
 def gram_cache_info() -> dict:
     """Counters of the four single-row memos, by the name of the core
     they serve: each a `functools.lru_cache` info tuple (hits, misses,

@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gram import (AlphaSixTuple, AngleSixTuple, cofactor_matrix,
-                   gram_from_angles, signature, tol_sign)
+from .gram import (AlphaSixTuple, AngleSixTuple, _det_by_cofactors,
+                   cofactor_matrix, gram_from_angles, signature, tol_sign)
 from .qnum import (TWO_PI, _integral_level, _level, _odd_level,
                    _ValueRecord)
 from .sixj import ColorSixTuple, _valid_tuple, sixj_log
@@ -209,7 +209,7 @@ def asymp2_log_prediction(theta: AngleSixTuple, mu, r: int) -> float:
     if -1 not in diag_signs:
         raise ValueError(f"no hyperideal vertex at level r={r}")
     lengths = edge_length_tuple(G)
-    det_g = float(np.linalg.det(G.mat))
+    det_g = _det_by_cofactors(G)
     vol = volume(theta_r, mu_r)
     return (0.5 * math.log(2.0) + math.log(math.pi) - 1.5 * math.log(r)
             - 0.5 * sum(m * l for m, l in zip(mu_r, lengths))

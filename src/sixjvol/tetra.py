@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, GramMatrix, cofactor_matrix,
-                   signature, tol_sign)
+from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, GramMatrix,
+                   _det_by_cofactors, cofactor_matrix, signature, tol_sign)
 from .qnum import _FrozenRecord
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -38,16 +38,34 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 class MinkowskiVector(_FrozenRecord):
     """A vector in R^{3,1}; the fourth coordinate is the timelike one.
 
-    Immutable, and equal only to itself.
+    Immutable, and equal only to itself; `x` is a read-only float64
+    copy of the given coordinates.
     """
 
     __slots__ = ("x",)
 
     def __init__(self, x) -> None:
-        v = np.asarray(x, dtype=np.float64)
+        v = np.array(x, dtype=np.float64)
         if v.shape != (4,):
             raise ValueError("Minkowski vectors have four components")
+        v.flags.writeable = False
         object.__setattr__(self, "x", v)
+
+
+_set_x = MinkowskiVector.x.__set__
+
+
+def _vectors(rows: np.ndarray) -> tuple[MinkowskiVector, ...]:
+    """One MinkowskiVector per row of a float64 array of shape (n, 4),
+    which is made read-only and shared: each record holds a view of its
+    row, without the copy and checks of the constructor."""
+    rows.flags.writeable = False
+    out = []
+    for row in rows:
+        vec = object.__new__(MinkowskiVector)
+        _set_x(vec, row)
+        out.append(vec)
+    return tuple(out)
 
 
 def _mdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -127,6 +145,9 @@ _VERTEX_TYPE_OF_SIGN = {1: VertexType.REGULAR, 0: VertexType.IDEAL,
 # Type of vertex i -> its Minkowski norm <v_i, v_i> after reconstruction.
 _NORM_OF_TYPE = {VertexType.REGULAR: -1.0, VertexType.IDEAL: 0.0,
                  VertexType.HYPERIDEAL: 1.0}
+# Eigenvector columns in the order of the rows of U: the three with
+# positive eigenvalues, then the timelike one (eigh sorts ascending).
+_TIMELIKE_LAST = np.array([1, 2, 3, 0])
 
 
 def vertex_type(G: GramMatrix, i: int) -> VertexType:
@@ -318,10 +339,14 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     The eigendecomposition G = Q diag(lambda) Q^T gives U with rows
     sqrt|lambda_k| q_k^T, the negative eigenvalue routed to the fourth
     (timelike) row; columns of U are the face normals.  Vertices come
-    from the cofactor combinations, normalized to <v,v> = +-1 away from
-    ideal vertices and left lightlike at them.  The edge lengths and the
-    case come from `edge_length_tuple` and `case_label`, which find the
-    cofactor matrix in the memo of `cofactor_matrix`.
+    from the cofactor combinations, all four in one product cof U^T,
+    row i divided by sqrt|cof_ii det G| away from ideal vertices
+    (normalizing <v,v> to +-1) and left lightlike at them.  det G is the
+    expansion of G along the first row of its cofactor matrix
+    (`gram._det_by_cofactors`), and the edge lengths and the case come
+    from `edge_length_tuple` and `case_label`: all three find the
+    cofactor matrix in the memo of `cofactor_matrix`.  The coordinate
+    arrays of the returned vectors are read-only.
 
     The coordinates are fixed only up to an O(3,1) isometry.  `eigh`
     picks an arbitrary basis of a repeated eigenspace, so on symmetric
@@ -335,28 +360,23 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
             f"not a generalized hyperbolic tetrahedron: signature "
             f"{(sig.pos, sig.neg, sig.zero)}")
     lam, q = np.linalg.eigh(G.mat)  # ascending; lam[0] < 0 < lam[1..3]
-    u_rows = np.empty((4, 4))
-    u_rows[0:3] = np.sqrt(lam[1:4, None]) * q[:, 1:4].T
-    u_rows[3] = math.sqrt(-lam[0]) * q[:, 0]
+    # Row i is the normal u_i, column i of U.
+    normals = (q * np.sqrt(np.abs(lam)))[:, _TIMELIKE_LAST]
 
     cof = cofactor_matrix(G.mat)
-    cofs = cof.tolist()
-    det = float(np.linalg.det(G.mat))
-    v = np.empty((4, 4))  # coordinates x vertices
-    types = []
-    for i in range(4):
-        w = u_rows @ cof[i]
-        s = tol_sign(cofs[i][i])
-        if s != 0:
-            w = w / math.sqrt(abs(cofs[i][i] * det))
-        v[:, i] = w
-        types.append(_VERTEX_TYPE_OF_SIGN[s])
+    diag = cof.diagonal().tolist()
+    det = _det_by_cofactors(G)
+    signs = [tol_sign(c) for c in diag]
+    types = [_VERTEX_TYPE_OF_SIGN[s] for s in signs]
+    scale = [math.sqrt(abs(c * det)) if s else 1.0
+             for c, s in zip(diag, signs)]
+    vertices = (cof @ normals) / np.array(scale)[:, None]  # row i: v_i
 
-    _check_reconstruction(G, u_rows, v, types, det)
+    _check_reconstruction(G, normals.T, vertices.T, types, det)
     return GeneralizedTetrahedron(
         gram=G,
-        normals=tuple(MinkowskiVector(u_rows[:, i].copy()) for i in range(4)),
-        vertices=tuple(MinkowskiVector(v[:, i].copy()) for i in range(4)),
+        normals=_vectors(normals),
+        vertices=_vectors(vertices),
         vertex_types=tuple(types),
         edge_lengths=edge_length_tuple(G),
         case=case_label(G),

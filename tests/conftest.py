@@ -64,6 +64,17 @@ def lob_quad(x: float) -> float:
     return -val
 
 
+def lob_mp(theta: float) -> float:
+    """Independent Lobachevsky oracle for any finite float angle:
+    mpmath's Clausen function, Lambda(t) = Cl_2(2t) / 2, to 30 digits,
+    at theta reduced modulo pi with 1400 bits."""
+    import mpmath
+    with mpmath.workprec(1400):
+        t = mpmath.fmod(mpmath.mpf(theta), mpmath.pi)
+    with mpmath.workdps(30):
+        return float(mpmath.clsin(2, 2 * t) / 2)
+
+
 def lob_coeff_exact(count: int) -> list[float]:
     """Oracle for the Lobachevsky series coefficients c_n = zeta(2n) /
     (n (2n+1)), n = 1..count, each rounded once from an exact rational.

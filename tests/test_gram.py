@@ -2,6 +2,7 @@
 geometric classification."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,6 +420,18 @@ def test_memoized_cores_are_bit_identical_to_the_batched_cores(rng):
             assert sv.cofactor_matrix(G.mat).tobytes() == cofs[i].tobytes()
     witness = sv.AlphaSixTuple.from_alpha(rows[-2])
     assert sv.classify(witness).tag is sv.GeometryTag.HYPERBOLIC_LINES
+
+
+def test_det_from_the_cofactor_row_matches_lapack(rng):
+    from sixjvol.gram import _det_by_cofactors
+    for row in sv.sample_admissible_alpha(200, rng):
+        G = sv.gram_from_alpha(sv.AlphaSixTuple.from_alpha(row))
+        assert _det_by_cofactors(G) == pytest.approx(
+            float(np.linalg.det(G.mat)), abs=1e-14)
+    # the one determinant of a Gram row comes from its cofactors
+    src = Path(sv.__file__).parent
+    assert not [p.name for p in src.glob("*.py")
+                if "linalg.det(G.mat)" in p.read_text()]
 
 
 def test_memoized_arrays_are_read_only_and_the_gram_matrix_is_shared():

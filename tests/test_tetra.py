@@ -32,6 +32,18 @@ def test_minkowski_dot():
         sv.MinkowskiVector((1.0, 2.0))
 
 
+def test_minkowski_vectors_are_read_only_copies():
+    mine = np.array([1.0, 2.0, 3.0, 4.0])
+    v = sv.MinkowskiVector(mine)
+    mine[0] = 5.0  # the caller's array stays writeable and apart
+    assert v.x.tolist() == [1.0, 2.0, 3.0, 4.0]
+    t = sv.reconstruct(gram((PI / 6,) * 6))
+    for vec in (v, t.vertices[0], t.normals[3]):
+        assert not vec.x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vec.x[0] = 5.0
+
+
 def test_reconstruct_equilateral_hyperideal():
     t = sv.reconstruct(gram((PI / 6,) * 6))
     assert all(v is sv.VertexType.HYPERIDEAL for v in t.vertex_types)

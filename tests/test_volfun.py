@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import sixjvol as sv
 from conftest import (batch_admissible_alpha, big_U, dilog_unit_circle,
-                      lob_coeff_exact, lob_quad, sample_theta31)
+                      lob_coeff_exact, lob_mp, lob_quad, sample_theta31)
 from sixjvol.gram import tol_sign
 from sixjvol.sixj import QUAD_MOVES, ColorSixTuple, SumBounds
 
@@ -45,19 +46,80 @@ def test_lobachevsky_refuses_non_finite_angles(theta):
         sv.lobachevsky(theta)
 
 
+def _lob_poly_exact(x: Fraction) -> Fraction:
+    """The polynomial of `_LOB_POLY` at x, summed without rounding."""
+    from sixjvol.volfun import _LOB_POLY
+    acc = Fraction(0)
+    for c in reversed(_LOB_POLY):
+        acc = (acc + Fraction(c)) * x
+    return acc
+
+
+# Dyadic points of [0, 1/4], where x = (t/pi)^2 runs for t in [0, pi/2].
+LOB_GRID = [Fraction(k, 2 ** 12) for k in range(2 ** 10 + 1)]
+
+
 def test_lobachevsky_coefficients_match_zeta():
+    # The series sum_n zeta(2n) / (n (2n+1)) x^n with scipy's zeta, an
+    # oracle apart from the Bernoulli one, within 2e-17 as well.
     from scipy.special import zeta
-    from sixjvol.volfun import _LOB_COEFF
-    assert len(_LOB_COEFF) == 39
-    for n, c in enumerate(_LOB_COEFF, start=1):
-        assert c == pytest.approx(float(zeta(2 * n)) / (n * (2 * n + 1)),
-                                  rel=1e-14)
+    from sixjvol.volfun import _LOB_POLY
+    assert len(_LOB_POLY) == 13
+    coeff = [Fraction(float(zeta(2 * n)) / (n * (2 * n + 1)))
+             for n in range(1, 40)]
+    for x in LOB_GRID[::8]:
+        series = sum(c * x ** n for n, c in enumerate(coeff, start=1))
+        assert abs(_lob_poly_exact(x) - series) <= 2e-17, float(x)
 
 
 def test_lobachevsky_coefficients_are_the_exact_bernoulli_values():
-    from sixjvol.volfun import _LOB_COEFF
-    exact = lob_coeff_exact(len(_LOB_COEFF))
-    assert [c.hex() for c in _LOB_COEFF] == [c.hex() for c in exact]
+    # Against the series summed exactly with all 39 Bernoulli
+    # coefficients, whose terms beyond the 39th are below 1e-26 here:
+    # the linear coefficient is the series' own, bit for bit, and the
+    # polynomial stays within 2e-17 of the series on the whole grid,
+    # below the 2.8e-17 spacing of doubles near its largest value.
+    from sixjvol.volfun import _LOB_POLY
+    exact = [Fraction(c) for c in lob_coeff_exact(39)]
+    assert _LOB_POLY[0].hex() == float(exact[0]).hex()
+    for x in LOB_GRID:
+        series = Fraction(0)
+        for c in reversed(exact):
+            series = (series + c) * x
+        assert abs(_lob_poly_exact(x) - series) <= 2e-17, float(x)
+
+
+def test_lobachevsky_within_5e_16_on_a_quarter_period():
+    # Against the series at 30 digits with mpmath's zeta values, on 1000
+    # points of (0, pi/2]: the polynomial's error plus every rounding of
+    # the float evaluation.
+    import mpmath
+    with mpmath.workdps(30):
+        coeff = [mpmath.zeta(2 * n) / (n * (2 * n + 1))
+                 for n in range(60, 0, -1)]
+        for k in range(1, 1001):
+            t = k * (PI / 2) / 1000
+            x = (mpmath.mpf(t) / mpmath.pi) ** 2
+            f = 0
+            for c in coeff:
+                f = (f + c) * x
+            want = t - t * mpmath.log(2 * t) + t * f
+            assert abs(sv.lobachevsky(t) - want) <= 5e-16, t
+
+
+def test_the_exact_reduction_uses_floor_of_pi_times_2_to_the_1152():
+    import mpmath
+    from sixjvol.volfun import _PI_BITS, _PI_SCALED
+    assert _PI_BITS == 1152
+    with mpmath.workprec(1400):
+        assert _PI_SCALED == int(mpmath.floor(mpmath.pi * 2 ** _PI_BITS))
+
+
+@pytest.mark.parametrize("theta", [3.0, 12.0, 1e3, 1e6, 1e10, 1e16, -1e16,
+                                   1e300, 1.7976931348623157e308])
+def test_lobachevsky_is_accurate_at_large_angles(theta):
+    # Beyond 4 pi the reduction is exact; modulo the float pi the error
+    # would grow with |theta|, to 2e-14 at 1e3 and 0.09 at 1e16.
+    assert abs(sv.lobachevsky(theta) - lob_mp(theta)) <= 1e-15
 
 
 def test_import_does_not_load_scipy():
@@ -308,6 +370,41 @@ def test_volume_by_max_random_hyperideal(rng):
         if checked >= 20:
             break
     assert checked >= 5
+
+
+def _big_v_quad(alpha, xi):
+    """V(xi) with every Lambda by quadrature (`lob_quad`)."""
+    a = alpha.alpha
+    out = lob_quad(TWO_PI - xi)
+    for i, j, k in VERTEX_TRIPLES_0:
+        x, y, z = a[i], a[j], a[k]
+        out += 0.5 * (lob_quad((x + y + z) / 2) - lob_quad((-x + y + z) / 2)
+                      - lob_quad((x - y + z) / 2) - lob_quad((x + y - z) / 2))
+        out += lob_quad(xi - (x + y + z) / 2)
+    for q in QUAD_TUPLES_0:
+        out += lob_quad(sum(a[i] for i in q) / 2 - xi)
+    return out
+
+
+def test_both_volume_routes_match_v_of_xi_by_quadrature():
+    # End to end: 40 seeded (3,1) rows with a hyperideal vertex, both
+    # routes against V(xi) summed from a Lambda that shares no code with
+    # the library's kernel.
+    rows = sv.sample_hyperbolic_alpha(80, np.random.default_rng(17))
+    checked = 0
+    for row in rows:
+        al = sv.AlphaSixTuple.from_alpha(row)
+        cof = sv.cofactor_matrix(sv.gram_from_alpha(al).mat)
+        if not any(cof[i, i] < -1e-6 for i in range(4)):
+            continue
+        want = _big_v_quad(al, sv.critical_xi(al).xi)
+        assert sv.volume(al.to_theta(), al.mu) == pytest.approx(want,
+                                                                abs=1e-10)
+        assert sv.volume_by_max(al).vol == pytest.approx(want, abs=1e-10)
+        checked += 1
+        if checked == 40:
+            break
+    assert checked == 40
 
 
 def _bisection_argmax(al):
