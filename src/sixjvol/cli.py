@@ -19,8 +19,8 @@ import math
 import re
 import sys
 
-from .gram import (AlphaSixTuple, AngleSixTuple, admissible, classify,
-                   cofactor_matrix, gram_from_alpha, signature,
+from .gram import (_ANGLE_SLACK, AlphaSixTuple, AngleSixTuple, admissible,
+                   classify, cofactor_matrix, gram_from_alpha, signature,
                    strictly_admissible, tol_sign)
 from .graphs import PrismSpec, _prism_samples, prism_conjecture_check
 from .growth import GrowthPlan, GrowthSample, fit_growth, growth_series
@@ -50,8 +50,8 @@ def angle_literal(text: str) -> float:
             raise argparse.ArgumentTypeError(
                 f"bad angle {text!r}: expected decimal radians or pi*p/q"
             ) from None
-    # pi + 1e-12: the upper end of the range AngleSixTuple accepts
-    if not 0.0 <= value <= math.pi + 1e-12:
+    # the range AngleSixTuple accepts
+    if not -_ANGLE_SLACK <= value <= math.pi + _ANGLE_SLACK:
         raise argparse.ArgumentTypeError(
             f"angle {text!r} = {value} outside [0, pi]")
     return value
@@ -139,17 +139,16 @@ def _emit_csv(header, rows) -> None:
     out = sys.stdout
     out.write(",".join(header) + "\r\n")
     for row in rows:
-        out.write(",".join(_csv_cell(v) for v in row) + "\r\n")
+        out.write(",".join(map(str, row)) + "\r\n")
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _theta(args) -> AngleSixTuple:
-    return AngleSixTuple(tuple(args.angles))
+def _angle_head(args):
+    """(theta, alpha, echo) for the six angles and --mu: echo holds the
+    theta, alpha and mu fields that every angle command writes."""
+    theta = AngleSixTuple(tuple(args.angles))
+    alpha = AlphaSixTuple.from_theta(theta, args.mu)
+    return theta, alpha, {"theta": list(theta.theta),
+                          "alpha": list(alpha.alpha), "mu": list(args.mu)}
 
 
 # ---------------------------------------------------------------------------
@@ -157,43 +156,30 @@ def _theta(args) -> AngleSixTuple:
 
 
 def cmd_classify(args) -> int:
-    theta = _theta(args)
-    alpha = AlphaSixTuple.from_theta(theta, args.mu)
+    _, alpha, out = _angle_head(args)
     G = gram_from_alpha(alpha)
     cof = cofactor_matrix(G.mat)
-    sig = signature(G)
     adm = admissible(alpha)
-    out = {
-        "theta": list(theta.theta),
-        "alpha": list(alpha.alpha),
-        "mu": list(args.mu),
+    out.update({
         "admissible": adm,
         "strictly_admissible": strictly_admissible(alpha),
         "gram": G.mat.tolist(),
-        "signature": list(sig),
+        "signature": list(signature(G)),
         # classify finds G and its signature in the gram memos
         "class": classify(alpha).tag.value if adm else None,
         "cofactors": cof.tolist(),
         "cofactor_signs": [[tol_sign(cof[i, j]) for j in range(4)]
                            for i in range(4)],
-    }
+    })
     _emit_json(out)
     return 0
 
 
 def cmd_tetra(args) -> int:
-    theta = _theta(args)
-    alpha = AlphaSixTuple.from_theta(theta, args.mu)
+    _, alpha, out = _angle_head(args)
     G = gram_from_alpha(alpha)
     t = reconstruct(G)
-    kinds = []
-    for e in range(6):
-        d = t.edge_distance(e)
-        kinds.append({"kind": d.kind.value, "ideal": d.ideal})
-    out = {
-        "theta": list(theta.theta),
-        "alpha": list(alpha.alpha),
-        "mu": list(args.mu),
+    out.update({
         "gram": G.mat.tolist(),
         "signature": [3, 1, 0],  # the only signature reconstruct accepts
         "case": str(t.case),
@@ -202,31 +188,23 @@ def cmd_tetra(args) -> int:
         "vertices": [list(v.x) for v in t.vertices],
         "normals": [list(u.x) for u in t.normals],
         "edge_lengths": list(t.edge_lengths),
-        "edge_data": kinds,
-    }
+        "edge_data": [{"kind": d.kind.value, "ideal": d.ideal}
+                      for d in map(t.edge_distance, range(6))],
+    })
     _emit_json(out)
     return 0
 
 
 def cmd_volume(args) -> int:
-    theta = _theta(args)
-    alpha = AlphaSixTuple.from_theta(theta, args.mu)
+    _, alpha, out = _angle_head(args)
     data = critical_xi(alpha)
     vol = big_V(alpha, data.xi)
     G = gram_from_alpha(alpha)
     lengths = None
     if signature(G).as_pair() == (3, 1):
         lengths = list(edge_length_tuple(G))
-    out = {
-        "theta": list(theta.theta),
-        "alpha": list(alpha.alpha),
-        "mu": list(args.mu),
-        "xi": data.xi,
-        "xi_star": data.xi_star,
-        "degenerate": data.degenerate,
-        "vol": vol,
-        "edge_lengths": lengths,
-    }
+    out.update(xi=data.xi, xi_star=data.xi_star, degenerate=data.degenerate,
+               vol=vol, edge_lengths=lengths)
     _emit_json(out)
     return 0
 
@@ -267,8 +245,7 @@ def _emit_series(args, samples, summary) -> int:
 
 
 def cmd_growth(args) -> int:
-    theta = _theta(args)
-    alpha = AlphaSixTuple.from_theta(theta, args.mu)
+    theta, alpha, head = _angle_head(args)
     plan = GrowthPlan(alpha, tuple(_r_list(args)))
     samples = growth_series(plan)
 
@@ -280,9 +257,7 @@ def cmd_growth(args) -> int:
         except ValueError:
             vol = None
             gap = None
-        return {"theta": list(theta.theta), "alpha": list(alpha.alpha),
-                "mu": list(args.mu), "fit": fit._asdict(),
-                "vol": vol, "gap": gap}
+        return dict(head, fit=fit._asdict(), vol=vol, gap=gap)
 
     return _emit_series(args, samples, summary)
 
@@ -310,7 +285,7 @@ def _load_prism_spec(path: str) -> PrismSpec:
 def cmd_prism(args) -> int:
     try:
         spec = _load_prism_spec(args.spec)
-    except (OSError, json.JSONDecodeError,
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
             argparse.ArgumentTypeError) as exc:
         print(f"error: cannot read prism spec: {exc}", file=sys.stderr)
         return 2
@@ -325,7 +300,7 @@ def cmd_prism(args) -> int:
 
 
 def cmd_schlafli(args) -> int:
-    theta = _theta(args)
+    theta = AngleSixTuple(tuple(args.angles))
     res, lengths = _schlafli(theta, args.mu, args.h)
     out = {
         "theta": list(theta.theta),

@@ -91,6 +91,11 @@ _CHECKERBOARD = np.array([[(-1.0) ** (i + j) for j in range(4)]
 # Every (row, column) index pair of a 4x4 matrix, row by row.
 _ENTRIES = tuple((i, j) for i in range(4) for j in range(4))
 
+# How far an angle may lie outside its range ([0, pi] for theta,
+# [0, 2 pi] for alpha) and still be accepted, so that an angle rounded
+# just past an end passes.  The CLI's angle parser reads it too.
+_ANGLE_SLACK = 1e-12
+
 # Entries in each single-row memo.  Every caller in the package reuses
 # only the last input of each core: a geometry row and the classify,
 # tetra and volume commands pass one tuple through the cores.
@@ -108,7 +113,7 @@ class AngleSixTuple(_FrozenRecord):
         if len(th) != 6:
             raise ValueError("need exactly six angles")
         for x in th:
-            if not -1e-12 <= x <= math.pi + 1e-12:
+            if not -_ANGLE_SLACK <= x <= math.pi + _ANGLE_SLACK:
                 raise ValueError(f"dihedral angle {x} outside [0, pi]")
 
 
@@ -136,7 +141,7 @@ class AlphaSixTuple(_FrozenRecord):
         if len(al) != 6:
             raise ValueError("need exactly six angles")
         for x in al:
-            if not -1e-12 <= x <= TWO_PI + 1e-12:
+            if not -_ANGLE_SLACK <= x <= TWO_PI + _ANGLE_SLACK:
                 raise ValueError(f"limit angle {x} outside [0, 2*pi]")
         mu = _MU_TUPLES.get(tuple(int(m) for m in mu))
         if mu is None:

@@ -180,17 +180,6 @@ def fit_growth(samples: list[GrowthSample]) -> GrowthFit:
     return GrowthFit(float(coef[0]), float(coef[1]), float(coef[2]), rms)
 
 
-def _per_level_geometry(theta: AngleSixTuple, mu, r: int):
-    """Angles, signs, Gram data at the rounded colors of level r."""
-    alpha = AlphaSixTuple.from_theta(theta, mu)
-    t = colors_for_r(alpha, r)
-    alpha_r = [TWO_PI * a / r for a in t.colors]
-    mu_r = tuple(1 if a > math.pi else (-1 if a < math.pi else m)
-                 for a, m in zip(alpha_r, mu))
-    theta_r = AngleSixTuple(tuple(abs(a - math.pi) for a in alpha_r))
-    return t, theta_r, mu_r
-
-
 def asymp2_log_prediction(theta: AngleSixTuple, mu, r: int) -> float:
     """ln of the predicted |6j| magnitude at level r.
 
@@ -198,7 +187,11 @@ def asymp2_log_prediction(theta: AngleSixTuple, mu, r: int) -> float:
     the half-sum of signed edge lengths, the quarter-power of -det G,
     and the exponential of (r/2pi) times the volume, all in log space.
     """
-    _, theta_r, mu_r = _per_level_geometry(theta, mu, r)
+    t = colors_for_r(AlphaSixTuple.from_theta(theta, mu), r)
+    alpha_r = [TWO_PI * a / r for a in t.colors]
+    mu_r = tuple(1 if a > math.pi else (-1 if a < math.pi else m)
+                 for a, m in zip(alpha_r, mu))
+    theta_r = AngleSixTuple(tuple(abs(a - math.pi) for a in alpha_r))
     G = gram_from_angles(theta_r)
     if signature(G).as_pair() != (3, 1):
         raise ValueError(f"no hyperbolic geometry at level r={r}")

@@ -90,19 +90,15 @@ def _color(x) -> int:
 
 
 def _triple_ok(a1: int, a2: int, a3: int, r: int) -> bool:
-    top = r - 2
+    """The triple rule by half-sums.  With s = a1+a2+a3 even, the
+    triangle inequalities say a1, a2, a3 <= s/2, and they imply
+    a1, a2, a3 >= 0; s/2 <= r-2 then bounds every color too."""
     s = a1 + a2 + a3
-    return (0 <= a1 <= top and 0 <= a2 <= top and 0 <= a3 <= top
-            and s % 2 == 0 and s <= 2 * top
-            and a1 + a2 - a3 >= 0 and a2 + a3 - a1 >= 0
-            and a3 + a1 - a2 >= 0)
+    return s % 2 == 0 and max(a1, a2, a3) <= s // 2 <= r - 2
 
 
 def _colors_ok(a, r: int) -> bool:
-    """`_triple_ok` on the four vertex triples, in one pass.  With s =
-    x+y+z even, the triangle inequalities say x, y, z <= s/2, and they
-    imply x, y, z >= 0; every color sits in some triple, so s/2 <= r-2
-    bounds it too."""
+    """`_triple_ok` on the four vertex triples, in one pass."""
     a1, a2, a3, a4, a5, a6 = a
     s1, s2 = a1 + a2 + a3, a1 + a5 + a6
     s3, s4 = a2 + a4 + a6, a3 + a4 + a5
@@ -480,17 +476,14 @@ def canonicalize(t: ColorSixTuple) -> ColorSixTuple:
     The result has the same |6j| as the input (moves preserve the
     magnitude, not necessarily the phase).
     """
-    moves = ([("face", f) for f in (1, 2, 3, 4)]
-             + [("quad", q) for q in (1, 2, 3)])
     cur = t
     while True:
         big = big_colors(cur)
         n = len(big)
         if n <= 1 or (n == 2 and tuple(sorted(big)) in OPPOSITE_PAIRS):
             return cur
-        for kind, idx in moves:
-            cand = (change_colors_face(cur, idx) if kind == "face"
-                    else change_colors_quad(cur, idx))
+        for flips in FACE_TRIPLES + QUAD_MOVES:
+            cand = cur.replaced(flips)
             if len(big_colors(cand)) < n:
                 cur = cand
                 break

@@ -161,27 +161,22 @@ def vertex_type(G: GramMatrix, i: int) -> VertexType:
     return _VERTEX_TYPE_OF_SIGN[tol_sign(cofactor_matrix(G.mat)[i - 1, i - 1])]
 
 
-def _pair_kind(plane_i: bool, plane_j: bool) -> DistanceKind:
-    """Kind of a distance whose endpoints are points or truncation planes
-    (hyperideal vertices)."""
-    if plane_i and plane_j:
-        return DistanceKind.PLANE_PLANE
-    if plane_i or plane_j:
-        return DistanceKind.VERTEX_PLANE
-    return DistanceKind.VERTEX_VERTEX
+# Kind of a distance by the number of its endpoints that are
+# truncation planes (hyperideal vertices).
+_KIND_OF_PLANES = (DistanceKind.VERTEX_VERTEX, DistanceKind.VERTEX_PLANE,
+                   DistanceKind.PLANE_PLANE)
 
 
 def _distance_from_cofactors(cii: float, cjj: float,
                              cij: float) -> EdgeDistance:
     si, sj = tol_sign(cii), tol_sign(cjj)
-    kind = _pair_kind(si < 0, sj < 0)
+    kind = _KIND_OF_PLANES[(si < 0) + (sj < 0)]
     if si == 0 or sj == 0:
         # An ideal endpoint is infinitely far from everything else.
         return EdgeDistance(math.inf, kind, ideal=True)
+    arg = abs(cij) / math.sqrt(abs(cii * cjj))
     if kind is DistanceKind.VERTEX_PLANE:
-        arg = abs(cij) / math.sqrt(-cii * cjj)
         return EdgeDistance(math.asinh(arg), kind)
-    arg = abs(cij) / math.sqrt(cii * cjj)
     if arg < 1.0:
         if arg < 1.0 - DEFAULT_TOL:
             raise ValueError(

@@ -201,6 +201,15 @@ def _xi_from_root(z: complex) -> float:
     return x + math.pi
 
 
+def _end_coefficient(w) -> complex:
+    """A of the critical-point quadratic at w = u = e^{i alpha}, and C
+    at w = 1/u."""
+    w1, w2, w3, w4, w5, w6 = w
+    return (w1 * w4 + w2 * w5 + w3 * w6
+            - w1 * w2 * w6 - w1 * w3 * w5 - w2 * w3 * w4 - w4 * w5 * w6
+            + w1 * w2 * w3 * w4 * w5 * w6)
+
+
 def critical_xi(alpha: AlphaSixTuple) -> CriticalData:
     """Solve the critical-point quadratic for xi and xi_star.
 
@@ -209,16 +218,10 @@ def critical_xi(alpha: AlphaSixTuple) -> CriticalData:
     exception and reports xi = 3 pi / 2 with the degenerate flag set.
     """
     u = [cmath.exp(1j * a) for a in alpha.alpha]
-    u1, u2, u3, u4, u5, u6 = u
-    A = (u1 * u4 + u2 * u5 + u3 * u6
-         - u1 * u2 * u6 - u1 * u3 * u5 - u2 * u3 * u4 - u4 * u5 * u6
-         + u1 * u2 * u3 * u4 * u5 * u6)
-    v1, v2, v3, v4, v5, v6 = [1.0 / x for x in u]
-    C = (v1 * v4 + v2 * v5 + v3 * v6
-         - v1 * v2 * v6 - v1 * v3 * v5 - v2 * v3 * v4 - v4 * v5 * v6
-         + v1 * v2 * v3 * v4 * v5 * v6)
-    Bc = -((u1 - v1) * (u4 - v4) + (u2 - v2) * (u5 - v5)
-           + (u3 - v3) * (u6 - v6))
+    v = [1.0 / x for x in u]
+    A, C = _end_coefficient(u), _end_coefficient(v)
+    d1, d2, d3, d4, d5, d6 = [x - y for x, y in zip(u, v)]
+    Bc = -(d1 * d4 + d2 * d5 + d3 * d6)
     B = Bc.real  # imaginary part is pure roundoff
     disc = B * B - 4.0 * (A * C).real  # A C = |A|^2 is real
 

@@ -14,6 +14,7 @@ import pytest
 
 import sixjvol
 from conftest import lob_mp
+from sixjvol import cli
 from sixjvol.cli import main
 
 PI = math.pi
@@ -352,6 +353,17 @@ def test_prism_spec_file_errors(capsys, tmp_path):
     assert code == 2 and "missing key" in err
 
 
+def test_prism_spec_not_utf8_is_usage_error(capsys, tmp_path):
+    # UnicodeDecodeError is a ValueError, but an unreadable file is a
+    # usage error, not a domain error
+    path = tmp_path / "utf16.json"
+    path.write_bytes(json.dumps(_GOOD_SPEC).encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    code, out, err = run(capsys, ["prism", str(path)])
+    assert code == 2 and out == ""
+    assert "cannot read prism spec" in err and "utf-8" in err
+
+
 # A spec that is not an object of three three-angle lists, or holds an
 # angle outside [0, pi], is a usage error like a missing key; numbers
 # get the range check of angle strings.
@@ -377,6 +389,33 @@ def test_malformed_prism_spec_is_usage_error(capsys, tmp_path, doc, message):
                                   "--r-end", "111"])
     assert code == 2 and out == ""
     assert "cannot read prism spec" in err and message in err
+
+
+# The parser accepts exactly the angles AngleSixTuple accepts, in angle
+# arguments and prism spec entries: [0, pi] with 1e-12 of slack at
+# each end.
+@pytest.mark.parametrize("angle, ok", [
+    (-1e-12, True), (PI + 1e-12, True), (-2e-12, False), (PI + 2e-12, False),
+], ids=["low-1e-12", "high+1e-12", "low-2e-12", "high+2e-12"])
+def test_angle_bounds_are_those_of_the_library(capsys, tmp_path, angle, ok):
+    text = repr(angle)
+    spec = write_spec(tmp_path, dict(_GOOD_SPEC, base_b=[0.6, angle, 0.6]))
+    if ok:
+        sixjvol.AngleSixTuple((angle,) * 6)
+        assert cli.angle_literal(text) == angle
+        assert cli._load_prism_spec(spec).base_b == (0.6, angle, 0.6)
+        return
+    with pytest.raises(ValueError, match=r"outside \[0, pi\]"):
+        sixjvol.AngleSixTuple((angle,) * 6)
+    for argv in (["classify", "--", text] + PI6[1:],
+                 ["prism", spec, "--r-end", "111"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "outside [0, pi]" in err
+
+
+def test_tiny_negative_angle_is_accepted(capsys):
+    code, out, _ = run(capsys, ["classify", "--", "-1e-13"] + PI6[1:])
+    assert code == 0 and json.loads(out)["theta"][0] == -1e-13
 
 
 def test_prism_apex_validation_is_domain_error(capsys, tmp_path):
@@ -444,6 +483,29 @@ def test_lobachevsky_table_json(capsys):
     assert doc["table"][0] == [0.0, 0.0]
     assert doc["table"][-1][0] == pytest.approx(PI)
     assert doc["table"][-1][1] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv, rows_of", [
+    (["growth", "--r-start", "101", "--r-end", "121"] + PI6,
+     lambda doc: [[s[k] for k in ("r", "log_abs", "scaled", "sign")]
+                  for s in doc["samples"]]),
+    (["lobachevsky-table", "--start", "-1", "--end", "7", "--points", "9"],
+     lambda doc: doc["table"]),
+], ids=["growth", "lobachevsky-table"])
+def test_csv_cells_are_the_json_values(capsys, argv, rows_of):
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    # each cell parsed as a JSON number: an int stays an int, and a
+    # float keeps every bit
+    rows = [[json.loads(cell) for cell in line.split(",")]
+            for line in out.split("\r\n")[1:-1]]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    want = rows_of(json.loads(out))
+    assert len(rows) == len(want) > 5
+    assert rows == want
+    assert [list(map(type, row)) for row in rows] == [
+        list(map(type, row)) for row in want]
 
 
 @pytest.mark.parametrize("points", ["0", "-3", "2.5"])

@@ -575,6 +575,20 @@ def test_same_sign_summands_for_negative_cofactor_plans():
         assert len(signs) == 1
 
 
+def test_triple_rule_is_the_colour_rule_on_one_triple():
+    # (a1, a2, a3, a1, a2, a3) has the triple (a1, a2, a3) at every vertex
+    for r in range(3, 12):
+        top = r - 2
+        for a in itertools.product(range(-4, r + 3), repeat=3):
+            a1, a2, a3 = a
+            s = a1 + a2 + a3
+            stated = (all(0 <= x <= top for x in a)  # the module docstring
+                      and s % 2 == 0 and s <= 2 * top
+                      and a1 + a2 >= a3 and a2 + a3 >= a1 and a3 + a1 >= a2)
+            assert sv.sixj._triple_ok(a1, a2, a3, r) is stated, (a, r)
+            assert sv.sixj._colors_ok(a + a, r) is stated, (a, r)
+
+
 def test_big_colors_and_canonicalize_shapes():
     lv = sv.OddLevel(31)
     t = sv.tuple_of((2, 2, 2, 20, 20, 20), lv)
