@@ -32,8 +32,11 @@ keeps a least-recently-used table of one entry, keyed by the exact
 bytes of its input: the packed angles of an AlphaSixTuple, or the
 4x4 float64 matrix.  A hit returns the object the miss built, so calls
 of `gram_from_alpha` in a row with the same angles return one shared
-GramMatrix.  Every GramMatrix holds its own read-only float64 copy of
-the matrix it was given, and the cofactor arrays are read-only too.
+GramMatrix.  A GramMatrix built by its constructor holds its own
+read-only float64 copy of the matrix it was given; one built by the
+memo of `gram_from_alpha` holds the array the memo laid out, made
+read-only without a copy or the constructor's checks, which that
+layout always passes.  The cofactor arrays are read-only too.
 `gram_cache_info()` reports the counters.  The batched cores behind the
 samplers are not memoized.
 """
@@ -96,6 +99,13 @@ _ENTRIES = tuple((i, j) for i in range(4) for j in range(4))
 # just past an end passes.  The CLI's angle parser reads it too.
 _ANGLE_SLACK = 1e-12
 
+# The lowest accepted alpha: pi minus the largest accepted theta, so
+# that from_theta accepts every theta that AngleSixTuple accepts.
+# pi + _ANGLE_SLACK rounds up to pi + 1.00009e-12, and pi minus that is
+# exact, so this lies just below -_ANGLE_SLACK.  At the upper end pi
+# plus that theta rounds to TWO_PI + _ANGLE_SLACK, the bound itself.
+_ALPHA_MIN = math.pi - (math.pi + _ANGLE_SLACK)
+
 # Entries in each single-row memo.  Every caller in the package reuses
 # only the last input of each core: a geometry row and the classify,
 # tetra and volume commands pass one tuple through the cores.
@@ -141,7 +151,7 @@ class AlphaSixTuple(_FrozenRecord):
         if len(al) != 6:
             raise ValueError("need exactly six angles")
         for x in al:
-            if not -_ANGLE_SLACK <= x <= TWO_PI + _ANGLE_SLACK:
+            if not _ALPHA_MIN <= x <= TWO_PI + _ANGLE_SLACK:
                 raise ValueError(f"limit angle {x} outside [0, 2*pi]")
         mu = _MU_TUPLES.get(tuple(int(m) for m in mu))
         if mu is None:
@@ -187,7 +197,9 @@ class GramMatrix(_FrozenRecord):
     """Symmetric 4x4, unit diagonal, off-diagonal -cos theta_ij.
 
     Immutable, and equal only to itself; `mat` is a read-only float64
-    copy.  Validation accepts exactly the finite matrices with
+    copy (records from the memo of `gram_from_alpha` hold the memo's own
+    array, see the module docstring).  Validation accepts exactly the
+    finite matrices with
     np.allclose(m, m.T, atol=1e-12) and np.allclose(diag(m), 1,
     atol=1e-12), entry by entry on Python floats.
     Both keep allclose's default rtol=1e-5, so the diagonal test is
@@ -216,6 +228,9 @@ class GramMatrix(_FrozenRecord):
         if not symmetric:
             raise ValueError("Gram matrix must be symmetric")
         raise ValueError("Gram matrix must have unit diagonal")
+
+
+_set_mat = GramMatrix.mat.__set__
 
 
 class Signature(NamedTuple):
@@ -297,7 +312,14 @@ def gram_from_alpha(alpha: AlphaSixTuple) -> GramMatrix:
 
 @_memo
 def _gram_of(packed: bytes) -> GramMatrix:
-    return GramMatrix(_gram_batch(np.frombuffer(packed)[None])[0])
+    # _GRAM_ENTRY lays the matrix out symmetric bit for bit with a unit
+    # diagonal, and AlphaSixTuple admits only finite angles, so the
+    # constructor's checks cannot fail here and its copy is not needed.
+    m = _gram_batch(np.frombuffer(packed)[None])[0]
+    m.flags.writeable = False
+    G = object.__new__(GramMatrix)
+    _set_mat(G, m)
+    return G
 
 
 def signature(G: GramMatrix) -> Signature:
@@ -418,14 +440,13 @@ def _admissible_mask(al: np.ndarray, margin: float = 0.0) -> np.ndarray:
     that margin and the components must avoid {0, pi, 2 pi} by the same
     amount (strict admissibility sampling).
     """
-    ok = np.ones(al.shape[0], dtype=bool)
+    tri = al[:, _VERTEX_INDEX]  # (n, 4, 3): the three edges at each vertex
+    s = tri[:, :, 0] + tri[:, :, 1] + tri[:, :, 2]
+    ok = (s <= FOUR_PI - margin).all(axis=1)
+    ok &= (s[:, :, None] - 2 * tri >= margin).all(axis=(1, 2))
     if margin > 0.0:
         ok &= np.all((al > margin) & (al < TWO_PI - margin)
                      & (np.abs(al - math.pi) > margin), axis=1)
-    tri = al[:, _VERTEX_INDEX]  # (n, 4, 3): the three edges at each vertex
-    s = tri[:, :, 0] + tri[:, :, 1] + tri[:, :, 2]
-    ok &= (s <= FOUR_PI - margin).all(axis=1)
-    ok &= (s[:, :, None] - 2 * tri >= margin).all(axis=(1, 2))
     return ok
 
 

@@ -68,16 +68,14 @@ def _vectors(rows: np.ndarray) -> tuple[MinkowskiVector, ...]:
     return tuple(out)
 
 
-def _mdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minkowski products over the leading (coordinate) axis of two
-    broadcastable arrays: x1 y1 + x2 y2 + x3 y3 - x4 y4, summed left to
-    right."""
-    p = x * y
-    return p[0] + p[1] + p[2] - p[3]
+def _mdot(x: list, y: list) -> float:
+    """Minkowski product of two coordinate lists of floats: x1 y1 + x2 y2
+    + x3 y3 - x4 y4, summed left to right."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] - x[3] * y[3]
 
 
 def minkowski_dot(a: MinkowskiVector, b: MinkowskiVector) -> float:
-    return float(_mdot(a.x, b.x))
+    return _mdot(a.x.tolist(), b.x.tolist())
 
 
 class VertexType(enum.Enum):
@@ -167,9 +165,18 @@ _KIND_OF_PLANES = (DistanceKind.VERTEX_VERTEX, DistanceKind.VERTEX_PLANE,
                    DistanceKind.PLANE_PLANE)
 
 
-def _distance_from_cofactors(cii: float, cjj: float,
-                             cij: float) -> EdgeDistance:
-    si, sj = tol_sign(cii), tol_sign(cjj)
+def _cofactor_signs(cof: list) -> tuple[list[int], list[int]]:
+    """The signs (tol_sign) of cof_11..cof_44 and of cof_ij in _PAIRS
+    order; cof is the cofactor matrix as nested lists of floats.  Vertex
+    types, signed lengths and the case all read these ten signs."""
+    return ([tol_sign(cof[i][i]) for i in range(4)],
+            [tol_sign(cof[i][j]) for i, j in _PAIRS])
+
+
+def _distance_from_cofactors(cii: float, cjj: float, cij: float,
+                             si: int, sj: int) -> EdgeDistance:
+    """Distance of the endpoint pair with cofactors cii, cjj, cij, where
+    si and sj are the signs of cii and cjj."""
     kind = _KIND_OF_PLANES[(si < 0) + (sj < 0)]
     if si == 0 or sj == 0:
         # An ideal endpoint is infinitely far from everything else.
@@ -197,16 +204,27 @@ def distance(G: GramMatrix, i: int, j: int) -> EdgeDistance:
     always on |cof_ij| / sqrt(|cof_ii cof_jj|).
     """
     _check_pair(i, j)
-    cof = cofactor_matrix(G.mat)
-    return _distance_from_cofactors(cof[i - 1, i - 1], cof[j - 1, j - 1],
-                                    cof[i - 1, j - 1])
+    cof = cofactor_matrix(G.mat).tolist()
+    cii, cjj = cof[i - 1][i - 1], cof[j - 1][j - 1]
+    return _distance_from_cofactors(cii, cjj, cof[i - 1][j - 1],
+                                    tol_sign(cii), tol_sign(cjj))
 
 
-def _signed_length(cof: list, k: int, l: int) -> float:
-    """Distance of the pair {k,l} (0-based), negative unless cof_kl > 0;
-    cof is the cofactor matrix as nested lists of floats."""
-    d = _distance_from_cofactors(cof[k][k], cof[l][l], cof[k][l]).d
-    return d if tol_sign(cof[k][l]) > 0 else -d
+def _signed_length(cof: list, diag: list, off: list, k: int, l: int
+                   ) -> float:
+    """Distance of the pair {k,l} (0-based, k < l), negative unless
+    cof_kl > 0; cof is the cofactor matrix as nested lists of floats,
+    and diag and off are its signs (`_cofactor_signs`)."""
+    d = _distance_from_cofactors(cof[k][k], cof[l][l], cof[k][l],
+                                 diag[k], diag[l]).d
+    return d if off[_PAIRS.index((k, l))] > 0 else -d
+
+
+def _signed_lengths(cof: list, diag: list, off: list) -> tuple[float, ...]:
+    """The six signed lengths in edge order: `_signed_length` of the
+    complementary pair of each edge."""
+    return tuple([_signed_length(cof, diag, off, k, l)
+                  for k, l in EDGE_COMPLEMENT])
 
 
 def edge_length(G: GramMatrix, i: int, j: int) -> float:
@@ -217,13 +235,14 @@ def edge_length(G: GramMatrix, i: int, j: int) -> float:
     """
     _check_pair(i, j)
     k, l = (x for x in range(4) if x not in (i - 1, j - 1))
-    return _signed_length(cofactor_matrix(G.mat).tolist(), k, l)
+    cof = cofactor_matrix(G.mat).tolist()
+    return _signed_length(cof, *_cofactor_signs(cof), k, l)
 
 
 def edge_length_tuple(G: GramMatrix) -> tuple[float, ...]:
     """The six signed edge lengths in edge order (l_1..l_6)."""
     cof = cofactor_matrix(G.mat).tolist()
-    return tuple(_signed_length(cof, k, l) for k, l in EDGE_COMPLEMENT)
+    return _signed_lengths(cof, *_cofactor_signs(cof))
 
 
 def segment_side(G: GramMatrix, i: int, j: int) -> SegmentSide:
@@ -314,9 +333,11 @@ def case_label(G: GramMatrix) -> CaseLabel:
     gives a letter (`_case_of_signs`).  The operations hold at most two
     vertex indices, and a pair always contains vertex 1.
     """
-    cof = cofactor_matrix(G.mat).tolist()
-    diag = [tol_sign(cof[i][i]) for i in range(4)]
-    off = [tol_sign(cof[i][j]) for i, j in _PAIRS]
+    return _case_of(*_cofactor_signs(cofactor_matrix(G.mat).tolist()))
+
+
+def _case_of(diag: list, off: list) -> CaseLabel:
+    """`_case_of_signs`, raising ValueError on a pattern with no case."""
     case = _case_of_signs(diag, off)
     if case is None:
         raise ValueError(f"unclassified pattern: diag={diag} "
@@ -338,10 +359,12 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     row i divided by sqrt|cof_ii det G| away from ideal vertices
     (normalizing <v,v> to +-1) and left lightlike at them.  det G is the
     expansion of G along the first row of its cofactor matrix
-    (`gram._det_by_cofactors`), and the edge lengths and the case come
-    from `edge_length_tuple` and `case_label`: all three find the
-    cofactor matrix in the memo of `cofactor_matrix`.  The coordinate
-    arrays of the returned vectors are read-only.
+    (`gram._det_by_cofactors`).  The cofactor matrix is read once from
+    the memo of `cofactor_matrix`, and its ten signs are taken once
+    (`_cofactor_signs`): the vertex types, the edge lengths and the
+    case all come from that one sign pass, through the helpers behind
+    `edge_length_tuple` and `case_label`.  The coordinate arrays of the
+    returned vectors are read-only.
 
     The coordinates are fixed only up to an O(3,1) isometry.  `eigh`
     picks an arbitrary basis of a repeated eigenspace, so on symmetric
@@ -359,12 +382,12 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     normals = (q * np.sqrt(np.abs(lam)))[:, _TIMELIKE_LAST]
 
     cof = cofactor_matrix(G.mat)
-    diag = cof.diagonal().tolist()
+    c = cof.tolist()
+    diag, off = _cofactor_signs(c)
     det = _det_by_cofactors(G)
-    signs = [tol_sign(c) for c in diag]
-    types = [_VERTEX_TYPE_OF_SIGN[s] for s in signs]
-    scale = [math.sqrt(abs(c * det)) if s else 1.0
-             for c, s in zip(diag, signs)]
+    types = [_VERTEX_TYPE_OF_SIGN[s] for s in diag]
+    scale = [math.sqrt(abs(c[i][i] * det)) if s else 1.0
+             for i, s in enumerate(diag)]
     vertices = (cof @ normals) / np.array(scale)[:, None]  # row i: v_i
 
     _check_reconstruction(G, normals.T, vertices.T, types, det)
@@ -373,8 +396,8 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
         normals=_vectors(normals),
         vertices=_vectors(vertices),
         vertex_types=tuple(types),
-        edge_lengths=edge_length_tuple(G),
-        case=case_label(G),
+        edge_lengths=_signed_lengths(c, diag, off),
+        case=_case_of(diag, off),
     )
 
 
@@ -387,26 +410,28 @@ def _check_reconstruction(G, u, v, types, det) -> None:
     <u_i, v_i> < 0; it lies on the three other face planes, |<u_j, v_i>|
     within the bound times max(1, |det G|); and <v_i, v_i> is -1, 0 or
     +1 as its type is regular, ideal or hyperideal, within
-    max(bound, 1e-6 |det G|).  The 36 products come from three array
-    operations with the arithmetic of minkowski_dot; the first failure,
-    in the order the checks are listed (vertex by vertex for the last
-    three), raises ArithmeticError.
+    max(bound, 1e-6 |det G|).  The products are minkowski_dot's
+    arithmetic on Python floats: the ten distinct <u_i, u_j> (a product
+    does not depend on the order of its factors), the sixteen
+    <u_j, v_i> and the four <v_i, v_i>.  The first failure, in the order
+    the checks are listed (vertex by vertex for the last three), raises
+    ArithmeticError.
     """
     check = 100 * DEFAULT_TOL
-    uu = _mdot(u[:, :, None], u[:, None, :]).tolist()  # [i][j]: <u_i,u_j>
-    uv = _mdot(u[:, None, :], v[:, :, None]).tolist()  # [i][j]: <u_j,v_i>
-    vv = _mdot(v, v).tolist()
-    g = G.mat.tolist()
+    us, vs, g = u.T.tolist(), v.T.tolist(), G.mat.tolist()
+    # uu[i][j] = <u_i, u_j> for j <= i.
+    uu = [[_mdot(a, b) for b in us[:i + 1]] for i, a in enumerate(us)]
     for i in range(4):
         for j in range(4):
-            if abs(uu[i][j] - g[i][j]) > check:
+            d = uu[i][j] if j <= i else uu[j][i]
+            if abs(d - g[i][j]) > check:
                 raise ArithmeticError(
-                    f"normal Gram mismatch at ({i},{j}): {uu[i][j]} vs "
-                    f"{g[i][j]}")
+                    f"normal Gram mismatch at ({i},{j}): {d} vs {g[i][j]}")
     plane = check * max(1.0, abs(det))
     norm = max(check, 1e-6 * abs(det))
-    for i in range(4):
-        for j, d in enumerate(uv[i]):
+    for i, w in enumerate(vs):
+        for j, a in enumerate(us):
+            d = _mdot(a, w)
             if i == j:
                 if not d < 0:
                     raise ArithmeticError(
@@ -414,6 +439,7 @@ def _check_reconstruction(G, u, v, types, det) -> None:
             elif abs(d) > plane:
                 raise ArithmeticError(
                     f"vertex {i} off face plane {j}: <u,v>={d}")
-        if abs(vv[i] - _NORM_OF_TYPE[types[i]]) > norm:
+        ww = _mdot(w, w)
+        if abs(ww - _NORM_OF_TYPE[types[i]]) > norm:
             raise ArithmeticError(
-                f"vertex {i} norm {vv[i]} inconsistent with type {types[i]}")
+                f"vertex {i} norm {ww} inconsistent with type {types[i]}")

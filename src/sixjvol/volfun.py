@@ -165,7 +165,11 @@ def _delta_sum(alpha: AlphaSixTuple) -> float:
 
 def big_V(alpha: AlphaSixTuple, xi: float) -> float:
     """V(xi): four vertex deltas plus the xi-dependent Lambda terms."""
-    te = tau_eta(alpha)
+    return _big_V(alpha, tau_eta(alpha), xi)
+
+
+def _big_V(alpha: AlphaSixTuple, te: TauEta, xi: float) -> float:
+    """`big_V` with te = tau_eta(alpha) given."""
     out = _delta_sum(alpha) + lobachevsky(TWO_PI - xi)
     for t in te.tau:
         out += lobachevsky(xi - t)
@@ -309,7 +313,7 @@ def volume_by_max(alpha: AlphaSixTuple) -> MaxResult:
     lo = max(te.tau)
     hi = min(min(te.eta), TWO_PI)
     if hi <= lo + 1e-14:
-        return MaxResult(lo, big_V(alpha, lo))
+        return MaxResult(lo, _big_V(alpha, te, lo))
     width = (hi - lo) * 2.0 ** -60
     xi = 0.5 * (lo + hi)
     for _ in range(_MAX_EVALS):
@@ -330,7 +334,7 @@ def volume_by_max(alpha: AlphaSixTuple) -> MaxResult:
         xi = nxt
         if done:
             break
-    return MaxResult(xi, big_V(alpha, xi))
+    return MaxResult(xi, _big_V(alpha, te, xi))
 
 
 def schlafli_residual(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1),

@@ -589,3 +589,20 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: sixjvol")
+
+
+# Both ends of the accepted theta range reach the library with either
+# branch sign.  The largest accepted angle, pi + 1e-12 rounded up, once
+# passed the parser and then failed in AlphaSixTuple.from_theta.
+@pytest.mark.parametrize("angle", [-1e-12, PI + 1e-12], ids=["low", "high"])
+@pytest.mark.parametrize("mu", ["------", "++++++"])
+def test_theta_range_corners_reach_the_library(capsys, angle, mu):
+    code, out, err = run(capsys, ["classify", f"--mu={mu}", "--",
+                                  repr(angle)] + ["0.5"] * 5)
+    assert code == 0 and err == ""
+    sign = 1 if mu[0] == "+" else -1
+    assert json.loads(out)["alpha"][0] == PI + sign * angle
+    for command in ("tetra", "volume"):
+        _, _, err = run(capsys, [command, f"--mu={mu}", "--", repr(angle)]
+                        + ["0.5"] * 5)
+        assert "outside" not in err

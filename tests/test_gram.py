@@ -486,3 +486,51 @@ def test_a_geometry_row_computes_each_core_once(empty_gram_memos):
         "gram_from_alpha": 1, "admissible": 1, "signature": 1,
         "cofactor_matrix": 1}
     assert all(i.hits >= 1 for i in info.values())
+
+
+# The memo of gram_from_alpha builds its GramMatrix without the
+# constructor's copy and checks.  On rows with angles at 0, pi, 2 pi and
+# at both ends of the accepted range, its matrix must be the one the
+# checked constructor holds, bit for bit, and read-only.
+@pytest.mark.parametrize("row", [
+    (0.0, PI, 2 * PI, 0.0, PI, 2 * PI),
+    (gram._ALPHA_MIN,) * 6,
+    (-1e-12, 2 * PI + 1e-12, PI, 1.0, 2.0, 3.0),
+    (2 * PI + 1e-12,) * 6,
+    (0.3, 5.1, PI - 0.2, 2 * PI, 0.0, 4.0),
+], ids=["0-pi-2pi", "alpha-min", "slack-mixed", "alpha-max", "mixed"])
+def test_memo_gram_record_is_the_checked_one(row):
+    al = sv.AlphaSixTuple.from_alpha(row)
+    G = sv.gram_from_alpha(al)
+    ref = sv.GramMatrix(gram._gram_batch(np.array([al.alpha]))[0])
+    assert G.mat.dtype == np.float64 and G.mat.shape == (4, 4)
+    assert G.mat.tobytes() == ref.mat.tobytes()
+    assert not G.mat.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        G.mat[0, 1] = 0.0
+
+
+# from_theta accepts every theta that AngleSixTuple accepts, at both
+# ends of the theta range and with either branch sign, and to_theta maps
+# both ends of the alpha range back into the theta range.  The largest
+# accepted theta, pi + 1e-12 rounded up, once gave an alpha below -1e-12.
+@pytest.mark.parametrize("theta", [-1e-12, PI + 1e-12], ids=["low", "high"])
+@pytest.mark.parametrize("mu", [-1, 1])
+def test_theta_range_corners_pass_from_theta(theta, mu):
+    th = sv.AngleSixTuple((theta,) + (0.5,) * 5)
+    al = sv.AlphaSixTuple.from_theta(th, (mu,) * 6)
+    assert al.alpha[0] == PI + mu * theta
+    assert al.to_theta().theta[1:] == (0.5,) * 5
+    beyond = math.nextafter(theta, math.copysign(math.inf, theta))
+    with pytest.raises(ValueError, match="outside"):
+        sv.AngleSixTuple((beyond,) * 6)
+
+
+@pytest.mark.parametrize("end", [gram._ALPHA_MIN, 2 * PI + 1e-12],
+                         ids=["low", "high"])
+def test_alpha_range_ends_map_into_the_theta_range(end):
+    al = sv.AlphaSixTuple((end,) * 6, (1,) * 6)
+    assert al.to_theta().theta == (PI + 1e-12,) * 6
+    beyond = math.nextafter(end, math.copysign(math.inf, end))
+    with pytest.raises(ValueError, match="outside"):
+        sv.AlphaSixTuple((beyond,) * 6, (1,) * 6)

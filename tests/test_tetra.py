@@ -362,3 +362,50 @@ def test_segment_side_deep_truncation_rejected():
           0.6821913702458734, 0.10390719488470904, 0.6307342714617925)
     with pytest.raises(ValueError, match="line misses the ball"):
         sv.segment_side(gram(th), 1, 2)
+
+
+# reconstruct takes the ten cofactor signs once and derives the vertex
+# types, the signed lengths and the case from them; the scalar functions
+# read the cofactors on their own.  Both must agree exactly, a length's
+# sign of zero included (floats compare by repr), and a matrix that
+# reconstruct refuses must fail first where the scalar functions do:
+# the lengths before the case.  Gram matrices of angles never fail
+# there, so the refusals come from symmetric unit-diagonal matrices with
+# entries up to 2.5 in size; the first of these has both an arccosh
+# argument below 1 and a sign pattern with no case.
+def test_reconstruct_fields_are_the_scalar_functions():
+    from sixjvol.gram import EDGE_TO_FACEPAIR
+    rng = np.random.default_rng(11)
+    rows = sv.sample_hyperbolic_alpha(400, rng)
+    grams = [sv.gram_from_alpha(sv.AlphaSixTuple.from_alpha(r)) for r in rows]
+    grams += [gram((PI / 3,) * 6), gram((0.0,) * 6)]
+    both = [(-0.682, 0.457, -0.308, 0.591, -0.772, 2.335)]
+    for entries in both + list(rng.uniform(-2.5, 2.5, size=(200, 6))):
+        m = np.eye(4)
+        for (i, j), x in zip(EDGE_TO_FACEPAIR, entries):
+            m[i, j] = m[j, i] = x
+        G = sv.GramMatrix(m)
+        if sv.signature(G).as_pair() == (3, 1):
+            grams.append(G)
+    built = refused = 0
+    for G in grams:
+        try:
+            t = sv.reconstruct(G)
+        except ValueError as exc:
+            refused += 1
+            with pytest.raises(ValueError) as first:
+                sv.edge_length_tuple(G)
+                sv.case_label(G)
+            assert str(first.value) == str(exc)
+            continue
+        built += 1
+        lengths = [repr(x) for x in t.edge_lengths]
+        assert lengths == [repr(x) for x in sv.edge_length_tuple(G)]
+        assert lengths == [repr(sv.edge_length(G, i + 1, j + 1))
+                           for i, j in EDGE_TO_FACEPAIR]
+        assert t.case == sv.case_label(G)
+        assert t.vertex_types == tuple(sv.vertex_type(G, i)
+                                       for i in range(1, 5))
+    assert built > 300 and refused > 0
+    flat = sv.reconstruct(gram((0.0,) * 6))
+    assert [repr(x) for x in flat.edge_lengths] == ["0.0"] * 6
