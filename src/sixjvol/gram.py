@@ -38,7 +38,9 @@ memo of `gram_from_alpha` holds the array the memo laid out, made
 read-only without a copy or the constructor's checks, which that
 layout always passes.  The cofactor arrays are read-only too.
 `gram_cache_info()` reports the counters.  The batched cores behind the
-samplers are not memoized.
+samplers are not memoized.  `volfun` keeps three more one-entry memos
+with the same helper and key (its module docstring): the critical
+point, the vertex-delta sum and tau/eta of a tuple.
 """
 
 from __future__ import annotations
@@ -83,11 +85,12 @@ _GRAM_ENTRY = np.array([EDGE_TO_FACEPAIR.index((min(i, j), max(i, j)))
 # them.
 EDGE_COMPLEMENT = ((2, 3), (1, 3), (0, 3), (0, 1), (0, 2), (1, 2))
 
-# Row/column indices of the sixteen 3x3 minors, stacked as (4, 4, 3, 3),
-# and the checkerboard signs (-1)^(i+j) that turn them into cofactors.
+# Flat indices 4 r + c into a 4x4 matrix of the sixteen 3x3 minors,
+# stacked as (4, 4, 3, 3): minor (i, j) keeps the rows r != i and the
+# columns c != j.  The checkerboard signs (-1)^(i+j) turn them into
+# cofactors.
 _KEEP = np.array([[j for j in range(4) if j != i] for i in range(4)])
-_MINOR_ROWS = _KEEP[:, None, :, None]
-_MINOR_COLS = _KEEP[None, :, None, :]
+_MINOR_FLAT = 4 * _KEEP[:, None, :, None] + _KEEP[None, :, None, :]
 _CHECKERBOARD = np.array([[(-1.0) ** (i + j) for j in range(4)]
                           for i in range(4)])
 
@@ -106,9 +109,10 @@ _ANGLE_SLACK = 1e-12
 # plus that theta rounds to TWO_PI + _ANGLE_SLACK, the bound itself.
 _ALPHA_MIN = math.pi - (math.pi + _ANGLE_SLACK)
 
-# Entries in each single-row memo.  Every caller in the package reuses
-# only the last input of each core: a geometry row and the classify,
-# tetra and volume commands pass one tuple through the cores.
+# Entries in each single-row memo, here and in `volfun`.  Every caller
+# in the package reuses only the last input of each core: a geometry row
+# and the classify, tetra and volume commands pass one tuple through the
+# cores.
 _memo = functools.lru_cache(maxsize=1)
 
 
@@ -353,18 +357,23 @@ def cofactor_matrix(mat: np.ndarray) -> np.ndarray:
 
 @_memo
 def _cofactors_of(key: bytes) -> np.ndarray:
-    m = np.frombuffer(key).reshape(4, 4)
-    cof = _CHECKERBOARD * np.linalg.det(m[_MINOR_ROWS, _MINOR_COLS])
+    cof = _CHECKERBOARD * np.linalg.det(np.frombuffer(key)[_MINOR_FLAT])
     cof.flags.writeable = False
     return cof
 
 
 def _det_by_cofactors(G: GramMatrix) -> float:
     """det G expanded along the first row of its memoized cofactor
-    matrix, summed left to right: no factorization beyond the one the
+    matrix (`_det_from_rows`): no factorization beyond the one the
     cofactors already took."""
-    g = G.mat[0].tolist()
-    c = cofactor_matrix(G.mat)[0].tolist()
+    return _det_from_rows(G.mat[0].tolist(),
+                          cofactor_matrix(G.mat)[0].tolist())
+
+
+def _det_from_rows(g: list, c: list) -> float:
+    """det G from the first row g of G and the first row c of its
+    cofactor matrix, as lists of floats: the four products summed left
+    to right."""
     return g[0] * c[0] + g[1] * c[1] + g[2] * c[2] + g[3] * c[3]
 
 

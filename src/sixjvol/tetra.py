@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, GramMatrix,
-                   _det_by_cofactors, cofactor_matrix, signature, tol_sign)
+from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, GramMatrix, _det_from_rows,
+                   cofactor_matrix, signature, tol_sign)
 from .qnum import _FrozenRecord
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -359,7 +359,7 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     row i divided by sqrt|cof_ii det G| away from ideal vertices
     (normalizing <v,v> to +-1) and left lightlike at them.  det G is the
     expansion of G along the first row of its cofactor matrix
-    (`gram._det_by_cofactors`).  The cofactor matrix is read once from
+    (`gram._det_from_rows`).  The cofactor matrix is read once from
     the memo of `cofactor_matrix`, and its ten signs are taken once
     (`_cofactor_signs`): the vertex types, the edge lengths and the
     case all come from that one sign pass, through the helpers behind
@@ -384,7 +384,7 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     cof = cofactor_matrix(G.mat)
     c = cof.tolist()
     diag, off = _cofactor_signs(c)
-    det = _det_by_cofactors(G)
+    det = _det_from_rows(G.mat[0].tolist(), c[0])
     types = [_VERTEX_TYPE_OF_SIGN[s] for s in diag]
     scale = [math.sqrt(abs(c[i][i] * det)) if s else 1.0
              for i, s in enumerate(diag)]

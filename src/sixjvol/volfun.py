@@ -31,6 +31,21 @@ t p((t/pi)^2) on [0, pi/2], with p a fixed degree-13 polynomial that
 replaces the zeta series there (`_LOB_POLY`).  Its absolute error is
 3e-16 on [0, pi/2] and below 1e-15 for every finite angle: angles
 beyond 4 pi are reduced modulo pi exactly, not modulo the float pi.
+
+Three facts of a tuple are memoized, as `gram` memoizes its four
+single-row cores (`gram._memo`): the critical-point data of
+`critical_xi` (`_critical_of`), the sum of the four vertex deltas of V
+(`_delta_sum_of`) and the half-sums of `tau_eta` (`_tau_eta_of`).
+Each keeps a table of one entry, keyed by the packed angles
+`alpha._packed`, so the branch signs mu do not enter.  A geometry row
+asks for each fact twice, for one tuple: `critical_xi` is called on
+its own and again inside `volume`, and `volume` and `volume_by_max`
+both evaluate V.  One entry serves that row, and no caller comes back
+to an older tuple.  `volume` rebuilds alpha from theta and mu, which
+gives back the same bytes unless pi - alpha rounds; such a tuple
+misses and is computed as if there were no memo.  A refused tuple is
+not remembered (`lru_cache` keeps no exceptions): it raises again on
+every call.
 """
 
 from __future__ import annotations
@@ -39,9 +54,9 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .gram import (DEFAULT_TOL, AlphaSixTuple, AngleSixTuple, admissible,
-                   cofactor_matrix, gram_from_alpha, gram_from_angles,
-                   signature, tol_sign)
+from .gram import (_SIX_DOUBLES, DEFAULT_TOL, AlphaSixTuple, AngleSixTuple,
+                   _memo, admissible, cofactor_matrix, gram_from_alpha,
+                   gram_from_angles, signature, tol_sign)
 from .qnum import TWO_PI
 from .sixj import QUAD_MOVES, VERTEX_TRIPLES
 from .tetra import edge_length_tuple
@@ -140,8 +155,16 @@ class TauEta(NamedTuple):
 
 def tau_eta(alpha: AlphaSixTuple) -> TauEta:
     """tau_i over VERTEX_TRIPLES; eta_j over QUAD_MOVES in reverse order,
-    the order of the quadrilateral sums Q_j of the 6j-symbol."""
-    al = alpha.alpha
+    the order of the quadrilateral sums Q_j of the 6j-symbol.
+
+    Memoized on the packed angles, one entry (module docstring).
+    """
+    return _tau_eta_of(alpha._packed)
+
+
+@_memo
+def _tau_eta_of(packed: bytes) -> TauEta:
+    al = _SIX_DOUBLES.unpack(packed)
     tau = tuple((al[i] + al[j] + al[k]) / 2.0
                 for (i, j, k) in VERTEX_TRIPLES)
     eta = tuple((al[i] + al[j] + al[k] + al[l]) / 2.0
@@ -157,8 +180,10 @@ def delta_vertex(a: float, b: float, c: float) -> float:
             + 0.5 * lobachevsky((a + b + c) / 2.0))
 
 
-def _delta_sum(alpha: AlphaSixTuple) -> float:
-    al = alpha.alpha
+@_memo
+def _delta_sum_of(packed: bytes) -> float:
+    """The sum of the four vertex deltas of the packed angles."""
+    al = _SIX_DOUBLES.unpack(packed)
     return sum(delta_vertex(al[i], al[j], al[k])
                for (i, j, k) in VERTEX_TRIPLES)
 
@@ -170,7 +195,7 @@ def big_V(alpha: AlphaSixTuple, xi: float) -> float:
 
 def _big_V(alpha: AlphaSixTuple, te: TauEta, xi: float) -> float:
     """`big_V` with te = tau_eta(alpha) given."""
-    out = _delta_sum(alpha) + lobachevsky(TWO_PI - xi)
+    out = _delta_sum_of(alpha._packed) + lobachevsky(TWO_PI - xi)
     for t in te.tau:
         out += lobachevsky(xi - t)
     for e in te.eta:
@@ -220,8 +245,14 @@ def critical_xi(alpha: AlphaSixTuple) -> CriticalData:
     Requires det G < 0 (hyperbolic case), read off the discriminant as
     det G = disc / 16; the flat family with A = B = C = 0 is the one
     exception and reports xi = 3 pi / 2 with the degenerate flag set.
+    Memoized on the packed angles, one entry (module docstring).
     """
-    u = [cmath.exp(1j * a) for a in alpha.alpha]
+    return _critical_of(alpha._packed)
+
+
+@_memo
+def _critical_of(packed: bytes) -> CriticalData:
+    u = [cmath.exp(1j * a) for a in _SIX_DOUBLES.unpack(packed)]
     v = [1.0 / x for x in u]
     A, C = _end_coefficient(u), _end_coefficient(v)
     d1, d2, d3, d4, d5, d6 = [x - y for x, y in zip(u, v)]

@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 import sixjvol as sv
-from sixjvol import gram
+from sixjvol import gram, volfun
 from sixjvol.gram import EDGE_TO_FACEPAIR
 
 # (i, j, k): Gram entry (i, j) carries -cos(theta_{k+1}) under the fixed
@@ -45,6 +45,21 @@ def empty_gram_memos():
     for memo in (gram._gram_of, gram._admissible_of, gram._signature_of,
                  gram._cofactors_of):
         memo.cache_clear()
+
+
+def clear_volume_memos():
+    """Empty the three single-row memos of `volfun` and zero their
+    counters."""
+    for memo in (volfun._critical_of, volfun._delta_sum_of,
+                 volfun._tau_eta_of):
+        memo.cache_clear()
+
+
+@pytest.fixture
+def empty_volume_memos():
+    """`clear_volume_memos` before the test, so that it sees every
+    volume-side computation of its own tuples."""
+    clear_volume_memos()
 
 
 def lob_quad(x: float) -> float:

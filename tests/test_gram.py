@@ -434,6 +434,19 @@ def test_det_from_the_cofactor_row_matches_lapack(rng):
                 if "linalg.det(G.mat)" in p.read_text()]
 
 
+# The sixteen minors are gathered with one flat index into the matrix;
+# the cofactors are those of the row-and-column gather, bit for bit.
+def test_flat_minor_gather_is_the_row_column_gather(rng):
+    keep = gram._KEEP
+    rows, cols = keep[:, None, :, None], keep[None, :, None, :]
+    for row in sv.sample_admissible_alpha(2000, rng):
+        m = sv.gram_from_alpha(sv.AlphaSixTuple.from_alpha(row)).mat
+        cof = sv.cofactor_matrix(m)
+        ref = gram._CHECKERBOARD * np.linalg.det(m[rows, cols])
+        assert cof.tobytes() == ref.tobytes()
+        assert not cof.flags.writeable
+
+
 def test_memoized_arrays_are_read_only_and_the_gram_matrix_is_shared():
     a = alpha_of((PI - 0.3,) * 6)
     G = sv.gram_from_alpha(a)

@@ -282,6 +282,26 @@ def test_edge_length_signs_follow_cofactors(rng):
                 lengths[k - 1], rel=1e-12)
 
 
+# theta = (pi/12)(1, 4, 6, 4, 7, 6): admissible, signature (3,1), case
+# 2c.  On edge 3 (faces 2 and 3) the mixed-pair cofactor cof_14 is
+# +1.67e-16, inside DEFAULT_TOL of zero, so tol_sign reads 0 and the
+# length l_3 = -4.71e-16 is negative, as a non-positive cofactor asks.
+def test_length_at_a_near_zero_cofactor_is_negative():
+    theta = sv.AngleSixTuple(tuple(PI / 12 * k for k in (1, 4, 6, 4, 7, 6)))
+    al = sv.AlphaSixTuple.from_theta(theta, (-1,) * 6)
+    assert sv.admissible(al)
+    G = sv.gram_from_alpha(al)
+    assert sv.signature(G).as_pair() == (3, 1)
+    cof = sv.cofactor_matrix(G.mat)
+    assert 0.0 < cof[0, 3] <= 1e-9
+    assert cof[0, 0] > 1e-9 and cof[3, 3] < -1e-9  # a mixed pair
+    t = sv.reconstruct(G)
+    assert t.case.label == "2c"
+    for length in (t.edge_lengths[2], sv.edge_length_tuple(G)[2],
+                   sv.edge_length(G, 2, 3)):
+        assert math.copysign(1.0, length) == -1.0
+
+
 def test_case_label_examples():
     assert sv.case_label(gram((PI / 6,) * 6)).label == "5a"
     assert sv.case_label(gram((0.0,) * 6)).label == "5a"

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import sixjvol as sv
-from conftest import (batch_admissible_alpha, big_U, dilog_unit_circle,
-                      lob_coeff_exact, lob_mp, lob_quad, sample_theta31)
+from conftest import (batch_admissible_alpha, big_U, clear_volume_memos,
+                      dilog_unit_circle, lob_coeff_exact, lob_mp, lob_quad,
+                      sample_theta31)
 from sixjvol.gram import tol_sign
 from sixjvol.sixj import QUAD_MOVES, ColorSixTuple, SumBounds
 
@@ -470,6 +471,87 @@ def test_volume_by_max_refuses_non_admissible_alpha():
     assert any(cof[i, i] < -1e-6 for i in range(4))
     with pytest.raises(ValueError, match="requires admissible alpha"):
         sv.volume_by_max(al)
+
+
+# ------------------------------------------------------- one-entry memos
+
+_VOLUME_MEMOS = ("_critical_of", "_delta_sum_of", "_tau_eta_of")
+
+
+def test_a_geometry_row_computes_each_volume_fact_once(monkeypatch,
+                                                       empty_volume_memos):
+    # theta = pi/6 on every edge: four hyperideal vertices, and to_theta
+    # gives back the same angles, so `volume` meets the row's memos.
+    # Emptying the memos before each volume step recomputes every fact
+    # as the step asks for it: 16 Lambda calls for the vertex deltas and
+    # 8 for the xi terms, in both `volume` and `volume_by_max`.
+    import sixjvol.volfun as volfun_mod
+
+    a = sv.AlphaSixTuple((5 * PI / 6,) * 6, (-1,) * 6)
+    assert sv.AlphaSixTuple.from_theta(a.to_theta(), a.mu).alpha == a.alpha
+    calls = []
+    lob = volfun_mod.lobachevsky
+
+    def counted(t):
+        calls.append(t)
+        return lob(t)
+    monkeypatch.setattr(volfun_mod, "lobachevsky", counted)
+
+    def row(before_each):
+        calls.clear()
+        sv.classify(a)
+        sv.reconstruct(sv.gram_from_alpha(a))
+        out = []
+        for step in (lambda: sv.critical_xi(a),
+                     lambda: sv.volume(a.to_theta(), a.mu),
+                     lambda: sv.volume_by_max(a)):
+            before_each()
+            out.append(step())
+        return len(calls), repr(out)
+
+    recomputed, want = row(clear_volume_memos)
+    clear_volume_memos()
+    once, got = row(lambda: None)
+    assert (recomputed, once) == (48, 32)
+    assert got == want
+    for name in _VOLUME_MEMOS:
+        info = getattr(volfun_mod, name).cache_info()
+        assert (info.misses, info.maxsize, info.currsize) == (1, 1, 1), name
+        assert info.hits >= 1, name
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except ValueError as exc:
+        return f"ValueError({exc})"
+
+
+def test_volume_memos_return_what_their_functions_compute():
+    import sixjvol.volfun as volfun_mod
+
+    rows = sv.sample_hyperbolic_alpha(2000, np.random.default_rng(4))
+    for row in rows:
+        a = sv.AlphaSixTuple.from_alpha(row)
+        for name in _VOLUME_MEMOS:
+            memo = getattr(volfun_mod, name)
+            want = _outcome(memo.__wrapped__, a._packed)
+            for _ in range(2):  # a miss, then a hit
+                assert _outcome(memo, a._packed) == want
+    # A refused tuple is not remembered: lru_cache keeps no exceptions,
+    # so a spherical row raises, and misses, on every call.
+    spherical = [sv.AlphaSixTuple.from_alpha(row) for row in
+                 sv.sample_admissible_alpha(400, np.random.default_rng(3))]
+    spherical = [a for a in spherical
+                 if sv.classify(a).tag is sv.GeometryTag.SPHERICAL]
+    assert spherical
+    for a in spherical:
+        before = volfun_mod._critical_of.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match="no hyperbolic critical point"):
+                sv.critical_xi(a)
+        assert volfun_mod._critical_of.cache_info().misses == before + 2
 
 
 # ---------------------------------------------------------------- big U and V
