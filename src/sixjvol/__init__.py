@@ -16,9 +16,9 @@ from .gram import (DEFAULT_TOL, AlphaSixTuple, AngleSixTuple, GeometryClass,
                    cofactor_matrix, gram_cache_info, gram_from_alpha,
                    gram_from_angles, sample_admissible_alpha,
                    sample_hyperbolic_alpha, signature, strictly_admissible)
-from .graphs import (BlowUpGraph, BlowUpMove, PrismCheck, PrismSpec,
-                     bracket_blowup, loop_value, prism_colors_for_r,
-                     prism_conjecture_check, prism_graph, prism_volume)
+from .graphs import (BlowUpGraph, PrismCheck, PrismSpec, bracket_blowup,
+                     prism_colors_for_r, prism_conjecture_check, prism_graph,
+                     prism_volume)
 from .growth import (GrowthFit, GrowthPlan, GrowthSample, LevelSkipped,
                      asymp2_log_prediction, colors_for_r, fit_growth,
                      growth_series)
@@ -48,9 +48,9 @@ __all__ = [
     "gram_from_angles",
     "sample_admissible_alpha", "sample_hyperbolic_alpha", "signature",
     "strictly_admissible",
-    "BlowUpGraph", "BlowUpMove", "PrismCheck", "PrismSpec",
-    "bracket_blowup", "loop_value", "prism_colors_for_r",
-    "prism_conjecture_check", "prism_graph", "prism_volume",
+    "BlowUpGraph", "PrismCheck", "PrismSpec", "bracket_blowup",
+    "prism_colors_for_r", "prism_conjecture_check", "prism_graph",
+    "prism_volume",
     "GrowthFit", "GrowthPlan", "GrowthSample", "LevelSkipped",
     "asymp2_log_prediction", "colors_for_r", "fit_growth", "growth_series",
     "TABLE_CACHE_BYTES", "LevelTables", "OddLevel", "QuarterPhaseLog",

@@ -1,22 +1,25 @@
-"""Brackets of blow-up graphs and the triangular-prism volume check.
+"""Brackets of tetrahedral complexes and the triangular-prism volume check.
 
-A blow-up move replaces a trivalent vertex with incident edges (p, q, s)
-by a triangle of three new edges (n1, n2, n3), n_i opposite leg i.  Every
-graph obtained from the tetrahedral graph by such moves carries a
-canonical decomposition into tetrahedra — the original 6-tuple plus one
-(p, q, s, n1, n2, n3) per move — and its bracket is the product of the
-6j-symbols of the decomposition (theta-normalized bracket, so no loop or
-theta factors appear).
+A `BlowUpGraph` records a complex by its tetrahedra alone: each is a
+6-tuple of edge ids 0..n_edges-1, in the edge order of a
+`ColorSixTuple`, and a colouring gives every id one colour.  An id may
+repeat inside a tetrahedron, so the ids can also be the edge classes
+of a triangulation: the two-tetrahedron ideal triangulation of the
+figure-eight knot complement is two copies of (0, 1, 0, 0, 1, 1) over
+two classes.  The bracket is the product of the 6j-symbols of the
+tetrahedra (theta-normalized, so no loop or theta factors appear).
 
-The triangular prism is the one-move case: verticals (e1, e2, e3) shared
-by both tetrahedra, one base (e4, e5, e6), the other (e7, e8, e9), and
+The triangular prism is the tetrahedral graph blown up at one vertex:
+verticals 0, 1, 2 shared by both tetrahedra, one base 3, 4, 5, the
+other 6, 7, 8, and
 
     <prism, col> = 6j(a1,a2,a3,b1,b2,b3) * 6j(a1,a2,a3,c1,c2,c3).
 
-When the vertical dihedral angles sum below pi, the prism splits along
-the plane dual to the hyperideal apex into two generalized hyperbolic
-tetrahedra, so Vol(P) = Vol(T1) + Vol(T2) and the scaled bracket logs
-converge to Vol(P).
+When the vertical dihedral angles sum below pi, the three vertical
+planes meet in a hyperideal apex, and the plane dual to it splits the
+prism into two generalized hyperbolic tetrahedra, one on each base.
+So Vol(P) = Vol(T1) + Vol(T2), and the scaled bracket logs converge
+to Vol(P).
 """
 
 from __future__ import annotations
@@ -27,70 +30,37 @@ from typing import NamedTuple
 from .gram import AngleSixTuple
 from .growth import (GrowthFit, GrowthSample, _int_levels, even_colors,
                      fit_growth, scan_levels)
-from .qnum import (QuarterPhaseLog, _odd_level, _ValueRecord, _level,
-                   quantum_integer)
-from .sixj import VERTEX_TRIPLES, _color, _valid_tuple, sixj_log
+from .qnum import QuarterPhaseLog, _odd_level, _ValueRecord, _level
+from .sixj import _color, _valid_tuple, sixj_log
 from .volfun import volume
 
 
-def loop_value(level, i: int) -> float:
-    """The colored unknot: Delta_i = (-1)^{i+1} [i+1]."""
-    lv = _level(level)
-    if not 0 <= i <= lv.r - 2:
-        raise ValueError(f"color out of range: {i} not in [0, {lv.r - 2}]")
-    return (-1.0) ** (i + 1) * quantum_integer(lv, i + 1)
+class BlowUpGraph(_ValueRecord):
+    """A tetrahedral complex: `n_edges` edge ids and its tetrahedra,
+    each a 6-tuple of ids in 0..n_edges-1; an immutable record."""
 
+    __slots__ = ("n_edges", "tet_decomposition")
 
-class BlowUpMove(NamedTuple):
-    vertex: str
-    new_edges: tuple[int, int, int]
-
-
-class BlowUpGraph(NamedTuple):
-    """A trivalent planar graph recorded by its blow-up history.
-
-    `vertices` maps vertex names to ordered incident edge-id triples;
-    `n_edges` edge ids run 0..n_edges-1 (ids 0..5 are the base
-    tetrahedral graph's e1..e6).
-    """
-
-    n_edges: int
-    vertices: dict[str, tuple[int, int, int]]
-    tet_decomposition: tuple[tuple[int, int, int, int, int, int], ...]
-    moves: tuple[BlowUpMove, ...]
-
-    @staticmethod
-    def tetrahedral() -> "BlowUpGraph":
-        verts = {f"g{n}": t for n, t in enumerate(VERTEX_TRIPLES, 1)}
-        return BlowUpGraph(6, verts, ((0, 1, 2, 3, 4, 5),), ())
-
-    def blow_up(self, vertex: str) -> "BlowUpGraph":
-        """Replace `vertex` by a triangle of three new edges."""
-        if vertex not in self.vertices:
-            raise ValueError(f"no vertex named {vertex!r}")
-        p, q, s = self.vertices[vertex]
-        n1, n2, n3 = self.n_edges, self.n_edges + 1, self.n_edges + 2
-        verts = dict(self.vertices)
-        del verts[vertex]
-        verts[f"{vertex}.1"] = (p, n2, n3)
-        verts[f"{vertex}.2"] = (q, n1, n3)
-        verts[f"{vertex}.3"] = (s, n1, n2)
-        tet = (p, q, s, n1, n2, n3)
-        return BlowUpGraph(self.n_edges + 3, verts,
-                           self.tet_decomposition + (tet,),
-                           self.moves + (BlowUpMove(vertex, (n1, n2, n3)),))
+    def __init__(self, n_edges, tet_decomposition) -> None:
+        tets = tuple(tuple(tet) for tet in tet_decomposition)
+        object.__setattr__(self, "n_edges", n_edges)
+        object.__setattr__(self, "tet_decomposition", tets)
+        for idx, tet in enumerate(tets):
+            if len(tet) != 6 or not all(
+                    type(e) is int and 0 <= e < n_edges for e in tet):
+                raise ValueError(
+                    f"decomposition tetrahedron {idx + 1} {tet}: need six "
+                    f"integer edge ids in 0..{n_edges - 1}")
 
 
 def bracket_blowup(graph: BlowUpGraph, coloring, level) -> QuarterPhaseLog:
     """Product of the 6j-symbols of the decomposition tetrahedra.
 
-    `coloring` is a sequence of colors indexed by edge id (or a dict);
-    it must be r-admissible on every decomposition tetrahedron.  A
-    non-integral color raises TypeError, as in `ColorSixTuple`.
+    `coloring` is a sequence of colors indexed by edge id; it must be
+    r-admissible on every decomposition tetrahedron.  A non-integral
+    color raises TypeError, as in `ColorSixTuple`.
     """
     lv = _level(level)
-    if isinstance(coloring, dict):
-        coloring = [coloring[e] for e in range(graph.n_edges)]
     # the colors of a level scan are ints and skip the call
     col = [c if type(c) is int else _color(c) for c in coloring]
     if len(col) != graph.n_edges:
@@ -114,14 +84,20 @@ def bracket_blowup(graph: BlowUpGraph, coloring, level) -> QuarterPhaseLog:
 # Triangular prisms.
 
 
+def prism_graph() -> BlowUpGraph:
+    """The prism 1-skeleton: verticals 0, 1, 2 in both tetrahedra, one
+    base 3, 4, 5, the other 6, 7, 8."""
+    return BlowUpGraph(9, ((0, 1, 2, 3, 4, 5), (0, 1, 2, 6, 7, 8)))
+
+
 class PrismSpec(_ValueRecord):
     """Dihedral angles of a triangular prism; an immutable record.
 
     vertical: the three vertical-face angles (at the vertical edges);
-    base_b / base_c: the angles at the two triangular bases.  The
-    vertical angles must sum below pi so that the three vertical planes
-    meet in a hyperideal point and the prism splits into two
-    tetrahedra.
+    base_b / base_c: the angles at the two triangular bases.  Each
+    angle lies in [0, pi], as in `AngleSixTuple`.  The vertical angles
+    must sum below pi so that the three vertical planes meet in a
+    hyperideal point and the prism splits into two tetrahedra.
     """
 
     __slots__ = ("vertical", "base_b", "base_c")
@@ -132,22 +108,21 @@ class PrismSpec(_ValueRecord):
             object.__setattr__(self, name, v)
             if len(v) != 3:
                 raise ValueError(f"{name} needs exactly three angles")
+        self.tetrahedra()  # the range check of AngleSixTuple
         if sum(self.vertical) >= math.pi:
             raise ValueError("apex not hyperideal: vertical angles must "
                              "sum below pi")
 
     def tetrahedra(self) -> tuple[AngleSixTuple, AngleSixTuple]:
         """The two splitting tetrahedra: verticals at the apex, base below."""
-        return (AngleSixTuple(self.vertical + self.base_b),
-                AngleSixTuple(self.vertical + self.base_c))
+        theta = _prism_theta(self)
+        return tuple(AngleSixTuple([theta[e] for e in tet])
+                     for tet in prism_graph().tet_decomposition)
 
 
-def prism_graph() -> BlowUpGraph:
-    """The prism 1-skeleton: one blow-up at g1.
-
-    Edge ids 0,1,2 are the verticals, 3,4,5 one base, 6,7,8 the other.
-    """
-    return BlowUpGraph.tetrahedral().blow_up("g1")
+def _prism_theta(p: PrismSpec) -> tuple[float, ...]:
+    """The nine dihedral angles of a prism, in `prism_graph` edge-id order."""
+    return p.vertical + p.base_b + p.base_c
 
 
 def prism_volume(p: PrismSpec, mu=(-1, -1, -1, -1, -1, -1)) -> float:
@@ -158,7 +133,7 @@ def prism_volume(p: PrismSpec, mu=(-1, -1, -1, -1, -1, -1)) -> float:
 
 def _prism_alpha(p: PrismSpec) -> list[float]:
     """The nine limit angles pi - theta of a prism, in edge-id order."""
-    return [math.pi - t for t in p.vertical + p.base_b + p.base_c]
+    return [math.pi - t for t in _prism_theta(p)]
 
 
 def prism_colors_for_r(p: PrismSpec, r: int) -> tuple[int, ...]:

@@ -1,74 +1,90 @@
-"""Bracket values on the blow-up graph family and the prism volume
-conjecture harness."""
+"""The tetrahedral-complex record, its bracket values and the prism
+volume conjecture harness."""
 
+import hashlib
 import math
+import re
 import warnings
 
 import pytest
 
 import sixjvol as sv
+from sixjvol import graphs
 from sixjvol.qnum import OddLevel
 
 PI = math.pi
 
 
-# ----------------------------------------------------------------- loop value
-
-def test_loop_value_small_colors():
-    lvl = OddLevel(31)
-    assert sv.loop_value(lvl, 0) == pytest.approx(-1.0)
-    assert sv.loop_value(lvl, 1) == pytest.approx(2.0 * math.cos(2 * PI / 31))
-
-
-def test_loop_value_general_form():
-    lvl = OddLevel(31)
-    for i in range(0, 30):
-        expect = (-1.0) ** (i + 1) * sv.quantum_integer(lvl, i + 1)
-        assert sv.loop_value(lvl, i) == pytest.approx(expect, rel=1e-12)
-    with pytest.raises(ValueError, match="color out of range"):
-        sv.loop_value(lvl, 30)
-
-
-# -------------------------------------------------------------- graph algebra
+# ------------------------------------------------------------------ the record
 
 def test_tetrahedral_graph_shape():
-    g = sv.BlowUpGraph.tetrahedral()
+    g = sv.BlowUpGraph(6, [[0, 1, 2, 3, 4, 5]])
     assert g.n_edges == 6
-    assert g.vertices == {"g1": (0, 1, 2), "g2": (0, 4, 5),
-                          "g3": (1, 3, 5), "g4": (2, 3, 4)}
     assert g.tet_decomposition == ((0, 1, 2, 3, 4, 5),)
-    assert g.moves == ()
+    assert g == sv.BlowUpGraph(6, ((0, 1, 2, 3, 4, 5),))
 
 
 def test_blow_up_makes_prism():
-    p = sv.BlowUpGraph.tetrahedral().blow_up("g1")
-    assert p.n_edges == 9
-    assert "g1" not in p.vertices
-    assert p.vertices["g1.1"] == (0, 7, 8)
-    assert p.vertices["g1.2"] == (1, 6, 8)
-    assert p.vertices["g1.3"] == (2, 6, 7)
-    assert p.tet_decomposition == ((0, 1, 2, 3, 4, 5), (0, 1, 2, 6, 7, 8))
-    assert p.moves == (sv.BlowUpMove("g1", (6, 7, 8)),)
-    assert sv.prism_graph() == p
-
-
-def test_blow_up_unknown_vertex():
-    with pytest.raises(ValueError, match="no vertex named"):
-        sv.BlowUpGraph.tetrahedral().blow_up("g9")
+    # blowing up the tetrahedral graph at its first vertex (edges 0, 1, 2)
+    # adds the triangle 6, 7, 8 and a second tetrahedron on both triples
+    p = sv.prism_graph()
+    assert p == sv.BlowUpGraph(9, ((0, 1, 2, 3, 4, 5), (0, 1, 2, 6, 7, 8)))
+    assert p.tet_decomposition[1][:3] == sv.VERTEX_TRIPLES[0]
 
 
 def test_blow_up_tower():
-    t = sv.prism_graph().blow_up("g2")
-    assert t.n_edges == 12
-    assert t.tet_decomposition[-1] == (0, 4, 5, 9, 10, 11)
-    assert len(t.tet_decomposition) == 3
+    # the prism blown up again at the vertex (0, 4, 5): three tetrahedra
+    lvl = OddLevel(31)
+    t = sv.BlowUpGraph(12, ((0, 1, 2, 3, 4, 5), (0, 1, 2, 6, 7, 8),
+                            (0, 4, 5, 9, 10, 11)))
+    cols = (2, 4, 6, 4, 6, 4, 2, 4, 6, 2, 4, 6)
+    want = sv.QuarterPhaseLog.one()
+    for tet in t.tet_decomposition:
+        want = want * sv.sixj_log(
+            sv.ColorSixTuple([cols[e] for e in tet], lvl))
+    got = sv.bracket_blowup(t, cols, lvl)
+    assert got.phase == want.phase
+    assert got.log_mag == pytest.approx(want.log_mag, rel=1e-12)
+
+
+@pytest.mark.parametrize("tet", [(0, 1, 2, 3, 4, -1), (0, 1, 2, 3, 4, 6),
+                                 (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5, 0),
+                                 (0, 1, 2, 3, 4, 5.0), (0, 1, 2, 3, 4, "5")],
+                         ids=["negative", "n_edges", "five", "seven",
+                              "float", "str"])
+def test_record_refuses_bad_edge_ids(tet):
+    # a negative id would read a colour from the end of the colouring,
+    # and an id past the end would fail inside bracket_blowup
+    with pytest.raises(ValueError,
+                       match=r"^decomposition tetrahedron 2 " + re.escape(
+                           repr(tet)) + r": need six integer edge ids in "
+                       r"0\.\.5$"):
+        sv.BlowUpGraph(6, ((0, 1, 2, 3, 4, 5), tet))
+
+
+def test_two_edge_classes_bracket_is_a_square():
+    # the two-tetrahedron ideal triangulation of the figure-eight knot
+    # complement: both tetrahedra coloured (a, b, a, a, b, b)
+    g = sv.BlowUpGraph(2, ((0, 1, 0, 0, 1, 1),) * 2)
+    seen = 0
+    for r in (11, 23, 31):
+        for a in range(0, r - 2, 2):
+            for b in range(0, r - 2, 2):
+                if not sv.is_admissible_tuple((a, b, a, a, b, b), r):
+                    continue
+                one = sv.sixj_log(sv.ColorSixTuple((a, b, a, a, b, b), r))
+                got = sv.bracket_blowup(g, (a, b), r)
+                assert got.log_mag == 2 * one.log_mag
+                assert got.phase == (2 * one.phase) % 4
+                seen += 1
+    assert seen > 50
 
 
 # ------------------------------------------------------------------- brackets
 
 def test_bracket_base_graph_is_single_sixj():
     lvl = OddLevel(31)
-    g = sv.BlowUpGraph.tetrahedral()
+    g = sv.BlowUpGraph(6, ((0, 1, 2, 3, 4, 5),))
     for cols in [(0,) * 6, (2,) * 6, (2, 4, 6, 4, 6, 4)]:
         got = sv.bracket_blowup(g, cols, lvl)
         want = sv.sixj_log(sv.ColorSixTuple(cols, lvl))
@@ -83,14 +99,6 @@ def test_bracket_prism_is_product_of_two_sixj():
     t1 = sv.sixj_log(sv.ColorSixTuple(cols[:6], lvl)).value()
     t2 = sv.sixj_log(sv.ColorSixTuple(cols[:3] + cols[6:], lvl)).value()
     assert got == pytest.approx(t1 * t2, rel=1e-12)
-
-
-def test_bracket_accepts_dict_coloring():
-    lvl = OddLevel(31)
-    p = sv.prism_graph()
-    tup = sv.bracket_blowup(p, (2,) * 9, lvl)
-    dic = sv.bracket_blowup(p, {e: 2 for e in range(9)}, lvl)
-    assert tup.log_mag == dic.log_mag and tup.phase == dic.phase
 
 
 def test_bracket_coloring_errors():
@@ -152,6 +160,21 @@ def test_prism_spec_validation():
         sv.PrismSpec((PI / 2, PI / 2, PI / 2), (0.3,) * 3, (0.3,) * 3)
     with pytest.raises(ValueError, match="exactly three angles"):
         sv.PrismSpec((0.3, 0.3), (0.3,) * 3, (0.3,) * 3)
+    # the rule of AngleSixTuple, on all nine angles, before the apex
+    # test: NaN passes that test, and 4.0 would reach a full scan
+    nan = float("nan")
+    for args, bad in [(((nan, .5, .5), (.5,) * 3, (.5,) * 3), "nan"),
+                      (((.5,) * 3, (4.0, .5, .5), (.5,) * 3), "4.0"),
+                      (((.5,) * 3, (.5,) * 3, (.5, .5, -2e-12)), "-2e-12"),
+                      (((.5,) * 3, (.5,) * 3, (.5, .5, PI + 2e-12)),
+                       repr(PI + 2e-12)),
+                      (((PI / 2,) * 3, (.5,) * 3, (4.0, .5, .5)), "4.0")]:
+        with pytest.raises(ValueError,
+                           match=re.escape(f"dihedral angle {bad} outside "
+                                           f"[0, pi]")):
+            sv.PrismSpec(*args)
+    ends = sv.PrismSpec((0.5, 0.5, -1e-12), (PI + 1e-12,) * 3, (0.0,) * 3)
+    assert ends.base_b == (PI + 1e-12,) * 3
 
 
 def test_prism_tetrahedra_split():
@@ -212,3 +235,24 @@ def test_prism_conjecture_regular_base():
     assert len(chk.samples) == 489
     assert chk.gap == pytest.approx(0.0098583, abs=1e-5)
     assert chk.gap < 2e-2
+
+
+# sha256 over repr((_prism_samples(spec, range(101, 2002, 2)),
+# prism_volume(spec))), taken before the blow-up history was removed.
+PINNED_PRISMS = [
+    (((PI / 6,) * 3, (PI / 6,) * 3, (PI / 6,) * 3),
+     "4711319e60b3930582b06bbb259688ed872c78989c299116adf21d49f8734827"),
+    (((0.3, 0.4, 0.2), (0.5, 0.9, 0.7), (1.1, 0.6, 0.8)),
+     "ff8210bd1a522cdbe2580ff2676ec81a4a61619f818a5d26524243a048b961cb"),
+]
+
+
+@pytest.mark.parametrize("angles, digest", PINNED_PRISMS,
+                         ids=["pi6", "unequal"])
+def test_prism_outputs_are_pinned_bit_for_bit(angles, digest):
+    spec = sv.PrismSpec(*angles)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sv.LevelSkipped)
+        samples = graphs._prism_samples(spec, range(101, 2002, 2))
+    text = repr((samples, sv.prism_volume(spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -61,10 +61,15 @@ def test_even_rounding_breaks_ties_downward_and_clamps():
         sv.colors_for_r(al, r)
     for a in (TIE_7, TIE_31, TIE_45):
         assert PI - (PI - a) == a
-    # the last two base angles put pi - theta below 0 and near 2 pi
-    p = sv.PrismSpec((PI - TIE_45,) * 3, (PI - TIE_31, PI - TIE_7, PI + 0.5),
+    # the largest accepted theta puts pi - theta just below 0, and theta
+    # = 0 puts it at pi; a prism angle outside [0, pi] is refused, so
+    # only even_colors itself sees limit angles that clamp at r - 3
+    p = sv.PrismSpec((PI - TIE_45,) * 3, (PI - TIE_31, PI - TIE_7, PI + 1e-12),
+                     (PI - TIE_45, PI - TIE_31, 0.0))
+    assert sv.prism_colors_for_r(p, r) == (44, 44, 44, 30, 6, 0, 44, 30, 50)
+    with pytest.raises(ValueError, match=r"outside \[0, pi\]"):
+        sv.PrismSpec((PI - TIE_45,) * 3, (PI - TIE_31, PI - TIE_7, PI + 0.5),
                      (PI - TIE_45, PI - TIE_31, -PI + 0.01))
-    assert sv.prism_colors_for_r(p, r) == (44, 44, 44, 30, 6, 0, 44, 30, 98)
 
 
 def test_colors_for_r_reports_inadmissible_rounding():

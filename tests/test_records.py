@@ -28,8 +28,7 @@ def records():
         (tet, ("gram", "normals", "vertices", "vertex_types",
                "edge_lengths", "case")),
         (sv.GrowthPlan(alpha, (101, 103, 105)), ("alpha", "r_list")),
-        (sv.BlowUpGraph.tetrahedral().blow_up("g1"),
-         ("n_edges", "vertices", "tet_decomposition", "moves")),
+        (sv.prism_graph(), ("n_edges", "tet_decomposition")),
         (sv.PrismSpec((0.3, 0.4, 0.2), (0.5, 0.9, 0.7), (1.1, 0.6, 0.8)),
          ("vertical", "base_b", "base_c")),
     ]
@@ -61,10 +60,8 @@ def test_records_build_by_keyword_like_positionally():
     assert spec == sv.PrismSpec((0.3, 0.4, 0.2), (0.5, 0.9, 0.7),
                                 (1.1, 0.6, 0.8))
     assert spec.vertical == (0.3, 0.4, 0.2)
-    g = sv.BlowUpGraph(n_edges=6, vertices={"g1": (0, 1, 2)},
-                       tet_decomposition=((0, 1, 2, 3, 4, 5),), moves=())
-    assert g == sv.BlowUpGraph(6, {"g1": (0, 1, 2)},
-                               ((0, 1, 2, 3, 4, 5),), ())
+    g = sv.BlowUpGraph(n_edges=6, tet_decomposition=((0, 1, 2, 3, 4, 5),))
+    assert g == sv.BlowUpGraph(6, ((0, 1, 2, 3, 4, 5),))
     tet = sv.reconstruct(sv.gram_from_angles(theta))
     again = sv.GeneralizedTetrahedron(
         gram=tet.gram, normals=tet.normals, vertices=tet.vertices,
@@ -88,6 +85,8 @@ def test_records_store_converted_fields():
     spec = sv.PrismSpec([0, 0, 0], [1, 1, 1], np.array([1, 1, 1]))
     assert spec.base_c == (1.0, 1.0, 1.0)
     assert all(type(x) is float for x in spec.vertical + spec.base_c)
+    g = sv.BlowUpGraph(2, [[0, 1, 0, 0, 1, 1], (0, 1, 0, 0, 1, 1)])
+    assert g.tet_decomposition == ((0, 1, 0, 0, 1, 1),) * 2
 
 
 def refusal(build):
@@ -170,13 +169,13 @@ def test_record_equality_and_hashing():
     assert len({spec, twin}) == 1
     assert spec != sv.PrismSpec(spec.vertical, spec.base_c, spec.base_b)
 
-    # Field equality, but unhashable: the vertices are a dict.
     graph = by_type[sv.BlowUpGraph]
-    assert graph == sv.BlowUpGraph.tetrahedral().blow_up("g1")
-    assert graph != sv.BlowUpGraph.tetrahedral().blow_up("g2")
-    assert graph != sv.BlowUpGraph.tetrahedral()
-    with pytest.raises(TypeError):
-        hash(graph)
+    twin = sv.BlowUpGraph(9, [[0, 1, 2, 3, 4, 5], [0, 1, 2, 6, 7, 8]])
+    assert graph == twin and hash(graph) == hash(twin)
+    assert len({graph, twin}) == 1
+    assert graph != sv.BlowUpGraph(9, ((0, 1, 2, 6, 7, 8),
+                                       (0, 1, 2, 3, 4, 5)))
+    assert graph != sv.BlowUpGraph(10, graph.tet_decomposition)
 
 
 def test_record_reprs():
@@ -198,10 +197,9 @@ def test_record_reprs():
         f"edge_lengths={tet.edge_lengths!r}, case={tet.case!r})")
     plan = by_type[sv.GrowthPlan]
     assert repr(plan) == f"GrowthPlan(alpha={alpha!r}, r_list=(101, 103, 105))"
-    assert repr(sv.BlowUpGraph.tetrahedral()) == (
-        "BlowUpGraph(n_edges=6, vertices={'g1': (0, 1, 2), "
-        "'g2': (0, 4, 5), 'g3': (1, 3, 5), 'g4': (2, 3, 4)}, "
-        "tet_decomposition=((0, 1, 2, 3, 4, 5),), moves=())")
+    assert repr(by_type[sv.BlowUpGraph]) == (
+        "BlowUpGraph(n_edges=9, "
+        "tet_decomposition=((0, 1, 2, 3, 4, 5), (0, 1, 2, 6, 7, 8)))")
     assert repr(by_type[sv.PrismSpec]) == (
         "PrismSpec(vertical=(0.3, 0.4, 0.2), base_b=(0.5, 0.9, 0.7), "
         "base_c=(1.1, 0.6, 0.8))")
