@@ -31,10 +31,9 @@ from .sixj import (FACE_TRIPLES, OPPOSITE_PAIRS, QUAD_MOVES, VERTEX_TRIPLES,
                    delta_triple, is_admissible_triple, is_admissible_tuple,
                    sixj_exact_small, sixj_log, tuple_of)
 from .tetra import (CaseLabel, DistanceKind, EdgeDistance,
-                    GeneralizedTetrahedron, MinkowskiVector, SegmentSide,
-                    VertexType, case_label, distance, edge_length,
-                    edge_length_tuple, minkowski_dot, reconstruct,
-                    segment_side, vertex_type)
+                    GeneralizedTetrahedron, SegmentSide, VertexType,
+                    case_label, distance, edge_length, edge_length_tuple,
+                    minkowski_dot, reconstruct, segment_side, vertex_type)
 from .volfun import (CriticalData, MaxResult, TauEta, big_V, critical_xi,
                      delta_vertex, lobachevsky, schlafli_residual, tau_eta,
                      volume, volume_by_max)
@@ -62,7 +61,7 @@ __all__ = [
     "delta_triple", "is_admissible_triple", "is_admissible_tuple",
     "sixj_exact_small", "sixj_log", "tuple_of",
     "CaseLabel", "DistanceKind", "EdgeDistance", "GeneralizedTetrahedron",
-    "MinkowskiVector", "SegmentSide", "VertexType", "case_label",
+    "SegmentSide", "VertexType", "case_label",
     "distance", "edge_length", "edge_length_tuple", "minkowski_dot",
     "reconstruct", "segment_side", "vertex_type",
     "CriticalData", "MaxResult", "TauEta", "big_V", "critical_xi",

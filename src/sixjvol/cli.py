@@ -32,6 +32,11 @@ from .volfun import _schlafli, big_V, critical_xi, lobachevsky, volume
 
 _PI_FORM = re.compile(r"^pi(?:\*(-?\d+))?(?:/(-?\d+))?$")
 
+# ln of the smallest normal and of the largest finite double: strictly
+# between them, e^log_abs is a finite normal double.
+_LOG_NORMAL_MIN = math.log(sys.float_info.min)
+_LOG_NORMAL_MAX = math.log(sys.float_info.max)
+
 
 def angle_literal(text: str) -> float:
     """Parse decimal radians or "pi*p/q"; must land in [0, pi]."""
@@ -185,8 +190,8 @@ def cmd_tetra(args) -> int:
         "case": str(t.case),
         "case_operations": list(t.case.operations),
         "vertex_types": [v.value for v in t.vertex_types],
-        "vertices": [list(v.x) for v in t.vertices],
-        "normals": [list(u.x) for u in t.normals],
+        "vertices": t.vertices,
+        "normals": t.normals,
         "edge_lengths": list(t.edge_lengths),
         "edge_data": [{"kind": d.kind.value, "ideal": d.ideal}
                       for d in map(t.edge_distance, range(6))],
@@ -217,7 +222,9 @@ def cmd_sixj(args) -> int:
                "sign": 0, "value": 0.0}
     else:
         sign = val.real_sign()
-        value = sign * math.exp(val.log_mag) if val.log_mag < 700.0 else None
+        value = None  # beyond a finite normal double
+        if _LOG_NORMAL_MIN < val.log_mag < _LOG_NORMAL_MAX:
+            value = sign * math.exp(val.log_mag)
         out = {"r": args.r, "colors": list(args.colors),
                "log_abs": val.log_mag, "sign": sign, "value": value}
     _emit_json(out)

@@ -38,9 +38,10 @@ memo of `gram_from_alpha` holds the array the memo laid out, made
 read-only without a copy or the constructor's checks, which that
 layout always passes.  The cofactor arrays are read-only too.
 `gram_cache_info()` reports the counters.  The batched cores behind the
-samplers are not memoized.  `volfun` keeps three more one-entry memos
+samplers are not memoized.  `volfun` keeps two more one-entry memos
 with the same helper and key (its module docstring): the critical
-point, the vertex-delta sum and tau/eta of a tuple.
+point of a tuple, and the xi-free terms of V (tau/eta and the
+vertex-delta sum).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qnum import TWO_PI, _FrozenRecord
+from .qnum import TWO_PI, _FrozenRecord, _index
 from .sixj import FACE_TRIPLES, VERTEX_TRIPLES
 
 FOUR_PI = 4.0 * math.pi
@@ -362,14 +363,6 @@ def _cofactors_of(key: bytes) -> np.ndarray:
     return cof
 
 
-def _det_by_cofactors(G: GramMatrix) -> float:
-    """det G expanded along the first row of its memoized cofactor
-    matrix (`_det_from_rows`): no factorization beyond the one the
-    cofactors already took."""
-    return _det_from_rows(G.mat[0].tolist(),
-                          cofactor_matrix(G.mat)[0].tolist())
-
-
 def _det_from_rows(g: list, c: list) -> float:
     """det G from the first row g of G and the first row c of its
     cofactor matrix, as lists of floats: the four products summed left
@@ -389,6 +382,7 @@ def gram_cache_info() -> dict:
 
 def cofactor(G: GramMatrix, i: int, j: int) -> float:
     """Signed (i,j) cofactor, indices 1..4."""
+    i, j = _index(i), _index(j)
     if not (1 <= i <= 4 and 1 <= j <= 4):
         raise ValueError("cofactor indices must be in 1..4")
     return float(cofactor_matrix(G.mat)[i - 1, j - 1])
@@ -425,6 +419,7 @@ def change_angles_opposite_vertex(theta: AngleSixTuple, i: int) -> AngleSixTuple
     unchanged.  Applying the move at i and then j flips exactly the four
     edges separating {i,j} from the complementary pair.
     """
+    i = _index(i)
     if i not in (1, 2, 3, 4):
         raise ValueError(f"vertex index must be 1..4, got {i}")
     th = list(theta.theta)

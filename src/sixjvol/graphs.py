@@ -125,10 +125,10 @@ def _prism_theta(p: PrismSpec) -> tuple[float, ...]:
     return p.vertical + p.base_b + p.base_c
 
 
-def prism_volume(p: PrismSpec, mu=(-1, -1, -1, -1, -1, -1)) -> float:
+def prism_volume(p: PrismSpec) -> float:
     """Vol(P) = Vol(T1) + Vol(T2) via the splitting along the dual plane."""
     t1, t2 = p.tetrahedra()
-    return volume(t1, mu) + volume(t2, mu)
+    return volume(t1) + volume(t2)
 
 
 def _prism_alpha(p: PrismSpec) -> list[float]:

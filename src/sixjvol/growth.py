@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gram import (AlphaSixTuple, AngleSixTuple, _det_by_cofactors,
+from .gram import (AlphaSixTuple, AngleSixTuple, _det_from_rows,
                    cofactor_matrix, gram_from_angles, signature, tol_sign)
 from .qnum import (TWO_PI, _integral_level, _level, _odd_level,
                    _ValueRecord)
@@ -202,7 +202,7 @@ def asymp2_log_prediction(theta: AngleSixTuple, mu, r: int) -> float:
     if -1 not in diag_signs:
         raise ValueError(f"no hyperideal vertex at level r={r}")
     lengths = edge_length_tuple(G)
-    det_g = _det_by_cofactors(G)
+    det_g = _det_from_rows(G.mat[0].tolist(), cof[0].tolist())
     vol = volume(theta_r, mu_r)
     return (0.5 * math.log(2.0) + math.log(math.pi) - 1.5 * math.log(r)
             - 0.5 * sum(m * l for m, l in zip(mu_r, lengths))

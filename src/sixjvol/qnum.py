@@ -112,6 +112,15 @@ def _integral_level(x) -> int | None:
     return None
 
 
+def _index(x) -> int:
+    """A 1-based index argument as an int, by the rule for levels
+    (`_integral_level`): never truncated, refused with TypeError."""
+    i = _integral_level(x)
+    if i is None:
+        raise TypeError(f"index must be an integer, got {x!r}")
+    return i
+
+
 def _level(level) -> OddLevel:
     """Coerce a level to OddLevel.
 

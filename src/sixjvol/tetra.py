@@ -18,6 +18,13 @@ between the vertex/polar-plane pair i,j come from the standard
 point-point / point-plane / plane-plane distance formulas in terms of
 cofactors, and the edge between faces i and j gets the *signed* length
 +-d_kl of the complementary pair {k,l}, positive exactly when cof_kl > 0.
+
+A vector of R^{3,1} is a plain value: four Python floats, the fourth
+one timelike, and `minkowski_dot` takes any two sequences of four
+numbers.  A `GeneralizedTetrahedron` holds its normals and vertices as
+tuples of such rows, so two tetrahedra compare and hash by value; the
+Gram matrix they hold is equal only to itself, and two reconstructions
+of one `GramMatrix` are equal.
 """
 
 from __future__ import annotations
@@ -30,52 +37,23 @@ import numpy as np
 
 from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, GramMatrix, _det_from_rows,
                    cofactor_matrix, signature, tol_sign)
-from .qnum import _FrozenRecord
+from .qnum import _index
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-class MinkowskiVector(_FrozenRecord):
-    """A vector in R^{3,1}; the fourth coordinate is the timelike one.
-
-    Immutable, and equal only to itself; `x` is a read-only float64
-    copy of the given coordinates.
-    """
-
-    __slots__ = ("x",)
-
-    def __init__(self, x) -> None:
-        v = np.array(x, dtype=np.float64)
-        if v.shape != (4,):
-            raise ValueError("Minkowski vectors have four components")
-        v.flags.writeable = False
-        object.__setattr__(self, "x", v)
-
-
-_set_x = MinkowskiVector.x.__set__
-
-
-def _vectors(rows: np.ndarray) -> tuple[MinkowskiVector, ...]:
-    """One MinkowskiVector per row of a float64 array of shape (n, 4),
-    which is made read-only and shared: each record holds a view of its
-    row, without the copy and checks of the constructor."""
-    rows.flags.writeable = False
-    out = []
-    for row in rows:
-        vec = object.__new__(MinkowskiVector)
-        _set_x(vec, row)
-        out.append(vec)
-    return tuple(out)
-
-
-def _mdot(x: list, y: list) -> float:
-    """Minkowski product of two coordinate lists of floats: x1 y1 + x2 y2
+def _mdot(x, y) -> float:
+    """Minkowski product of two coordinate sequences: x1 y1 + x2 y2
     + x3 y3 - x4 y4, summed left to right."""
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] - x[3] * y[3]
 
 
-def minkowski_dot(a: MinkowskiVector, b: MinkowskiVector) -> float:
-    return _mdot(a.x.tolist(), b.x.tolist())
+def minkowski_dot(x, y) -> float:
+    """Minkowski product of two vectors of R^{3,1}, each a sequence of
+    four coordinates, the fourth one timelike."""
+    if len(x) != 4 or len(y) != 4:
+        raise ValueError("Minkowski vectors have four components")
+    return float(_mdot(x, y))
 
 
 class VertexType(enum.Enum):
@@ -124,9 +102,13 @@ class CaseLabel(NamedTuple):
 
 
 class GeneralizedTetrahedron(NamedTuple):
+    """The reconstruction of a Gram matrix: row i of `normals` and of
+    `vertices` holds the four coordinates of u_i and v_i (module
+    docstring)."""
+
     gram: GramMatrix
-    normals: tuple[MinkowskiVector, ...]
-    vertices: tuple[MinkowskiVector, ...]
+    normals: tuple[tuple[float, ...], ...]
+    vertices: tuple[tuple[float, ...], ...]
     vertex_types: tuple[VertexType, ...]
     edge_lengths: tuple[float, ...]
     case: CaseLabel
@@ -154,6 +136,7 @@ def vertex_type(G: GramMatrix, i: int) -> VertexType:
     Gram entries are cosines, so cofactors are O(1) and "ideal" is an
     absolute threshold.
     """
+    i = _index(i)
     if i not in (1, 2, 3, 4):
         raise ValueError("vertex index must be 1..4")
     return _VERTEX_TYPE_OF_SIGN[tol_sign(cofactor_matrix(G.mat)[i - 1, i - 1])]
@@ -192,9 +175,13 @@ def _distance_from_cofactors(cii: float, cjj: float, cij: float,
     return EdgeDistance(math.acosh(arg), kind)
 
 
-def _check_pair(i: int, j: int) -> None:
+def _check_pair(i, j) -> tuple[int, int]:
+    """The indices i and j as ints (`qnum._index`), or ValueError
+    unless they are two distinct indices in 1..4."""
+    i, j = _index(i), _index(j)
     if i == j or i not in (1, 2, 3, 4) or j not in (1, 2, 3, 4):
         raise ValueError("need two distinct indices in 1..4")
+    return i, j
 
 
 def distance(G: GramMatrix, i: int, j: int) -> EdgeDistance:
@@ -203,7 +190,7 @@ def distance(G: GramMatrix, i: int, j: int) -> EdgeDistance:
     Point-point and plane-plane pairs use arccosh, mixed pairs arcsinh,
     always on |cof_ij| / sqrt(|cof_ii cof_jj|).
     """
-    _check_pair(i, j)
+    i, j = _check_pair(i, j)
     cof = cofactor_matrix(G.mat).tolist()
     cii, cjj = cof[i - 1][i - 1], cof[j - 1][j - 1]
     return _distance_from_cofactors(cii, cjj, cof[i - 1][j - 1],
@@ -233,7 +220,7 @@ def edge_length(G: GramMatrix, i: int, j: int) -> float:
     The magnitude is the distance of the complementary pair {k,l}; the
     sign is that of cof_kl (non-positive cofactor -> negative length).
     """
-    _check_pair(i, j)
+    i, j = _check_pair(i, j)
     k, l = (x for x in range(4) if x not in (i - 1, j - 1))
     cof = cofactor_matrix(G.mat).tolist()
     return _signed_length(cof, *_cofactor_signs(cof), k, l)
@@ -252,7 +239,7 @@ def segment_side(G: GramMatrix, i: int, j: int) -> SegmentSide:
     the opposite sign; anything strictly in between means the line
     avoids the ball entirely (deep truncation, unsupported here).
     """
-    _check_pair(i, j)
+    i, j = _check_pair(i, j)
     cof = cofactor_matrix(G.mat)
     cii, cjj, cij = cof[i - 1, i - 1], cof[j - 1, j - 1], cof[i - 1, j - 1]
     if not (tol_sign(cii) < 0 and tol_sign(cjj) < 0):
@@ -363,8 +350,8 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     the memo of `cofactor_matrix`, and its ten signs are taken once
     (`_cofactor_signs`): the vertex types, the edge lengths and the
     case all come from that one sign pass, through the helpers behind
-    `edge_length_tuple` and `case_label`.  The coordinate arrays of the
-    returned vectors are read-only.
+    `edge_length_tuple` and `case_label`.  Each coordinate row is
+    a tuple of four Python floats, read off its array in one `tolist`.
 
     The coordinates are fixed only up to an O(3,1) isometry.  `eigh`
     picks an arbitrary basis of a repeated eigenspace, so on symmetric
@@ -389,36 +376,38 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     scale = [math.sqrt(abs(c[i][i] * det)) if s else 1.0
              for i, s in enumerate(diag)]
     vertices = (cof @ normals) / np.array(scale)[:, None]  # row i: v_i
+    us = tuple(map(tuple, normals.tolist()))
+    vs = tuple(map(tuple, vertices.tolist()))
 
-    _check_reconstruction(G, normals.T, vertices.T, types, det)
+    _check_reconstruction(G, us, vs, types, det)
     return GeneralizedTetrahedron(
         gram=G,
-        normals=_vectors(normals),
-        vertices=_vectors(vertices),
+        normals=us,
+        vertices=vs,
         vertex_types=tuple(types),
         edge_lengths=_signed_lengths(c, diag, off),
         case=_case_of(diag, off),
     )
 
 
-def _check_reconstruction(G, u, v, types, det) -> None:
+def _check_reconstruction(G, us, vs, types, det) -> None:
     """Verify the defining inner-product identities before returning.
 
-    Column i of the 4x4 arrays u and v is the normal u_i and the vertex
-    v_i.  Four checks, each within 100 * DEFAULT_TOL: the normals reproduce G,
-    <u_i, u_j> = G_ij; vertex i lies on the inner side of its own face,
-    <u_i, v_i> < 0; it lies on the three other face planes, |<u_j, v_i>|
-    within the bound times max(1, |det G|); and <v_i, v_i> is -1, 0 or
-    +1 as its type is regular, ideal or hyperideal, within
-    max(bound, 1e-6 |det G|).  The products are minkowski_dot's
-    arithmetic on Python floats: the ten distinct <u_i, u_j> (a product
-    does not depend on the order of its factors), the sixteen
-    <u_j, v_i> and the four <v_i, v_i>.  The first failure, in the order
+    Row i of us and vs, four rows of four floats each, is the normal u_i
+    and the vertex v_i.  Four checks, each within 100 * DEFAULT_TOL: the
+    normals reproduce G, <u_i, u_j> = G_ij; vertex i lies on the inner
+    side of its own face, <u_i, v_i> < 0; it lies on the three other
+    face planes, |<u_j, v_i>| within the bound times max(1, |det G|);
+    and <v_i, v_i> is -1, 0 or +1 as its type is regular, ideal or
+    hyperideal, within max(bound, 1e-6 |det G|).  The products are
+    minkowski_dot's arithmetic (`_mdot`): the ten distinct <u_i, u_j>
+    (a product does not depend on the order of its factors), the
+    sixteen <u_j, v_i> and the four <v_i, v_i>.  The first failure, in the order
     the checks are listed (vertex by vertex for the last three), raises
     ArithmeticError.
     """
     check = 100 * DEFAULT_TOL
-    us, vs, g = u.T.tolist(), v.T.tolist(), G.mat.tolist()
+    g = G.mat.tolist()
     # uu[i][j] = <u_i, u_j> for j <= i.
     uu = [[_mdot(a, b) for b in us[:i + 1]] for i, a in enumerate(us)]
     for i in range(4):

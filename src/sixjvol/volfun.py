@@ -32,20 +32,22 @@ replaces the zeta series there (`_LOB_POLY`).  Its absolute error is
 3e-16 on [0, pi/2] and below 1e-15 for every finite angle: angles
 beyond 4 pi are reduced modulo pi exactly, not modulo the float pi.
 
-Three facts of a tuple are memoized, as `gram` memoizes its four
+Two facts of a tuple are memoized, as `gram` memoizes its four
 single-row cores (`gram._memo`): the critical-point data of
-`critical_xi` (`_critical_of`), the sum of the four vertex deltas of V
-(`_delta_sum_of`) and the half-sums of `tau_eta` (`_tau_eta_of`).
-Each keeps a table of one entry, keyed by the packed angles
-`alpha._packed`, so the branch signs mu do not enter.  A geometry row
-asks for each fact twice, for one tuple: `critical_xi` is called on
-its own and again inside `volume`, and `volume` and `volume_by_max`
-both evaluate V.  One entry serves that row, and no caller comes back
-to an older tuple.  `volume` rebuilds alpha from theta and mu, which
-gives back the same bytes unless pi - alpha rounds; such a tuple
-misses and is computed as if there were no memo.  A refused tuple is
-not remembered (`lru_cache` keeps no exceptions): it raises again on
-every call.
+`critical_xi` (`_critical_of`), and the xi-free terms of V
+(`_xi_free_of`): the half-sums of `tau_eta` and the sum of the four
+vertex deltas, fixed by the angles.  `big_V`, the one evaluator of V,
+reads both, and `volume_by_max` reads tau/eta before it evaluates V,
+so a miss computes both.  Each memo keeps a table of one entry, keyed
+by the packed angles `alpha._packed`, so the branch signs mu do not
+enter.  A geometry row asks for each fact twice, for one tuple:
+`critical_xi` is called on its own and again inside `volume`, and
+`volume` and `volume_by_max` both evaluate V.  One entry serves that
+row, and no caller comes back to an older tuple.  `volume` rebuilds
+alpha from theta and mu, which gives back the same bytes unless
+pi - alpha rounds; such a tuple misses and is computed as if there
+were no memo.  A refused tuple is not remembered (`lru_cache` keeps
+no exceptions): it raises again on every call.
 """
 
 from __future__ import annotations
@@ -157,19 +159,10 @@ def tau_eta(alpha: AlphaSixTuple) -> TauEta:
     """tau_i over VERTEX_TRIPLES; eta_j over QUAD_MOVES in reverse order,
     the order of the quadrilateral sums Q_j of the 6j-symbol.
 
-    Memoized on the packed angles, one entry (module docstring).
+    Memoized on the packed angles with the other xi-free terms of V, one
+    entry (module docstring).
     """
-    return _tau_eta_of(alpha._packed)
-
-
-@_memo
-def _tau_eta_of(packed: bytes) -> TauEta:
-    al = _SIX_DOUBLES.unpack(packed)
-    tau = tuple((al[i] + al[j] + al[k]) / 2.0
-                for (i, j, k) in VERTEX_TRIPLES)
-    eta = tuple((al[i] + al[j] + al[k] + al[l]) / 2.0
-                for (i, j, k, l) in reversed(QUAD_MOVES))
-    return TauEta(tau, eta)
+    return _xi_free_of(alpha._packed)[0]
 
 
 def delta_vertex(a: float, b: float, c: float) -> float:
@@ -181,21 +174,23 @@ def delta_vertex(a: float, b: float, c: float) -> float:
 
 
 @_memo
-def _delta_sum_of(packed: bytes) -> float:
-    """The sum of the four vertex deltas of the packed angles."""
+def _xi_free_of(packed: bytes) -> tuple[TauEta, float]:
+    """The xi-free terms of V at the packed angles: tau/eta and the sum
+    of the four vertex deltas."""
     al = _SIX_DOUBLES.unpack(packed)
-    return sum(delta_vertex(al[i], al[j], al[k])
-               for (i, j, k) in VERTEX_TRIPLES)
+    tau = tuple((al[i] + al[j] + al[k]) / 2.0
+                for (i, j, k) in VERTEX_TRIPLES)
+    eta = tuple((al[i] + al[j] + al[k] + al[l]) / 2.0
+                for (i, j, k, l) in reversed(QUAD_MOVES))
+    deltas = sum(delta_vertex(al[i], al[j], al[k])
+                 for (i, j, k) in VERTEX_TRIPLES)
+    return TauEta(tau, eta), deltas
 
 
 def big_V(alpha: AlphaSixTuple, xi: float) -> float:
     """V(xi): four vertex deltas plus the xi-dependent Lambda terms."""
-    return _big_V(alpha, tau_eta(alpha), xi)
-
-
-def _big_V(alpha: AlphaSixTuple, te: TauEta, xi: float) -> float:
-    """`big_V` with te = tau_eta(alpha) given."""
-    out = _delta_sum_of(alpha._packed) + lobachevsky(TWO_PI - xi)
+    te, out = _xi_free_of(alpha._packed)
+    out += lobachevsky(TWO_PI - xi)
     for t in te.tau:
         out += lobachevsky(xi - t)
     for e in te.eta:
@@ -344,7 +339,7 @@ def volume_by_max(alpha: AlphaSixTuple) -> MaxResult:
     lo = max(te.tau)
     hi = min(min(te.eta), TWO_PI)
     if hi <= lo + 1e-14:
-        return MaxResult(lo, _big_V(alpha, te, lo))
+        return MaxResult(lo, big_V(alpha, lo))
     width = (hi - lo) * 2.0 ** -60
     xi = 0.5 * (lo + hi)
     for _ in range(_MAX_EVALS):
@@ -365,7 +360,7 @@ def volume_by_max(alpha: AlphaSixTuple) -> MaxResult:
         xi = nxt
         if done:
             break
-    return MaxResult(xi, _big_V(alpha, te, xi))
+    return MaxResult(xi, big_V(alpha, xi))
 
 
 def schlafli_residual(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1),

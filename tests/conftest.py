@@ -48,10 +48,9 @@ def empty_gram_memos():
 
 
 def clear_volume_memos():
-    """Empty the three single-row memos of `volfun` and zero their
+    """Empty the two single-row memos of `volfun` and zero their
     counters."""
-    for memo in (volfun._critical_of, volfun._delta_sum_of,
-                 volfun._tau_eta_of):
+    for memo in (volfun._critical_of, volfun._xi_free_of):
         memo.cache_clear()
 
 

@@ -43,6 +43,44 @@ def test_sixj_trivial_symbol(capsys):
                    '"sign":1,"value":1.0}\n')
 
 
+def test_sixj_value_is_written_for_a_large_finite_symbol(capsys):
+    # e^701.9 is a finite double: the value is written, not null
+    code, out, _ = run(capsys, ["sixj", *["576"] * 6, "--r", "1381"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["log_abs"] == pytest.approx(701.9162492638341, abs=1e-9)
+    assert doc["sign"] == -1
+    assert doc["value"] == -math.exp(doc["log_abs"])
+    assert doc["value"] == pytest.approx(-6.892135601285723e+304, rel=1e-9)
+
+
+def test_sixj_value_is_null_beyond_a_normal_double(capsys, monkeypatch):
+    # value = sign * e^log_abs exactly when that is a finite normal
+    # double, about -708.40 < log_abs < 709.78; null elsewhere, so a
+    # tiny symbol is never printed as 0.0, -0.0 or a subnormal.
+    lo = math.log(sys.float_info.min)
+    hi = math.log(sys.float_info.max)
+    cases = [(-700.0, True), (math.nextafter(lo, 0.0), True), (lo, False),
+             (-708.5, False), (-720.0, False), (-746.0, False),
+             (-1e6, False), (709.7, True), (math.nextafter(hi, 0.0), True),
+             (hi, False), (709.8, False), (800.0, False)]
+    for log_abs, written in cases:
+        for phase, sign in ((0, 1), (2, -1)):
+            monkeypatch.setattr(cli, "_sixj_log",
+                                lambda t: sixjvol.QuarterPhaseLog(
+                                    log_abs, phase))
+            code, out, _ = run(capsys, ["sixj", *["0"] * 6, "--r", "7"])
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["log_abs"], doc["sign"]) == (log_abs, sign)
+            if written:
+                value = doc["value"]
+                assert value == sign * math.exp(log_abs)
+                assert sys.float_info.min <= abs(value) <= sys.float_info.max
+            else:
+                assert doc["value"] is None, log_abs
+
+
 def test_sixj_imaginary_symbol_is_domain_error(capsys):
     code, _, err = run(capsys, ["sixj", "0", "0", "0", "1", "1", "1",
                                 "--r", "31"])

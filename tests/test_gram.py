@@ -423,10 +423,11 @@ def test_memoized_cores_are_bit_identical_to_the_batched_cores(rng):
 
 
 def test_det_from_the_cofactor_row_matches_lapack(rng):
-    from sixjvol.gram import _det_by_cofactors
+    from sixjvol.gram import _det_from_rows
     for row in sv.sample_admissible_alpha(200, rng):
         G = sv.gram_from_alpha(sv.AlphaSixTuple.from_alpha(row))
-        assert _det_by_cofactors(G) == pytest.approx(
+        first = sv.cofactor_matrix(G.mat)[0].tolist()
+        assert _det_from_rows(G.mat[0].tolist(), first) == pytest.approx(
             float(np.linalg.det(G.mat)), abs=1e-14)
     # the one determinant of a Gram row comes from its cofactors
     src = Path(sv.__file__).parent

@@ -192,6 +192,8 @@ def test_prism_volume_is_additive():
     sym = sv.PrismSpec((PI / 6,) * 3, (PI / 6,) * 3, (PI / 6,) * 3)
     assert sv.prism_volume(sym) == pytest.approx(
         2 * sv.volume(sv.AngleSixTuple((PI / 6,) * 6)), rel=1e-12)
+    with pytest.raises(TypeError):  # no branch signs: they do not enter
+        sv.prism_volume(spec, (-1,) * 6)
 
 
 def test_prism_colors_round_limit_angles():

@@ -24,7 +24,6 @@ def records():
         (theta, ("theta",)),
         (alpha, ("alpha", "mu")),
         (G, ("mat",)),
-        (sv.MinkowskiVector(np.array([0.0, 0.0, 0.0, 1.0])), ("x",)),
         (tet, ("gram", "normals", "vertices", "vertex_types",
                "edge_lengths", "case")),
         (sv.GrowthPlan(alpha, (101, 103, 105)), ("alpha", "r_list")),
@@ -51,7 +50,6 @@ def test_records_build_by_keyword_like_positionally():
     assert theta.theta == tuple(THETA)
     alpha = sv.AlphaSixTuple(alpha=(PI,) * 6, mu=(1,) * 6)
     assert sv.GramMatrix(mat=np.eye(4)).mat.tolist() == np.eye(4).tolist()
-    assert sv.MinkowskiVector(x=[1, 2, 3, 4]).x.tolist() == [1.0, 2, 3, 4]
     plan = sv.GrowthPlan(alpha=alpha, r_list=[101, 103])
     assert plan == sv.GrowthPlan(alpha, (101, 103))
     assert plan.r_list == (101, 103)
@@ -76,8 +74,6 @@ def test_records_store_converted_fields():
     assert all(type(x) is float for x in theta.theta)
     G = sv.GramMatrix(np.eye(4, dtype=int))
     assert G.mat.dtype == np.float64
-    v = sv.MinkowskiVector((1, 2, 3, 4))
-    assert type(v.x) is np.ndarray and v.x.dtype == np.float64
     plan = sv.GrowthPlan(sv.AlphaSixTuple((PI,) * 6, (1,) * 6),
                          np.array([101, 103]))
     assert plan.r_list == (101, 103)
@@ -117,8 +113,6 @@ def test_record_validation_messages_and_order():
         (lambda: sv.GramMatrix(asym), "Gram matrix must be symmetric"),
         (lambda: sv.GramMatrix(2 * np.eye(4)),
          "Gram matrix must have unit diagonal"),
-        (lambda: sv.MinkowskiVector(np.zeros(3)),
-         "Minkowski vectors have four components"),
         (lambda: sv.GrowthPlan(al, (8, 6)),
          "levels must be odd integers >= 5"),
         (lambda: sv.GrowthPlan(al, (3, 101)),
@@ -143,17 +137,21 @@ def test_record_equality_and_hashing():
     # Equal only to themselves, hashable by identity: never compared
     # field by field, so the ndarray fields are never asked for a truth
     # value.
-    for cls in (sv.AngleSixTuple, sv.AlphaSixTuple, sv.GramMatrix,
-                sv.MinkowskiVector):
+    for cls in (sv.AngleSixTuple, sv.AlphaSixTuple, sv.GramMatrix):
         rec = by_type[cls]
         twin = pickle.loads(pickle.dumps(rec))
         assert rec == rec and rec != twin and not rec == twin
         assert {rec: 1}[rec] == 1 and twin not in {rec}
-    # The tetrahedron holds those records, so a second reconstruction
-    # is not equal to the first.
+    # The tetrahedron compares and hashes by value, its Gram matrix by
+    # identity: a second reconstruction of one GramMatrix is equal to
+    # the first, one of an equal copy of that matrix is not.
     tet = by_type[sv.GeneralizedTetrahedron]
-    assert tet == tet and tet != sv.reconstruct(tet.gram)
-    assert {tet: 1}[tet] == 1
+    again = sv.reconstruct(tet.gram)
+    assert tet == again and hash(tet) == hash(again) and tet is not again
+    assert len({tet, again}) == 1
+    copy = sv.reconstruct(pickle.loads(pickle.dumps(tet.gram)))
+    assert copy.normals == tet.normals and copy.vertices == tet.vertices
+    assert copy != tet
 
     # Field equality and hashing.
     alpha = by_type[sv.AlphaSixTuple]
@@ -187,8 +185,6 @@ def test_record_reprs():
                            f"mu={alpha.mu!r})")
     G = by_type[sv.GramMatrix]
     assert repr(G) == f"GramMatrix(mat={G.mat!r})"
-    v = by_type[sv.MinkowskiVector]
-    assert repr(v) == "MinkowskiVector(x=array([0., 0., 0., 1.]))"
     tet = by_type[sv.GeneralizedTetrahedron]
     assert repr(tet) == (
         f"GeneralizedTetrahedron(gram={tet.gram!r}, "
@@ -221,7 +217,5 @@ def test_records_pickle_round_trip():
     tet = pickle.loads(pickle.dumps(sv.reconstruct(G)))
     assert np.array_equal(tet.gram.mat, G.mat)
     want = sv.reconstruct(G)
-    for got, ref in zip(tet.normals + tet.vertices,
-                        want.normals + want.vertices):
-        assert np.array_equal(got.x, ref.x)
+    assert tet.normals == want.normals and tet.vertices == want.vertices
     assert tet.edge_lengths == want.edge_lengths and tet.case == want.case

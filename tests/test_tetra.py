@@ -25,23 +25,28 @@ def gram(theta):
 
 
 def test_minkowski_dot():
-    a = sv.MinkowskiVector((1.0, 2.0, 3.0, 4.0))
-    b = sv.MinkowskiVector((5.0, 6.0, 7.0, 8.0))
-    assert sv.minkowski_dot(a, b) == pytest.approx(5 + 12 + 21 - 32)
-    with pytest.raises(ValueError, match="four components"):
-        sv.MinkowskiVector((1.0, 2.0))
+    # Any two sequences of four numbers; the result is a Python float.
+    a, b = (1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0)
+    for x, y in ((a, b), (list(a), np.array(b)), (np.array(a), b),
+                 ((1, 2, 3, 4), (5, 6, 7, 8))):
+        dot = sv.minkowski_dot(x, y)
+        assert type(dot) is float and dot == 5 + 12 + 21 - 32
+    for bad in ((1.0, 2.0), (1.0,) * 5, np.zeros(3)):
+        for x, y in ((bad, b), (a, bad)):
+            with pytest.raises(ValueError) as exc:
+                sv.minkowski_dot(x, y)
+            assert str(exc.value) == "Minkowski vectors have four components"
 
 
-def test_minkowski_vectors_are_read_only_copies():
-    mine = np.array([1.0, 2.0, 3.0, 4.0])
-    v = sv.MinkowskiVector(mine)
-    mine[0] = 5.0  # the caller's array stays writeable and apart
-    assert v.x.tolist() == [1.0, 2.0, 3.0, 4.0]
-    t = sv.reconstruct(gram((PI / 6,) * 6))
-    for vec in (v, t.vertices[0], t.normals[3]):
-        assert not vec.x.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            vec.x[0] = 5.0
+def test_coordinates_are_tuples_of_python_floats():
+    for theta in ((PI / 6,) * 6, (PI / 3,) * 6,
+                  (1.2, PI - 1.2, PI - 1.2, 1.2, PI - 1.2, PI - 1.2)):
+        t = sv.reconstruct(gram(theta))
+        for rows in (t.normals, t.vertices):
+            assert type(rows) is tuple and len(rows) == 4
+            for row in rows:
+                assert type(row) is tuple and len(row) == 4
+                assert all(type(x) is float for x in row)
 
 
 def test_reconstruct_equilateral_hyperideal():
@@ -78,18 +83,19 @@ def test_reconstruct_rejects_wrong_signature():
         sv.reconstruct(gram((PI / 2,) * 6))
 
 
-# One broken identity per check of tetra._check_reconstruction, on its
-# coordinates x faces and coordinates x vertices arrays: a moved normal,
-# vertex 0 reflected to the outer side of its face, vertex 0 pushed off
-# face plane 1, and vertex 0 rescaled off its norm.
+# One broken identity per check of tetra._check_reconstruction, on
+# copies of its rows of normals u and vertices v as lists: a moved
+# normal, vertex 0 reflected to the outer side of its face, vertex 0
+# pushed off face plane 1, and vertex 0 rescaled off its norm.
 _BREAKS = {
-    "normal_gram": (lambda u, v: u[:, 0].__iadd__([1e-3, 0, 0, 0]),
+    "normal_gram": (lambda u, v: u[0].__setitem__(0, u[0][0] + 1e-3),
                     r"^normal Gram mismatch at \(0,0\): "),
-    "inner_side": (lambda u, v: v[:, 0].__imul__(-1.0),
+    "inner_side": (lambda u, v: v.__setitem__(0, [-x for x in v[0]]),
                    r"^vertex 0 not on the inner side of its face$"),
-    "face_plane": (lambda u, v: v[:, 0].__iadd__(1e-3 * u[:, 1]),
+    "face_plane": (lambda u, v: v.__setitem__(
+                       0, [x + 1e-3 * y for x, y in zip(v[0], u[1])]),
                    r"^vertex 0 off face plane 1: <u,v>="),
-    "vertex_norm": (lambda u, v: v[:, 0].__imul__(1.01),
+    "vertex_norm": (lambda u, v: v.__setitem__(0, [1.01 * x for x in v[0]]),
                     r"^vertex 0 norm .* inconsistent with type VertexType\."),
 }
 
@@ -102,10 +108,9 @@ def test_check_reconstruction_failure_messages(theta, kind):
     from sixjvol.tetra import _check_reconstruction
     G = gram(theta)
     t = sv.reconstruct(G)
-    u = np.array([n.x for n in t.normals]).T
-    v = np.array([w.x for w in t.vertices]).T
     args = (list(t.vertex_types), float(np.linalg.det(G.mat)))
-    _check_reconstruction(G, u, v, *args)
+    _check_reconstruction(G, t.normals, t.vertices, *args)
+    u, v = [list(r) for r in t.normals], [list(r) for r in t.vertices]
     breaks, message = _BREAKS[kind]
     breaks(u, v)
     with pytest.raises(ArithmeticError, match=message):
@@ -178,8 +183,7 @@ def test_gauge_orthogonal_remix_preserves_all_inner_products(rng):
         t = sv.reconstruct(gram(th))
         q3, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         Q = np.block([[q3, np.zeros((3, 1))], [np.zeros((1, 3)), np.eye(1)]])
-        remix = [sv.MinkowskiVector(tuple(Q @ np.array(v.x)))
-                 for v in (*t.normals, *t.vertices)]
+        remix = [Q @ np.array(v) for v in (*t.normals, *t.vertices)]
         orig = [*t.normals, *t.vertices]
         for a in range(8):
             for b in range(8):
@@ -429,3 +433,42 @@ def test_reconstruct_fields_are_the_scalar_functions():
     assert built > 300 and refused > 0
     flat = sv.reconstruct(gram((0.0,) * 6))
     assert [repr(x) for x in flat.edge_lengths] == ["0.0"] * 6
+
+
+def test_index_arguments_follow_the_colour_rule():
+    # A 1-based index is taken as an int when it is an int, a numpy
+    # integer or an integral float; anything else is a TypeError, never
+    # truncated.  The range check and its message come after.
+    G = gram((PI / 6,) * 6)
+    theta = sv.AngleSixTuple((PI / 6,) * 6)
+    colors = sv.tuple_of((2, 4, 4, 2, 4, 4), 31)
+    pair = "need two distinct indices in 1..4"
+    calls = [
+        (lambda i: sv.edge_length(G, i, 2), pair),
+        (lambda i: sv.edge_length(G, 2, i), pair),
+        (lambda i: sv.distance(G, i, 2), pair),
+        (lambda i: sv.distance(G, 2, i), pair),
+        (lambda i: sv.segment_side(G, i, 2), pair),
+        (lambda i: sv.segment_side(G, 2, i), pair),
+        (lambda i: sv.cofactor(G, i, 2), "cofactor indices must be in 1..4"),
+        (lambda i: sv.cofactor(G, 2, i), "cofactor indices must be in 1..4"),
+        (lambda i: sv.vertex_type(G, i), "vertex index must be 1..4"),
+        (lambda i: sv.change_angles_opposite_vertex(theta, i).theta,
+         "vertex index must be 1..4, got {}"),
+        (lambda i: sv.change_colors_face(colors, i).colors,
+         "face must be 1..4, got {}"),
+        (lambda i: sv.change_colors_quad(colors, i).colors,
+         "quad must be 1..3, got {}"),
+    ]
+    for call, message in calls:
+        want = call(1)
+        assert call(1.0) == want and call(np.int64(1)) == want
+        assert call(np.float64(1.0)) == want
+        for bad in (1.5, "1", float("nan")):
+            with pytest.raises(TypeError) as exc:
+                call(bad)
+            assert str(exc.value) == f"index must be an integer, got {bad!r}"
+        for out in (0, 5):
+            with pytest.raises(ValueError) as exc:
+                call(out)
+            assert str(exc.value) == message.format(out)

@@ -475,7 +475,7 @@ def test_volume_by_max_refuses_non_admissible_alpha():
 
 # ------------------------------------------------------- one-entry memos
 
-_VOLUME_MEMOS = ("_critical_of", "_delta_sum_of", "_tau_eta_of")
+_VOLUME_MEMOS = ("_critical_of", "_xi_free_of")
 
 
 def test_a_geometry_row_computes_each_volume_fact_once(monkeypatch,
