@@ -51,15 +51,17 @@ print(f"  as a float: {q.value():+.12e}")
 print(f"  direct evaluation: {sv.sixj_exact_small(t).real:+.12e}")
 
 # For some admissible tuples the Delta factors and the i^{-sum a}
-# prefactor leave a purely imaginary symbol; sixj_log refuses those
-# rather than returning a garbage real part.  The direct formula shows
-# the imaginary value.
+# prefactor leave a purely imaginary symbol: sixj_log returns it with
+# an odd phase (1 or 3).  Such a value has no real sign, so real_sign()
+# refuses it; value() and the direct formula agree.
 imag = sv.ColorSixTuple((0, 0, 0, 1, 1, 1), lvl)
-try:
-    sv.sixj_log(imag)
-except ArithmeticError as e:
-    print(f"\nimaginary symbol is refused: {e}")
-print(f"  direct evaluation: {sv.sixj_exact_small(imag):.12f}")
+qi = sv.sixj_log(imag)
+zi = sv.sixj_exact_small(imag)
+print(f"\n6j(0,0,0,1,1,1) at r=31: log|.| = {qi.log_mag:.12f}, "
+      f"phase = {qi.phase}")
+print(f"  as a complex number: {qi.value():.12f}")
+print(f"  direct evaluation:   {zi:.12f}")
+assert abs(qi.value() - zi) <= 1e-12 * abs(zi)
 
 # ---------------------------------------------------------------------
 # 4. Symmetries.  Face moves and quad moves act on the colors; the

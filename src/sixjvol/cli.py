@@ -209,7 +209,7 @@ def cmd_volume(args) -> int:
     if signature(G).as_pair() == (3, 1):
         lengths = list(edge_length_tuple(G))
     out.update(xi=data.xi, xi_star=data.xi_star, degenerate=data.degenerate,
-               vol=vol, edge_lengths=lengths)
+               vol=vol, edge_lengths=lengths, admissible=admissible(alpha))
     _emit_json(out)
     return 0
 
@@ -217,17 +217,16 @@ def cmd_volume(args) -> int:
 def cmd_sixj(args) -> int:
     t = tuple_of(tuple(args.colors), OddLevel(args.r))
     val = _sixj_log(t)
-    if val.is_zero:
-        out = {"r": args.r, "colors": list(args.colors), "log_abs": None,
-               "sign": 0, "value": 0.0}
-    else:
+    log_abs, phase = val
+    try:
         sign = val.real_sign()
-        value = None  # beyond a finite normal double
-        if _LOG_NORMAL_MIN < val.log_mag < _LOG_NORMAL_MAX:
-            value = sign * math.exp(val.log_mag)
-        out = {"r": args.r, "colors": list(args.colors),
-               "log_abs": val.log_mag, "sign": sign, "value": value}
-    _emit_json(out)
+    except ValueError:  # an imaginary symbol has no real sign or value
+        sign = None
+    value = 0.0 if sign == 0 else None  # None beyond a finite normal double
+    if sign and _LOG_NORMAL_MIN < log_abs < _LOG_NORMAL_MAX:
+        value = sign * math.exp(log_abs)
+    _emit_json({"r": args.r, "colors": list(args.colors), "log_abs": log_abs,
+                "phase": phase, "sign": sign, "value": value})
     return 0
 
 

@@ -95,9 +95,6 @@ _MINOR_FLAT = 4 * _KEEP[:, None, :, None] + _KEEP[None, :, None, :]
 _CHECKERBOARD = np.array([[(-1.0) ** (i + j) for j in range(4)]
                           for i in range(4)])
 
-# Every (row, column) index pair of a 4x4 matrix, row by row.
-_ENTRIES = tuple((i, j) for i in range(4) for j in range(4))
-
 # How far an angle may lie outside its range ([0, pi] for theta,
 # [0, 2 pi] for alpha) and still be accepted, so that an angle rounded
 # just past an end passes.  The CLI's angle parser reads it too.
@@ -191,27 +188,18 @@ class AlphaSixTuple(_FrozenRecord):
         return AngleSixTuple(tuple(abs(math.pi - a) for a in self.alpha))
 
 
-def _isclose(x: float, y: float) -> bool:
-    """np.isclose(x, y, rtol=1e-5, atol=1e-12) on two floats, except
-    that it is False whenever x or y is not finite (np.isclose counts
-    equal infinities as close)."""
-    return abs(x - y) <= 1e-12 + 1e-5 * abs(y) and math.isfinite(y)
-
-
 class GramMatrix(_FrozenRecord):
     """Symmetric 4x4, unit diagonal, off-diagonal -cos theta_ij.
 
     Immutable, and equal only to itself; `mat` is a read-only float64
     copy (records from the memo of `gram_from_alpha` hold the memo's own
     array, see the module docstring).  Validation accepts exactly the
-    finite matrices with
-    np.allclose(m, m.T, atol=1e-12) and np.allclose(diag(m), 1,
-    atol=1e-12), entry by entry on Python floats.
-    Both keep allclose's default rtol=1e-5, so the diagonal test is
+    finite matrices with np.allclose(m, m.T, atol=1e-12) and
+    np.allclose(diag(m), 1, atol=1e-12), checked in that order.  Both
+    keep allclose's default rtol=1e-5, so the diagonal test is
     effectively |m_ii - 1| <= 1e-5 and the symmetry test is relative to
-    |m_ji|.  A NaN or an infinity anywhere is rejected as not finite: every
-    entry meets a finite partner in the symmetry test, which `_isclose`
-    fails, so the happy path pays no separate finiteness pass.
+    |m_ji|.  The finiteness test comes first because allclose counts
+    equal infinities as close.
     """
 
     __slots__ = ("mat",)
@@ -222,17 +210,12 @@ class GramMatrix(_FrozenRecord):
         object.__setattr__(self, "mat", m)
         if m.shape != (4, 4):
             raise ValueError(f"Gram matrix must be 4x4, got {m.shape}")
-        rows = m.tolist()
-        symmetric = all([_isclose(rows[i][j], rows[j][i])
-                         for i, j in _ENTRIES])
-        if symmetric and all([_isclose(row[i], 1.0)
-                              for i, row in enumerate(rows)]):
-            return
-        if not all([math.isfinite(x) for row in rows for x in row]):
+        if not np.isfinite(m).all():
             raise ValueError("Gram matrix entries must be finite")
-        if not symmetric:
+        if not np.allclose(m, m.T, rtol=1e-5, atol=1e-12):
             raise ValueError("Gram matrix must be symmetric")
-        raise ValueError("Gram matrix must have unit diagonal")
+        if not np.allclose(np.diag(m), 1.0, rtol=1e-5, atol=1e-12):
+            raise ValueError("Gram matrix must have unit diagonal")
 
 
 _set_mat = GramMatrix.mat.__set__

@@ -58,7 +58,9 @@ def bracket_blowup(graph: BlowUpGraph, coloring, level) -> QuarterPhaseLog:
 
     `coloring` is a sequence of colors indexed by edge id; it must be
     r-admissible on every decomposition tetrahedron.  A non-integral
-    color raises TypeError, as in `ColorSixTuple`.
+    color raises TypeError, as in `ColorSixTuple`.  Phases add, so two
+    imaginary factors give a real bracket; a prism level is skipped
+    only when the product is imaginary.
     """
     lv = _level(level)
     # the colors of a level scan are ints and skip the call
@@ -126,7 +128,13 @@ def _prism_theta(p: PrismSpec) -> tuple[float, ...]:
 
 
 def prism_volume(p: PrismSpec) -> float:
-    """Vol(P) = Vol(T1) + Vol(T2) via the splitting along the dual plane."""
+    """Vol(P) = Vol(T1) + Vol(T2) via the splitting along the dual plane.
+
+    Each term is `volume`'s generalized volume, continued by the
+    Schlafli formula where a tetrahedron is not admissible, so Vol(P)
+    can be negative: PrismSpec((0.5,)*3, (3.0,)*3, (0.5,)*3) gives
+    -0.186.  Only the growth of the bracket needs admissibility.
+    """
     t1, t2 = p.tetrahedra()
     return volume(t1) + volume(t2)
 

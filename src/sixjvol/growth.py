@@ -37,8 +37,8 @@ from .volfun import volume
 
 
 class LevelSkipped(UserWarning):
-    """A growth level failed (inadmissible rounding, domain error) and
-    was dropped from the series."""
+    """A growth level failed (inadmissible rounding, imaginary value)
+    and was dropped from the series."""
 
 
 def _int_levels(r_list) -> tuple[int, ...]:
@@ -128,11 +128,12 @@ def scan_levels(r_list, evaluate) -> list[GrowthSample]:
 
     Both callers pass levels `_int_levels` has checked to be strictly
     increasing, so the samples are ordered by r with no sort.  A level
-    whose evaluation or `real_sign` raises ValueError or
-    ArithmeticError (an inadmissible rounding, an imaginary symbol) is
-    skipped with a LevelSkipped warning attributed to the scan's caller,
-    and a debug event on the "sixjvol" logger whose arguments are r and
-    the reason.  Any other exception is a defect and propagates.
+    whose evaluation or `real_sign` raises ValueError (an inadmissible
+    rounding, or an imaginary value, which a sample's sign cannot hold)
+    is skipped with a LevelSkipped warning attributed to the scan's
+    caller, and a debug event on the "sixjvol" logger whose arguments
+    are r and the reason.  Any other exception is a defect and
+    propagates.
     """
     out: list[GrowthSample] = []
     for r in r_list:
@@ -141,7 +142,7 @@ def scan_levels(r_list, evaluate) -> list[GrowthSample]:
             log_mag = value.log_mag
             out.append(_new_sample(GrowthSample, (
                 r, log_mag, TWO_PI * log_mag / r, value.real_sign())))
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             # imported here: logging adds ~5 ms to every process start
             # and is needed only once a level is skipped
             import logging

@@ -13,7 +13,10 @@ orders of magnitude already at r ~ 1000.
 Values that carry a sign or a factor of i are represented as
 `QuarterPhaseLog`: a log-magnitude plus a phase in Z/4, so that the
 i^{-sum(a)} prefactor and square roots of negative reals compose
-exactly, with floating point confined to magnitudes.
+exactly, with floating point confined to magnitudes.  A 6j-symbol is
+real or purely imaginary and is returned either way; the one rule that
+a value must be real is `QuarterPhaseLog.real_sign`, read where a real
+record is built.
 """
 
 from __future__ import annotations
@@ -193,7 +196,8 @@ class QuarterPhaseLog(tuple):
         return math.exp(self.log_mag) * (1j ** self.phase)
 
     def real_sign(self) -> int:
-        """+1/-1/0 for a real-phased value; raises if the phase is odd."""
+        """+1/-1/0 for a real-phased value; ValueError if the phase is
+        odd.  The one place that refuses an imaginary value."""
         log_mag, phase = self
         if log_mag == _NEG_INF:
             return 0

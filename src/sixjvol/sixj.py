@@ -21,7 +21,9 @@ Delta(a,b,c) = sqrt([x]![y]![w]!/[T+1]!) under the convention
 sqrt(x) = i*sqrt(|x|) for negative x, so a Delta factor is either real
 or purely imaginary, and so is the symbol: for some admissible tuples
 the i^{-sum a} prefactor and the imaginary Delta factors leave an odd
-number of quarter turns.
+number of quarter turns.  `sixj_log` returns both kinds as a
+`QuarterPhaseLog`; only a caller that needs a real number refuses an
+odd phase, through `QuarterPhaseLog.real_sign`.
 
 The z-sum is evaluated in log space: terms are scaled by the maximum
 log-magnitude and the signed exponentials summed pairwise, since terms
@@ -338,9 +340,9 @@ _new_phase_log = tuple.__new__
 def sixj_log(t: ColorSixTuple) -> QuarterPhaseLog:
     """The quantum 6j-symbol of an r-admissible 6-tuple, in log space.
 
-    Returns real symbols only (phase 0 or 2).  The i^{-sum a} prefactor
-    and the imaginary Delta factors can leave an odd phase, i.e. a
-    purely imaginary symbol; such tuples raise ArithmeticError.
+    The phase is 0 or 2 for a real symbol.  The i^{-sum a} prefactor
+    and the imaginary Delta factors can leave an odd phase, 1 or 3: a
+    purely imaginary symbol, which is returned as it is.
 
     The z-sum runs over z in [lo, hi), and every factor of its terms is
     a contiguous slice of `logfact`: [z+1]! reads [lo+1, hi+1),
@@ -388,10 +390,6 @@ def sixj_log(t: ColorSixTuple) -> QuarterPhaseLog:
                                T3 - a6, T3 - a2, T3 - a4, T3 + 1,
                                T4 - a5, T4 - a3, T4 - a4, T4 + 1))
     phase = (turns - sum(a) + (0 if total > 0.0 else 2)) % 4
-    if phase % 2 != 0:
-        raise ArithmeticError(
-            f"6j phase parity broken for {a} at r={r}: "
-            f"phase={phase}")
     return _new_phase_log(QuarterPhaseLog,
                           (dlog + (m + math.log(abs(total))), phase))
 

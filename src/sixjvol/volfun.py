@@ -276,6 +276,13 @@ def volume(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1)) -> float:
 
     Branch-invariant: any of the 64 sign vectors gives the same value.
     Flat configurations (degenerate quadratic) get volume 0.
+
+    The result is the generalized volume of any theta whose Gram
+    matrix has signature (3,1), admissible or not: outside the
+    admissible region it is the volume continued by the Schlafli
+    formula, and it can be negative (theta = (0.5,)*3 + (3.0,)*3 gives
+    -3.4532, which no mu makes admissible).  Only growth rates need
+    admissibility (`gram.admissible`).
     """
     alpha = AlphaSixTuple.from_theta(theta, mu)
     data = critical_xi(alpha)

@@ -183,18 +183,6 @@ def _random_admissible_colors(rng, r, pool):
     return colors
 
 
-def _log_abs_via(t):
-    """log |6j|, falling back to the exact oracle for imaginary symbols."""
-    try:
-        v = sv.sixj_log(t)
-        if v.is_zero:
-            return -math.inf
-        return v.log_mag
-    except ArithmeticError:
-        x = abs(sv.sixj_exact_small(t))
-        return math.log(x) if x > 0 else -math.inf
-
-
 def test_criterion_09_oracle_equivalence():
     rng = np.random.default_rng(3009)
     levels = [int(r) for r in range(7, 102, 2)]
@@ -211,30 +199,23 @@ def test_criterion_09_oracle_equivalence():
         t = sv.tuple_of(_random_admissible_colors(rng, r, pool),
                         sv.OddLevel(r))
         ref = sv.sixj_exact_small(t)
-        try:
-            val = sv.sixj_log(t)
-        except ArithmeticError:
-            # the symbol is genuinely imaginary; the oracle must agree
-            imaginary += 1
-            assert abs(ref.real) <= 1e-9 * (abs(ref) + 1.0)
-            assert abs(ref.imag) > 0
-            continue
-        got = 0.0 if val.is_zero else val.real_sign() * math.exp(val.log_mag)
+        val = sv.sixj_log(t)  # real or purely imaginary, never refused
+        imaginary += val.phase % 2
         scale = max(abs(ref), 1e-300)
-        worst = max(worst, abs(got - ref.real) / scale)
+        worst = max(worst, abs(val.value() - ref) / scale)
         if n % 100 == 0:
-            base = _log_abs_via(t)
+            base = val.log_mag
             moved = [sv.change_colors_face(t, f) for f in (1, 2, 3, 4)]
             moved += [sv.change_colors_quad(t, q) for q in (1, 2, 3)]
             for t2 in moved:
-                other = _log_abs_via(t2)
+                other = sv.sixj_log(t2).log_mag
                 if math.isinf(base) or math.isinf(other):
                     assert base == other
                 else:
                     move_worst = max(move_worst, abs(other - base))
-    report(9, worst <= 1e-9 and move_worst <= 1e-9,
+    report(9, worst <= 1e-9 and move_worst <= 1e-9 and imaginary > 0,
            f"10^4 tuples at r<=101: worst rel diff {worst:.2e} (tol 1e-9), "
-           f"{imaginary} imaginary symbols oracle-confirmed, "
+           f"{imaginary} of them imaginary, "
            f"move invariance worst {move_worst:.2e}")
 
 

@@ -39,7 +39,7 @@ def test_sixj_trivial_symbol(capsys):
     code, out, _ = run(capsys, ["sixj", "0", "0", "0", "0", "0", "0",
                                 "--r", "7"])
     assert code == 0
-    assert out == ('{"colors":[0,0,0,0,0,0],"log_abs":0.0,"r":7,'
+    assert out == ('{"colors":[0,0,0,0,0,0],"log_abs":0.0,"phase":0,"r":7,'
                    '"sign":1,"value":1.0}\n')
 
 
@@ -57,7 +57,8 @@ def test_sixj_value_is_written_for_a_large_finite_symbol(capsys):
 def test_sixj_value_is_null_beyond_a_normal_double(capsys, monkeypatch):
     # value = sign * e^log_abs exactly when that is a finite normal
     # double, about -708.40 < log_abs < 709.78; null elsewhere, so a
-    # tiny symbol is never printed as 0.0, -0.0 or a subnormal.
+    # tiny symbol is never printed as 0.0, -0.0 or a subnormal.  An
+    # imaginary symbol has neither a sign nor a value at any size.
     lo = math.log(sys.float_info.min)
     hi = math.log(sys.float_info.max)
     cases = [(-700.0, True), (math.nextafter(lo, 0.0), True), (lo, False),
@@ -65,15 +66,16 @@ def test_sixj_value_is_null_beyond_a_normal_double(capsys, monkeypatch):
              (-1e6, False), (709.7, True), (math.nextafter(hi, 0.0), True),
              (hi, False), (709.8, False), (800.0, False)]
     for log_abs, written in cases:
-        for phase, sign in ((0, 1), (2, -1)):
+        for phase, sign in ((0, 1), (1, None), (2, -1), (3, None)):
             monkeypatch.setattr(cli, "_sixj_log",
                                 lambda t: sixjvol.QuarterPhaseLog(
                                     log_abs, phase))
             code, out, _ = run(capsys, ["sixj", *["0"] * 6, "--r", "7"])
             assert code == 0
             doc = json.loads(out)
-            assert (doc["log_abs"], doc["sign"]) == (log_abs, sign)
-            if written:
+            assert (doc["log_abs"], doc["phase"], doc["sign"]) == (
+                log_abs, phase, sign)
+            if written and sign is not None:
                 value = doc["value"]
                 assert value == sign * math.exp(log_abs)
                 assert sys.float_info.min <= abs(value) <= sys.float_info.max
@@ -81,11 +83,17 @@ def test_sixj_value_is_null_beyond_a_normal_double(capsys, monkeypatch):
                 assert doc["value"] is None, log_abs
 
 
-def test_sixj_imaginary_symbol_is_domain_error(capsys):
-    code, _, err = run(capsys, ["sixj", "0", "0", "0", "1", "1", "1",
-                                "--r", "31"])
-    assert code == 1
-    assert "6j phase parity broken" in err
+def test_sixj_imaginary_symbol_has_phase_and_no_real_value(capsys):
+    # a purely imaginary symbol is a result, not a domain error: its
+    # phase is odd, and it has no real sign or value
+    code, out, err = run(capsys, ["sixj", "0", "0", "0", "1", "1", "1",
+                                  "--r", "31"])
+    assert code == 0 and err == ""
+    assert out == ('{"colors":[0,0,0,1,1,1],"log_abs":-0.33623235319477174,'
+                   '"phase":3,"r":31,"sign":null,"value":null}\n')
+    z = sixjvol.sixj_exact_small(sixjvol.tuple_of((0, 0, 0, 1, 1, 1), 31))
+    assert math.exp(json.loads(out)["log_abs"]) * -1j == pytest.approx(
+        z, rel=1e-12)
 
 
 def test_sixj_inadmissible_colors(capsys):
@@ -213,6 +221,19 @@ def test_volume_octahedral(capsys):
     assert doc["xi_star"] == pytest.approx(5 * PI / 4)
     assert not doc["degenerate"]
     assert doc["edge_lengths"] == pytest.approx([0.0] * 6, abs=1e-6)
+
+
+def test_volume_reports_admissibility(capsys):
+    # the generalized volume is written for a theta that no mu makes
+    # admissible, and "admissible" says so
+    code, out, _ = run(capsys, ["volume", "0.5", "0.5", "0.5", "3.0", "3.0",
+                                "3.0"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["admissible"] is False
+    assert doc["vol"] == -3.453248315344908
+    code, out, _ = run(capsys, ["volume"] + PI6)
+    assert code == 0 and json.loads(out)["admissible"] is True
 
 
 def test_volume_flat_reports_degenerate(capsys):

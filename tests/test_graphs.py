@@ -10,6 +10,7 @@ import pytest
 
 import sixjvol as sv
 from sixjvol import graphs
+from sixjvol.growth import scan_levels
 from sixjvol.qnum import OddLevel
 
 PI = math.pi
@@ -99,6 +100,45 @@ def test_bracket_prism_is_product_of_two_sixj():
     t1 = sv.sixj_log(sv.ColorSixTuple(cols[:6], lvl)).value()
     t2 = sv.sixj_log(sv.ColorSixTuple(cols[:3] + cols[6:], lvl)).value()
     assert got == pytest.approx(t1 * t2, rel=1e-12)
+
+
+def prism_factors(cols, r):
+    """The two 6j factors of a prism colouring, by the oracle."""
+    return [sv.sixj_exact_small(sv.tuple_of(cols[:3] + base, r))
+            for base in (cols[3:6], cols[6:9])]
+
+
+def test_bracket_of_two_imaginary_factors_is_real():
+    # phases add: i * (-i) is real, so the bracket and its scan sample
+    # are real although each factor is imaginary
+    p = sv.prism_graph()
+    cols = (8, 8, 2, 7, 7, 3, 0, 2, 8)
+    z1, z2 = prism_factors(cols, 11)
+    assert abs(z1.real) < 1e-12 and abs(z2.real) < 1e-12
+    got = sv.bracket_blowup(p, cols, 11)
+    assert (got.log_mag, got.phase) == (-1.3347741039685268, 0)
+    assert (z1 * z2).real == pytest.approx(0.26321762855837, rel=1e-12)
+    assert got.value() == pytest.approx(z1 * z2, rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sv.LevelSkipped)
+        samples = scan_levels([11], lambda r: sv.bracket_blowup(p, cols, r))
+    assert [(s.log_abs, s.sign) for s in samples] == [(got.log_mag, 1)]
+
+
+def test_bracket_of_one_imaginary_factor_is_skipped_in_a_scan():
+    p = sv.prism_graph()
+    cols = (8, 8, 2, 7, 7, 3, 1, 1, 7)
+    z1, z2 = prism_factors(cols, 11)
+    assert abs(z1.real) < 1e-12 and abs(z2.imag) < 1e-12
+    got = sv.bracket_blowup(p, cols, 11)
+    assert got.phase == 3
+    assert got.value() == pytest.approx(z1 * z2, rel=1e-12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        samples = scan_levels([11], lambda r: sv.bracket_blowup(p, cols, r))
+    assert samples == []
+    assert [str(w.message) for w in caught] == [
+        "level r=11 skipped: value has imaginary phase 3"]
 
 
 def test_bracket_coloring_errors():
@@ -224,7 +264,8 @@ def test_prism_conjecture_symmetric_hyperideal():
 def test_prism_conjecture_regular_base():
     # one base strictly inside the ball: T2's base vertices are Regular
     # (positive diagonal cofactors) while the apex stays hyperideal;
-    # many levels produce an imaginary first factor and are skipped
+    # many levels have one imaginary factor, so an imaginary bracket,
+    # and are skipped
     spec = sv.PrismSpec((PI / 6,) * 3, (PI / 6,) * 3, (1.37, 1.37, 1.37))
     t2 = spec.tetrahedra()[1]
     cof = sv.cofactor_matrix(sv.gram_from_angles(t2).mat)

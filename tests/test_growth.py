@@ -187,18 +187,21 @@ def test_growth_series_logs_skipped_levels(caplog):
 
 
 def test_growth_series_propagates_defects_instead_of_skipping(monkeypatch):
-    # Only domain errors (ValueError, ArithmeticError) skip a level; any
-    # other exception is a defect in the library and must propagate.
-    def broken_sixj_log(t):
-        raise TypeError("not a domain error")
-
-    monkeypatch.setattr("sixjvol.growth.sixj_log", broken_sixj_log)
+    # Only domain errors (ValueError) skip a level; any other exception,
+    # ArithmeticError included, is a defect in the library and must
+    # propagate.
     plan = sv.GrowthPlan(alpha_of((PI / 6,) * 6), (101, 103, 105))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(TypeError, match="not a domain error"):
-            sv.growth_series(plan)
-    assert not [w for w in caught if issubclass(w.category, sv.LevelSkipped)]
+    for error in (TypeError, ArithmeticError):
+        def broken_sixj_log(t):
+            raise error("not a domain error")
+
+        monkeypatch.setattr("sixjvol.growth.sixj_log", broken_sixj_log)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error, match="not a domain error"):
+                sv.growth_series(plan)
+        assert not [w for w in caught
+                    if issubclass(w.category, sv.LevelSkipped)]
 
 
 def test_growth_series_example_scaled_values():
@@ -221,16 +224,20 @@ def test_growth_series_deterministic_across_calls():
 
 def reference_scan(r_list, symbol):
     """The level scan written out one level at a time: symbol(r) is the
-    level's value, and a level whose evaluation raises is skipped."""
+    level's value, and a level whose evaluation raises ValueError, or
+    whose value is imaginary, is skipped."""
     samples, skipped = [], []
     for r in r_list:
         try:
             val = symbol(r)
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             skipped.append(f"level r={r} skipped: {exc}")
             continue
         if val.is_zero:
             samples.append(sv.GrowthSample(r, -math.inf, -math.inf, 0))
+        elif val.phase % 2:
+            skipped.append(f"level r={r} skipped: value has imaginary "
+                           f"phase {val.phase}")
         else:
             samples.append(sv.GrowthSample(r, val.log_mag,
                                            2 * PI * val.log_mag / r,
@@ -299,7 +306,7 @@ def test_scans_match_a_per_level_loop_and_read_one_table_per_symbol(
         reasons += skipped
         n_symbols += len(calls)
     # the rows really skip levels, for each reason a level can fail
-    for reason in ("no admissible rounding", "phase parity broken",
+    for reason in ("no admissible rounding", "imaginary phase",
                    "inadmissible coloring"):
         assert sum(reason in msg for msg in reasons) >= 3, reason
     assert n_symbols > 300

@@ -13,11 +13,12 @@ the z-sum, so a convention error in the prefactor, the Delta roots or
 the turn counting would break it.
 
 The sums run in float64, so a sum is as exact as its largest terms
-allow: on real symbols at r = 31 the terms reach 1e12 in size, and the
-error of a sum is then up to 2e-3 while it stays within 1.1e-14 of
-sum |terms|.  So the checks at r = 31 measure the error in units of
-max(1, sum |terms|); at r = 11 the terms stay below 3e3 and the error
-below 1e-12, and the checks there are absolute as well.
+allow: on the seeded colourings at r = 31, imaginary symbols included,
+the terms reach 1e10 in size, and the error of a sum is then up to
+1.2e-5 while it stays within 7.9e-15 of sum |terms|.  So the checks
+at r = 31 measure the error in units of max(1, sum |terms|); at r = 11
+the terms stay below 3e3 and the error below 1e-12, and the checks
+there are absolute as well.
 """
 
 import itertools
@@ -67,10 +68,6 @@ def exact(colors, r):
     return sv.sixj_exact_small(sv.tuple_of(colors, r))
 
 
-def by_log(colors, r):
-    return sv.sixj_log(sv.tuple_of(colors, r)).value()
-
-
 def test_orthogonality_on_exact_small_values_at_r11():
     # every outer colouring, imaginary symbols included; without the
     # sign (-1)^(a3+a6) the diagonal is off by 2 on half the pairs
@@ -88,28 +85,34 @@ def test_orthogonality_on_exact_small_values_at_r11():
     assert sum(e > 1.0 for e in unsigned) == len(unsigned) // 2
 
 
-def real_outer_colourings(r, n, seed):
+def outer_colourings(r, n, seed):
     """The orthogonality errors of n seeded outer colourings with at
-    least two admissible a3, whose symbols `sixj_log` all returns (all
-    real)."""
+    least two admissible a3, on `sixj_log(...).value()`, and how many of
+    those colourings hold an imaginary symbol."""
     rng = np.random.default_rng(seed)
-    found = []
+    found, imaginary = [], 0
     while len(found) < n:
         outer = tuple(int(c) for c in rng.integers(0, r - 1, size=4))
-        try:
-            errs = orthogonality_errors(outer, r, by_log)
-        except ArithmeticError:  # an imaginary symbol: sixj_log refuses
-            continue
+        phases = []
+
+        def by_log(colors, r):
+            q = sv.sixj_log(sv.tuple_of(colors, r))
+            phases.append(q.phase)
+            return q.value()
+
+        errs = orthogonality_errors(outer, r, by_log)
         if len(errs) >= 4:
             found.append(errs)
-    return found
+            imaginary += any(p % 2 for p in phases)
+    return found, imaginary
 
 
 @pytest.mark.parametrize("r, n", [(11, 40), (31, 40)])
 def test_orthogonality_on_sixj_log_values(r, n):
-    for errs in real_outer_colourings(r, n, seed=r):
+    found, imaginary = outer_colourings(r, n, seed=r)
+    assert imaginary >= n // 2  # imaginary symbols really take part
+    for errs in found:
         for e, _, scale in errs.values():
             assert abs(e) < REL * max(1.0, scale)
             if r == 11:
                 assert abs(e) < TOL
-
