@@ -8,27 +8,43 @@ default; the streaming commands (growth, prism, lobachevsky-table)
 also emit CSV with a fixed header.
 
 Exit codes: 0 success, 1 domain errors (inadmissible colors, no
-hyperbolic geometry, ...), 2 parse/usage errors.
+hyperbolic geometry, ...), 2 parse/usage errors, 141 when the reader
+closes stdout before the output is written (`sixjvol ... | head`), with
+nothing on stderr: 141 is what a shell reports for a process that
+SIGPIPE ends.
+
+Each command loads only the library modules it runs.  Importing this
+module loads `qnum` and `sixj`, all that parsing and the sixj command
+need; every other command imports its library names when it starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
+import os
 import re
 import sys
 
-from .gram import (_ANGLE_SLACK, AlphaSixTuple, AngleSixTuple, admissible,
-                   classify, cofactor_matrix, gram_from_alpha, signature,
-                   strictly_admissible, tol_sign)
-from .graphs import PrismSpec, _prism_samples, prism_conjecture_check
-from .growth import GrowthPlan, GrowthSample, fit_growth, growth_series
 from .qnum import OddLevel
 from .sixj import tuple_of
 from .sixj import sixj_log as _sixj_log
-from .tetra import edge_length_tuple, reconstruct
-from .volfun import _schlafli, big_V, critical_xi, lobachevsky, volume
+
+# A temporary shim: library functions that stay attributes of this
+# module only because the benchmark's span recorder (bench/spans.py)
+# still looks them up here.  __getattr__ resolves each through the
+# package, which imports its submodule on first use.  The commands import
+# what they call from the submodules themselves, so these sites count
+# nothing; drop the shim when the benchmark traces the submodules instead
+# (ROADMAP item 6).
+_FUNCTIONS = ("growth_series", "fit_growth", "prism_conjecture_check",
+              "signature", "cofactor_matrix", "classify", "reconstruct",
+              "edge_length_tuple", "volume", "critical_xi", "lobachevsky")
+
+# the exit code of a command whose reader closed stdout early
+EXIT_CLOSED_PIPE = 141
 
 _PI_FORM = re.compile(r"^pi(?:\*(-?\d+))?(?:/(-?\d+))?$")
 
@@ -36,6 +52,12 @@ _PI_FORM = re.compile(r"^pi(?:\*(-?\d+))?(?:/(-?\d+))?$")
 # between them, e^log_abs is a finite normal double.
 _LOG_NORMAL_MIN = math.log(sys.float_info.min)
 _LOG_NORMAL_MAX = math.log(sys.float_info.max)
+
+
+def __getattr__(name):
+    if name not in _FUNCTIONS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(__package__), name)
 
 
 def angle_literal(text: str) -> float:
@@ -55,7 +77,7 @@ def angle_literal(text: str) -> float:
             raise argparse.ArgumentTypeError(
                 f"bad angle {text!r}: expected decimal radians or pi*p/q"
             ) from None
-    # the range AngleSixTuple accepts
+    from .gram import _ANGLE_SLACK  # the range AngleSixTuple accepts
     if not -_ANGLE_SLACK <= value <= math.pi + _ANGLE_SLACK:
         raise argparse.ArgumentTypeError(
             f"angle {text!r} = {value} outside [0, pi]")
@@ -150,6 +172,7 @@ def _emit_csv(header, rows) -> None:
 def _angle_head(args):
     """(theta, alpha, echo) for the six angles and --mu: echo holds the
     theta, alpha and mu fields that every angle command writes."""
+    from .gram import AlphaSixTuple, AngleSixTuple
     theta = AngleSixTuple(tuple(args.angles))
     alpha = AlphaSixTuple.from_theta(theta, args.mu)
     return theta, alpha, {"theta": list(theta.theta),
@@ -161,6 +184,8 @@ def _angle_head(args):
 
 
 def cmd_classify(args) -> int:
+    from .gram import (admissible, classify, cofactor_matrix, gram_from_alpha,
+                       signature, strictly_admissible, tol_sign)
     _, alpha, out = _angle_head(args)
     G = gram_from_alpha(alpha)
     cof = cofactor_matrix(G.mat)
@@ -181,6 +206,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tetra(args) -> int:
+    from .gram import gram_from_alpha
+    from .tetra import reconstruct
     _, alpha, out = _angle_head(args)
     G = gram_from_alpha(alpha)
     t = reconstruct(G)
@@ -201,6 +228,9 @@ def cmd_tetra(args) -> int:
 
 
 def cmd_volume(args) -> int:
+    from .gram import admissible, gram_from_alpha, signature
+    from .tetra import edge_length_tuple
+    from .volfun import big_V, critical_xi
     _, alpha, out = _angle_head(args)
     data = critical_xi(alpha)
     vol = big_V(alpha, data.xi)
@@ -240,6 +270,7 @@ def _emit_series(args, samples, summary) -> int:
     """Write level samples as CSV rows, or as one JSON object that holds
     the level range, the samples and the fields of summary(); summary is
     called for JSON output only."""
+    from .growth import GrowthSample
     if args.format == "csv":
         _emit_csv(GrowthSample._fields, samples)
         return 0
@@ -251,6 +282,8 @@ def _emit_series(args, samples, summary) -> int:
 
 
 def cmd_growth(args) -> int:
+    from .growth import GrowthPlan, fit_growth, growth_series
+    from .volfun import volume
     theta, alpha, head = _angle_head(args)
     plan = GrowthPlan(alpha, tuple(_r_list(args)))
     samples = growth_series(plan)
@@ -269,6 +302,7 @@ def cmd_growth(args) -> int:
 
 
 def _load_prism_spec(path: str) -> PrismSpec:
+    from .graphs import PrismSpec
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -289,6 +323,7 @@ def _load_prism_spec(path: str) -> PrismSpec:
 
 
 def cmd_prism(args) -> int:
+    from .graphs import _prism_samples, prism_conjecture_check
     try:
         spec = _load_prism_spec(args.spec)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError,
@@ -306,6 +341,8 @@ def cmd_prism(args) -> int:
 
 
 def cmd_schlafli(args) -> int:
+    from .gram import AngleSixTuple
+    from .volfun import _schlafli
     theta = AngleSixTuple(tuple(args.angles))
     res, lengths = _schlafli(theta, args.mu, args.h)
     out = {
@@ -321,6 +358,7 @@ def cmd_schlafli(args) -> int:
 
 
 def cmd_lobachevsky_table(args) -> int:
+    from .volfun import lobachevsky
     n = args.points
     lo, hi = args.start, args.end
     rows = []
@@ -430,7 +468,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`sixjvol ... | head`).  Python's
+        # recipe: point stdout at devnull, so that the flush at exit
+        # writes nowhere instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -272,7 +272,6 @@ def test_tetra_report(capsys):
 
 def test_tetra_and_volume_compute_shared_data_once(capsys, monkeypatch,
                                                    empty_gram_memos):
-    import sixjvol.cli as cli_mod
     import sixjvol.volfun as volfun_mod
 
     calls = []
@@ -286,7 +285,6 @@ def test_tetra_and_volume_compute_shared_data_once(capsys, monkeypatch,
         monkeypatch.setattr(mod, name, wrapper)
 
     counted(volfun_mod, "critical_xi")
-    counted(cli_mod, "critical_xi")
     # The cofactor matrix and the signature are computed on a memo miss
     # only, so the misses count the computations.
     code, out, _ = run(capsys, ["tetra"] + PI6)
@@ -623,6 +621,23 @@ def test_module_invocation_runs():
         env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vol"] == pytest.approx(3.663862376708876)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_stdout_exits_quietly(fmt):
+    # The reader takes a few bytes and closes the pipe, as `| head -c 10`
+    # does; the table is far larger than a pipe buffer.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sixjvol.cli", "lobachevsky-table",
+         "--points", "100000", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_CLOSED_PIPE == 141
+    assert err == b""
 
 
 def test_console_script_entry_point_runs_help(capsys, monkeypatch):

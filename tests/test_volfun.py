@@ -2,6 +2,7 @@
 the closed-form volume, the maximization route, and the Schlafli check."""
 
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -124,13 +125,18 @@ def test_lobachevsky_is_accurate_at_large_angles(theta):
 
 
 def test_import_does_not_load_scipy():
-    # None of these is needed to import the package or start the CLI;
-    # fractions and decimal would come back with exact coefficient
+    # None of these is needed to import any module of the package or start
+    # the CLI; fractions and decimal would come back with exact coefficient
     # arithmetic at import, logging with an eager logger, dataclasses
-    # with a dataclass record.
+    # with a dataclass record.  Submodules load on first use, so the star
+    # import binds every public name and thereby imports every submodule.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, sixjvol, sixjvol.cli; print(sorted(m for m in "
+    code = ("import sys, sixjvol.cli\n"
+            "from sixjvol import *\n"
+            "assert {'sixjvol.cli', *(f'sixjvol.{m}' for m in "
+            "sixjvol._EXPORTS)} <= set(sys.modules)\n"
+            "print(sorted(m for m in "
             "('scipy', 'mpmath', 'fractions', 'decimal', 'logging', "
             "'dataclasses') "
             "if m in sys.modules))")
@@ -138,6 +144,47 @@ def test_import_does_not_load_scipy():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The modules of a fresh process that imports sixjvol and then runs one
+# CLI command in-process: the package, then numpy and the sixjvol
+# submodules after each step.
+_FOOTPRINT = """\
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m == "numpy" or m.startswith("sixjvol."))
+import sixjvol
+steps = [loaded()]
+from sixjvol import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sixj", "2", "2", "2", "2", "2", "2", "--r", "11"],
+    ["volume"] + ["pi/6"] * 6,
+    ["tetra"] + ["pi/6"] * 6,
+], ids=lambda argv: argv[0])
+def test_each_command_loads_only_the_modules_it_runs(argv):
+    # Submodules load on first use: the package import loads none of them
+    # and not numpy, and a command loads what it calls and nothing more.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_command = json.loads(proc.stdout)
+    assert after_import == []
+    if argv[0] == "sixj":
+        assert after_command == ["numpy", "sixjvol.cli", "sixjvol.qnum",
+                                 "sixjvol.sixj"]
+    else:
+        assert "sixjvol.graphs" not in after_command
+        assert "sixjvol.growth" not in after_command
 
 
 def test_lobachevsky_against_quadrature(rng):
