@@ -7,6 +7,10 @@ schlafli | lobachevsky-table.  Angles are the dihedral angles theta in
 default; the streaming commands (growth, prism, lobachevsky-table)
 also emit CSV with a fixed header.
 
+Each command returns its JSON document, which `main` writes, or writes
+its CSV rows itself and returns None; a command reports an error by
+raising (see the exit codes).
+
 Exit codes: 0 success, 1 domain errors (inadmissible colors, no
 hyperbolic geometry, ...), 2 parse/usage errors, 141 when the reader
 closes stdout before the output is written (`sixjvol ... | head`), with
@@ -183,7 +187,7 @@ def _angle_head(args):
 # Subcommand handlers.
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     from .gram import (admissible, classify, cofactor_matrix, gram_from_alpha,
                        signature, strictly_admissible, tol_sign)
     _, alpha, out = _angle_head(args)
@@ -201,11 +205,10 @@ def cmd_classify(args) -> int:
         "cofactor_signs": [[tol_sign(cof[i, j]) for j in range(4)]
                            for i in range(4)],
     })
-    _emit_json(out)
-    return 0
+    return out
 
 
-def cmd_tetra(args) -> int:
+def cmd_tetra(args) -> dict:
     from .gram import gram_from_alpha
     from .tetra import reconstruct
     _, alpha, out = _angle_head(args)
@@ -223,11 +226,10 @@ def cmd_tetra(args) -> int:
         "edge_data": [{"kind": d.kind.value, "ideal": d.ideal}
                       for d in map(t.edge_distance, range(6))],
     })
-    _emit_json(out)
-    return 0
+    return out
 
 
-def cmd_volume(args) -> int:
+def cmd_volume(args) -> dict:
     from .gram import admissible, gram_from_alpha, signature
     from .tetra import edge_length_tuple
     from .volfun import big_V, critical_xi
@@ -240,11 +242,10 @@ def cmd_volume(args) -> int:
         lengths = list(edge_length_tuple(G))
     out.update(xi=data.xi, xi_star=data.xi_star, degenerate=data.degenerate,
                vol=vol, edge_lengths=lengths, admissible=admissible(alpha))
-    _emit_json(out)
-    return 0
+    return out
 
 
-def cmd_sixj(args) -> int:
+def cmd_sixj(args) -> dict:
     t = tuple_of(tuple(args.colors), OddLevel(args.r))
     val = _sixj_log(t)
     log_abs, phase = val
@@ -255,9 +256,8 @@ def cmd_sixj(args) -> int:
     value = 0.0 if sign == 0 else None  # None beyond a finite normal double
     if sign and _LOG_NORMAL_MIN < log_abs < _LOG_NORMAL_MAX:
         value = sign * math.exp(log_abs)
-    _emit_json({"r": args.r, "colors": list(args.colors), "log_abs": log_abs,
-                "phase": phase, "sign": sign, "value": value})
-    return 0
+    return {"r": args.r, "colors": list(args.colors), "log_abs": log_abs,
+            "phase": phase, "sign": sign, "value": value}
 
 
 def _r_list(args) -> range:
@@ -266,22 +266,21 @@ def _r_list(args) -> range:
     return range(args.r_start, args.r_end + 1, args.r_step)
 
 
-def _emit_series(args, samples, summary) -> int:
-    """Write level samples as CSV rows, or as one JSON object that holds
-    the level range, the samples and the fields of summary(); summary is
-    called for JSON output only."""
+def _emit_series(args, samples, summary) -> dict | None:
+    """Write level samples as CSV rows, or return one JSON document that
+    holds the level range, the samples and the fields of summary();
+    summary is called for JSON output only."""
     from .growth import GrowthSample
     if args.format == "csv":
         _emit_csv(GrowthSample._fields, samples)
-        return 0
+        return None
     out = summary()
     out.update(r_start=args.r_start, r_end=args.r_end, r_step=args.r_step,
                samples=[s._asdict() for s in samples])
-    _emit_json(out)
-    return 0
+    return out
 
 
-def cmd_growth(args) -> int:
+def cmd_growth(args) -> dict | None:
     from .growth import GrowthPlan, fit_growth, growth_series
     from .volfun import volume
     theta, alpha, head = _angle_head(args)
@@ -322,14 +321,14 @@ def _load_prism_spec(path: str) -> PrismSpec:
     return PrismSpec(angles["vertical"], angles["base_b"], angles["base_c"])
 
 
-def cmd_prism(args) -> int:
+def cmd_prism(args) -> dict | None:
     from .graphs import _prism_samples, prism_conjecture_check
     try:
         spec = _load_prism_spec(args.spec)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError,
             argparse.ArgumentTypeError) as exc:
-        print(f"error: cannot read prism spec: {exc}", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentTypeError(
+            f"cannot read prism spec: {exc}") from exc
     levels = tuple(_r_list(args))
     if args.format == "csv":  # the samples alone, as for growth: no fit
         return _emit_series(args, _prism_samples(spec, levels), None)
@@ -340,12 +339,12 @@ def cmd_prism(args) -> int:
         "vol": check.vol, "gap": check.gap})
 
 
-def cmd_schlafli(args) -> int:
+def cmd_schlafli(args) -> dict:
     from .gram import AngleSixTuple
     from .volfun import _schlafli
     theta = AngleSixTuple(tuple(args.angles))
     res, lengths = _schlafli(theta, args.mu, args.h)
-    out = {
+    return {
         "theta": list(theta.theta),
         "mu": list(args.mu),
         "h": args.h,
@@ -353,11 +352,9 @@ def cmd_schlafli(args) -> int:
         "max_abs": max(abs(x) for x in res),
         "edge_lengths": list(lengths),
     }
-    _emit_json(out)
-    return 0
 
 
-def cmd_lobachevsky_table(args) -> int:
+def cmd_lobachevsky_table(args) -> dict | None:
     from .volfun import lobachevsky
     n = args.points
     lo, hi = args.start, args.end
@@ -370,10 +367,9 @@ def cmd_lobachevsky_table(args) -> int:
         rows.append((t, lobachevsky(t)))
     if args.format == "csv":
         _emit_csv(("theta", "lambda"), rows)
-    else:
-        _emit_json({"start": lo, "end": hi, "points": n,
-                    "table": [[t, v] for t, v in rows]})
-    return 0
+        return None
+    return {"start": lo, "end": hi, "points": n,
+            "table": [[t, v] for t, v in rows]}
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +464,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        doc = args.func(args)
+        if doc is not None:
+            _emit_json(doc)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
-        return code
+        return 0
     except BrokenPipeError:
         # The reader closed stdout (`sixjvol ... | head`).  Python's
         # recipe: point stdout at devnull, so that the flush at exit

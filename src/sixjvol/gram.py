@@ -16,10 +16,16 @@ An alpha-tuple alpha_k = pi + mu_k theta_k (mu_k = +-1) carries a branch
 choice on each edge; the Gram matrix sees only cos alpha_k = -cos theta_k,
 so everything classified here is branch-independent.
 
+The Gram index g of a face is fixed by `sixj.FACE_TRIPLES`: face g holds
+the three edges FACE_TRIPLES[3 - g].  The incidence tables below
+(`EDGE_TO_FACEPAIR`, `EDGE_COMPLEMENT`) are derived from it, not
+restated.
+
 Classification is by eigenvalue signature of the Gram matrix:
 (4,0) spherical, (3,0) generalized Euclidean, (3,1) generalized
 hyperbolic; admissible tuples land in those three cells or in the
-lower-rank line configurations (2,0)/(1,0) and (2,1).  Signature (2,1)
+lower-rank line configurations (2,0)/(1,0) and (2,1).  One table,
+`_TAG_OF_PAIR`, maps each signature to its class.  Signature (2,1)
 has been seen only on the boundary of the admissible region:
 alpha = (pi, 0, pi, pi, t, pi) is admissible, but not strictly, and has
 signature (2,1,1) for every t tried in (0, pi).
@@ -38,10 +44,12 @@ memo of `gram_from_alpha` holds the array the memo laid out, made
 read-only without a copy or the constructor's checks, which that
 layout always passes.  The cofactor arrays are read-only too.
 `gram_cache_info()` reports the counters.  The batched cores behind the
-samplers are not memoized.  `volfun` keeps two more one-entry memos
-with the same helper and key (its module docstring): the critical
-point of a tuple, and the xi-free terms of V (tau/eta and the
-vertex-delta sum).
+samplers are not memoized.  Admissibility, closed and strict, is one
+batched rule, `_admissible_mask`, which `admissible` (memoized) and
+`strictly_admissible` (not memoized) call with one row.  `volfun` keeps
+two more one-entry memos with the same helper and key (its module
+docstring): the critical point of a tuple, and the xi-free terms of V
+(tau/eta and the vertex-delta sum).
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qnum import TWO_PI, _FrozenRecord, _index
+from .qnum import TWO_PI, _FrozenRecord, _index, _integral_level
 from .sixj import FACE_TRIPLES, VERTEX_TRIPLES
 
 FOUR_PI = 4.0 * math.pi
@@ -73,8 +81,12 @@ DEFAULT_TOL = 1e-9
 # The edges at each vertex: the vertex triples of the colour tuples.
 _VERTEX_INDEX = np.array(VERTEX_TRIPLES)
 
+# Gram index g is the face FACE_TRIPLES[3 - g] (module docstring): an
+# edge lies on the two faces whose triples hold it.
+#
 # Edge index -> unordered pair of Gram indices (faces meeting there).
-EDGE_TO_FACEPAIR = ((0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 3))
+EDGE_TO_FACEPAIR = tuple(tuple(g for g in range(4) if e in FACE_TRIPLES[3 - g])
+                         for e in range(6))
 
 # Flat Gram entry 4 i + j -> the edge whose cosine it holds, or 6 for
 # the unit diagonal (the column of ones that _gram_batch appends).
@@ -84,7 +96,9 @@ _GRAM_ENTRY = np.array([EDGE_TO_FACEPAIR.index((min(i, j), max(i, j)))
 # Edge index -> the complementary pair of Gram indices (the two faces
 # NOT containing the edge); the opposite edge in the tuple runs between
 # them.
-EDGE_COMPLEMENT = ((2, 3), (1, 3), (0, 3), (0, 1), (0, 2), (1, 2))
+EDGE_COMPLEMENT = tuple(tuple(g for g in range(4)
+                              if e not in FACE_TRIPLES[3 - g])
+                        for e in range(6))
 
 # Flat indices 4 r + c into a 4x4 matrix of the sixteen 3x3 minors,
 # stacked as (4, 4, 3, 3): minor (i, j) keeps the rows r != i and the
@@ -132,6 +146,24 @@ class AngleSixTuple(_FrozenRecord):
 # The 64 valid branch-sign tuples, each stored once: every AlphaSixTuple
 # holds one of these objects, so tuples with the same signs share it.
 _MU_TUPLES = {mu: mu for mu in itertools.product((-1, 1), repeat=6)}
+# Their ids: the stored tuples live as long as the module, so no other
+# object has one of these ids.
+_MU_IDS = frozenset(map(id, _MU_TUPLES))
+
+
+def _branch_signs(mu) -> tuple[int, ...]:
+    """mu as the one stored tuple of `_MU_TUPLES` it names: each sign read
+    by the package's integer rule (`qnum._integral_level`), so 1.5 or
+    "1" is refused, never truncated; ValueError unless six of -1, +1.
+    A stored tuple itself (the `mu` of an AlphaSixTuple) is returned
+    without the per-sign reads."""
+    if id(mu) in _MU_IDS:
+        return mu
+    signs = _MU_TUPLES.get(tuple(map(_integral_level, mu)))
+    if signs is None:
+        raise ValueError("branch signs must be six values in {-1,+1}")
+    return signs
+
 
 _SIX_DOUBLES = struct.Struct("6d")
 
@@ -155,11 +187,8 @@ class AlphaSixTuple(_FrozenRecord):
         for x in al:
             if not _ALPHA_MIN <= x <= TWO_PI + _ANGLE_SLACK:
                 raise ValueError(f"limit angle {x} outside [0, 2*pi]")
-        mu = _MU_TUPLES.get(tuple(int(m) for m in mu))
-        if mu is None:
-            raise ValueError("branch signs must be six values in {-1,+1}")
         object.__setattr__(self, "_packed", _SIX_DOUBLES.pack(*al))
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", _branch_signs(mu))
 
     @property
     def alpha(self) -> tuple[float, float, float, float, float, float]:
@@ -175,12 +204,12 @@ class AlphaSixTuple(_FrozenRecord):
     def from_alpha(alpha) -> "AlphaSixTuple":
         """Branch signs read off the values: mu = +1 iff alpha > pi."""
         al = tuple(float(x) for x in alpha)
-        mu = tuple(1 if x > math.pi else -1 for x in al)
+        mu = _MU_TUPLES[tuple(1 if x > math.pi else -1 for x in al)]
         return AlphaSixTuple(al, mu)
 
     @staticmethod
     def from_theta(theta: AngleSixTuple, mu) -> "AlphaSixTuple":
-        mu = tuple(int(m) for m in mu)
+        mu = _branch_signs(mu)
         al = tuple(math.pi + m * t for m, t in zip(mu, theta.theta))
         return AlphaSixTuple(al, mu)
 
@@ -246,6 +275,17 @@ class GeometryClass(NamedTuple):
     signature: Signature
 
 
+# The class of each signature (pos, neg) an admissible tuple can have;
+# any other pair is INDETERMINATE.  (2,1) has been seen only on the
+# boundary of the admissible region (module docstring).
+_TAG_OF_PAIR = {(4, 0): GeometryTag.SPHERICAL,
+                (3, 0): GeometryTag.GENERALIZED_EUCLIDEAN,
+                (3, 1): GeometryTag.GENERALIZED_HYPERBOLIC,
+                (2, 0): GeometryTag.EUCLIDEAN_LINES,
+                (1, 0): GeometryTag.EUCLIDEAN_LINES,
+                (2, 1): GeometryTag.HYPERBOLIC_LINES}
+
+
 def tol_sign(x: float) -> int:
     """+1 / -1 when x lies above DEFAULT_TOL / below -DEFAULT_TOL, else 0."""
     if x > DEFAULT_TOL:
@@ -270,17 +310,8 @@ def _admissible_of(packed: bytes) -> bool:
 
 def strictly_admissible(alpha: AlphaSixTuple) -> bool:
     """Strict admissibility: open inequalities, alpha in (0,pi) u (pi,2pi)."""
-    al = alpha.alpha
-    for x in al:
-        if x <= 0.0 or x >= TWO_PI or x == math.pi:
-            return False
-    for (i, j, k) in VERTEX_TRIPLES:
-        s = al[i] + al[j] + al[k]
-        if s >= FOUR_PI:
-            return False
-        if s - 2 * al[i] <= 0 or s - 2 * al[j] <= 0 or s - 2 * al[k] <= 0:
-            return False
-    return True
+    return bool(_admissible_mask(np.frombuffer(alpha._packed)[None],
+                                 strict=True)[0])
 
 
 def gram_from_angles(theta: AngleSixTuple) -> GramMatrix:
@@ -376,22 +407,8 @@ def classify(alpha: AlphaSixTuple) -> GeometryClass:
     if not admissible(alpha):
         raise ValueError("tuple not admissible")
     sig = signature(gram_from_alpha(alpha))
-    pair = sig.as_pair()
-    if pair == (4, 0):
-        tag = GeometryTag.SPHERICAL
-    elif pair == (3, 0):
-        tag = GeometryTag.GENERALIZED_EUCLIDEAN
-    elif pair == (3, 1):
-        tag = GeometryTag.GENERALIZED_HYPERBOLIC
-    elif pair in ((2, 0), (1, 0)):
-        tag = GeometryTag.EUCLIDEAN_LINES
-    elif pair == (2, 1):
-        # Seen only on the boundary of the admissible region (module
-        # docstring).
-        tag = GeometryTag.HYPERBOLIC_LINES
-    else:
-        tag = GeometryTag.INDETERMINATE
-    return GeometryClass(tag, sig)
+    return GeometryClass(
+        _TAG_OF_PAIR.get(sig.as_pair(), GeometryTag.INDETERMINATE), sig)
 
 
 def change_angles_opposite_vertex(theta: AngleSixTuple, i: int) -> AngleSixTuple:
@@ -420,18 +437,23 @@ def change_angles_opposite_vertex(theta: AngleSixTuple, i: int) -> AngleSixTuple
 # from [0, 2 pi]^6 and keep the admissible rows.
 
 
-def _admissible_mask(al: np.ndarray, margin: float = 0.0) -> np.ndarray:
+def _admissible_mask(al: np.ndarray, margin: float = 0.0,
+                     strict: bool = False) -> np.ndarray:
     """Boolean mask of admissible rows of an (n,6) alpha array.
 
-    With margin > 0 the inequalities are required to hold strictly with
-    that margin and the components must avoid {0, pi, 2 pi} by the same
-    amount (strict admissibility sampling).
+    With margin > 0 the inequalities are required to hold with that
+    margin and the components must avoid {0, pi, 2 pi} by the same
+    amount (strict admissibility sampling).  With strict, every
+    inequality is open and the components must avoid {0, pi, 2 pi}
+    (`strictly_admissible`).
     """
+    below, above = ((np.less, np.greater) if strict
+                    else (np.less_equal, np.greater_equal))
     tri = al[:, _VERTEX_INDEX]  # (n, 4, 3): the three edges at each vertex
     s = tri[:, :, 0] + tri[:, :, 1] + tri[:, :, 2]
-    ok = (s <= FOUR_PI - margin).all(axis=1)
-    ok &= (s[:, :, None] - 2 * tri >= margin).all(axis=(1, 2))
-    if margin > 0.0:
+    ok = below(s, FOUR_PI - margin).all(axis=1)
+    ok &= above(s[:, :, None] - 2 * tri, margin).all(axis=(1, 2))
+    if strict or margin > 0.0:
         ok &= np.all((al > margin) & (al < TWO_PI - margin)
                      & (np.abs(al - math.pi) > margin), axis=1)
     return ok
@@ -448,13 +470,10 @@ def _gram_batch(al: np.ndarray) -> np.ndarray:
 def signature_batch(gram: np.ndarray) -> np.ndarray:
     """(n,2) array of (pos, neg) eigenvalue counts of stacked 4x4 matrices.
 
-    An eigenvalue counts as zero within DEFAULT_TOL * (spectral norm),
-    a threshold floored at DEFAULT_TOL * 1e-30; a Gram matrix (unit
-    diagonal) has spectral norm >= 1, so the floor never binds there.
+    An eigenvalue counts as zero within DEFAULT_TOL * (spectral norm).
     """
     eig = np.linalg.eigvalsh(gram)
     thr = DEFAULT_TOL * np.abs(eig).max(axis=1, keepdims=True)
-    thr = np.maximum(thr, DEFAULT_TOL * 1e-30)
     return np.array([(eig > thr).sum(axis=1), (eig < -thr).sum(axis=1)]).T
 
 

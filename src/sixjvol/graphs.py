@@ -42,6 +42,9 @@ class BlowUpGraph(_ValueRecord):
     __slots__ = ("n_edges", "tet_decomposition")
 
     def __init__(self, n_edges, tet_decomposition) -> None:
+        if type(n_edges) is not int or n_edges < 0:
+            raise ValueError(
+                f"need a non-negative integer edge count, got {n_edges!r}")
         tets = tuple(tuple(tet) for tet in tet_decomposition)
         object.__setattr__(self, "n_edges", n_edges)
         object.__setattr__(self, "tet_decomposition", tets)

@@ -92,7 +92,7 @@ def even_colors(angles, r: int) -> tuple[int, ...]:
     this is the rounding of x itself.  Below 1/2 it gives 0 and from
     2^53 up it is clamped to r - 3, as the exact rounding is.
     """
-    if r < 5 or r % 2 == 0:
+    if r < 5 or r % 2 != 1:  # refuses a non-integral r too
         raise ValueError("level must be an odd integer >= 5")
     top = r - 3  # largest even value in the color range [0, r-2]
     out = []

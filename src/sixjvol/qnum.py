@@ -127,14 +127,12 @@ def _index(x) -> int:
 def _level(level) -> OddLevel:
     """Coerce a level to OddLevel.
 
-    An OddLevel or an int takes the short path; anything else becomes
+    An OddLevel is returned as it is; anything else becomes
     OddLevel(_integral_level(level)), and raises TypeError where that
     is None.
     """
     if isinstance(level, OddLevel):
         return level
-    if type(level) is int:
-        return OddLevel(level)
     r = _integral_level(level)
     if r is None:
         raise TypeError(f"level must be an integer, got {level!r}")

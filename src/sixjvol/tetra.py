@@ -30,6 +30,7 @@ of one `GramMatrix` are equal.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from typing import NamedTuple
 
@@ -39,7 +40,7 @@ from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, GramMatrix, _det_from_rows,
                    cofactor_matrix, signature, tol_sign)
 from .qnum import _index
 
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 def _mdot(x, y) -> float:
@@ -130,6 +131,19 @@ _NORM_OF_TYPE = {VertexType.REGULAR: -1.0, VertexType.IDEAL: 0.0,
 _TIMELIKE_LAST = np.array([1, 2, 3, 0])
 
 
+def _cofactors(G: GramMatrix) -> tuple[np.ndarray, list, list, list]:
+    """(cof, c, diag, off): the cofactor matrix of G from the memo of
+    `cofactor_matrix`, as its read-only array and as nested lists of
+    floats, and the signs (tol_sign) of cof_11..cof_44 and of cof_ij in
+    _PAIRS order.  Every question below reads G's cofactors through
+    this one call: vertex types, distances, signed lengths, segment
+    sides and the case."""
+    cof = cofactor_matrix(G.mat)
+    c = cof.tolist()
+    return (cof, c, [tol_sign(c[i][i]) for i in range(4)],
+            [tol_sign(c[i][j]) for i, j in _PAIRS])
+
+
 def vertex_type(G: GramMatrix, i: int) -> VertexType:
     """Vertex i (1..4) by the sign of the diagonal cofactor cof_ii.
 
@@ -139,7 +153,8 @@ def vertex_type(G: GramMatrix, i: int) -> VertexType:
     i = _index(i)
     if i not in (1, 2, 3, 4):
         raise ValueError("vertex index must be 1..4")
-    return _VERTEX_TYPE_OF_SIGN[tol_sign(cofactor_matrix(G.mat)[i - 1, i - 1])]
+    _, _, diag, _ = _cofactors(G)
+    return _VERTEX_TYPE_OF_SIGN[diag[i - 1]]
 
 
 # Kind of a distance by the number of its endpoints that are
@@ -148,23 +163,15 @@ _KIND_OF_PLANES = (DistanceKind.VERTEX_VERTEX, DistanceKind.VERTEX_PLANE,
                    DistanceKind.PLANE_PLANE)
 
 
-def _cofactor_signs(cof: list) -> tuple[list[int], list[int]]:
-    """The signs (tol_sign) of cof_11..cof_44 and of cof_ij in _PAIRS
-    order; cof is the cofactor matrix as nested lists of floats.  Vertex
-    types, signed lengths and the case all read these ten signs."""
-    return ([tol_sign(cof[i][i]) for i in range(4)],
-            [tol_sign(cof[i][j]) for i, j in _PAIRS])
-
-
-def _distance_from_cofactors(cii: float, cjj: float, cij: float,
-                             si: int, sj: int) -> EdgeDistance:
-    """Distance of the endpoint pair with cofactors cii, cjj, cij, where
-    si and sj are the signs of cii and cjj."""
+def _distance_of(c: list, diag: list, i: int, j: int) -> EdgeDistance:
+    """`distance` of the endpoint pair {i,j}, 0-based, from the
+    cofactors c and their diagonal signs diag (`_cofactors`)."""
+    si, sj = diag[i], diag[j]
     kind = _KIND_OF_PLANES[(si < 0) + (sj < 0)]
     if si == 0 or sj == 0:
         # An ideal endpoint is infinitely far from everything else.
         return EdgeDistance(math.inf, kind, ideal=True)
-    arg = abs(cij) / math.sqrt(abs(cii * cjj))
+    arg = abs(c[i][j]) / math.sqrt(abs(c[i][i] * c[j][j]))
     if kind is DistanceKind.VERTEX_PLANE:
         return EdgeDistance(math.asinh(arg), kind)
     if arg < 1.0:
@@ -191,26 +198,22 @@ def distance(G: GramMatrix, i: int, j: int) -> EdgeDistance:
     always on |cof_ij| / sqrt(|cof_ii cof_jj|).
     """
     i, j = _check_pair(i, j)
-    cof = cofactor_matrix(G.mat).tolist()
-    cii, cjj = cof[i - 1][i - 1], cof[j - 1][j - 1]
-    return _distance_from_cofactors(cii, cjj, cof[i - 1][j - 1],
-                                    tol_sign(cii), tol_sign(cjj))
+    _, c, diag, _ = _cofactors(G)
+    return _distance_of(c, diag, i - 1, j - 1)
 
 
-def _signed_length(cof: list, diag: list, off: list, k: int, l: int
+def _signed_length(c: list, diag: list, off: list, k: int, l: int
                    ) -> float:
     """Distance of the pair {k,l} (0-based, k < l), negative unless
-    cof_kl > 0; cof is the cofactor matrix as nested lists of floats,
-    and diag and off are its signs (`_cofactor_signs`)."""
-    d = _distance_from_cofactors(cof[k][k], cof[l][l], cof[k][l],
-                                 diag[k], diag[l]).d
+    cof_kl > 0; c, diag and off as `_cofactors` gives them."""
+    d = _distance_of(c, diag, k, l).d
     return d if off[_PAIRS.index((k, l))] > 0 else -d
 
 
-def _signed_lengths(cof: list, diag: list, off: list) -> tuple[float, ...]:
+def _signed_lengths(c: list, diag: list, off: list) -> tuple[float, ...]:
     """The six signed lengths in edge order: `_signed_length` of the
     complementary pair of each edge."""
-    return tuple([_signed_length(cof, diag, off, k, l)
+    return tuple([_signed_length(c, diag, off, k, l)
                   for k, l in EDGE_COMPLEMENT])
 
 
@@ -222,14 +225,14 @@ def edge_length(G: GramMatrix, i: int, j: int) -> float:
     """
     i, j = _check_pair(i, j)
     k, l = (x for x in range(4) if x not in (i - 1, j - 1))
-    cof = cofactor_matrix(G.mat).tolist()
-    return _signed_length(cof, *_cofactor_signs(cof), k, l)
+    _, c, diag, off = _cofactors(G)
+    return _signed_length(c, diag, off, k, l)
 
 
 def edge_length_tuple(G: GramMatrix) -> tuple[float, ...]:
     """The six signed edge lengths in edge order (l_1..l_6)."""
-    cof = cofactor_matrix(G.mat).tolist()
-    return _signed_lengths(cof, *_cofactor_signs(cof))
+    _, c, diag, off = _cofactors(G)
+    return _signed_lengths(c, diag, off)
 
 
 def segment_side(G: GramMatrix, i: int, j: int) -> SegmentSide:
@@ -240,9 +243,9 @@ def segment_side(G: GramMatrix, i: int, j: int) -> SegmentSide:
     avoids the ball entirely (deep truncation, unsupported here).
     """
     i, j = _check_pair(i, j)
-    cof = cofactor_matrix(G.mat)
-    cii, cjj, cij = cof[i - 1, i - 1], cof[j - 1, j - 1], cof[i - 1, j - 1]
-    if not (tol_sign(cii) < 0 and tol_sign(cjj) < 0):
+    _, c, diag, _ = _cofactors(G)
+    cii, cjj, cij = c[i - 1][i - 1], c[j - 1][j - 1], c[i - 1][j - 1]
+    if not (diag[i - 1] < 0 and diag[j - 1] < 0):
         raise ValueError("segment side is defined for hyperideal endpoints")
     root = math.sqrt(cii * cjj)
     if cij >= root - DEFAULT_TOL:
@@ -320,7 +323,8 @@ def case_label(G: GramMatrix) -> CaseLabel:
     gives a letter (`_case_of_signs`).  The operations hold at most two
     vertex indices, and a pair always contains vertex 1.
     """
-    return _case_of(*_cofactor_signs(cofactor_matrix(G.mat).tolist()))
+    _, _, diag, off = _cofactors(G)
+    return _case_of(diag, off)
 
 
 def _case_of(diag: list, off: list) -> CaseLabel:
@@ -346,9 +350,8 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     row i divided by sqrt|cof_ii det G| away from ideal vertices
     (normalizing <v,v> to +-1) and left lightlike at them.  det G is the
     expansion of G along the first row of its cofactor matrix
-    (`gram._det_from_rows`).  The cofactor matrix is read once from
-    the memo of `cofactor_matrix`, and its ten signs are taken once
-    (`_cofactor_signs`): the vertex types, the edge lengths and the
+    (`gram._det_from_rows`).  The cofactor matrix and its ten signs are
+    read once (`_cofactors`): the vertex types, the edge lengths and the
     case all come from that one sign pass, through the helpers behind
     `edge_length_tuple` and `case_label`.  Each coordinate row is
     a tuple of four Python floats, read off its array in one `tolist`.
@@ -368,9 +371,7 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     # Row i is the normal u_i, column i of U.
     normals = (q * np.sqrt(np.abs(lam)))[:, _TIMELIKE_LAST]
 
-    cof = cofactor_matrix(G.mat)
-    c = cof.tolist()
-    diag, off = _cofactor_signs(c)
+    cof, c, diag, off = _cofactors(G)
     det = _det_from_rows(G.mat[0].tolist(), c[0])
     types = [_VERTEX_TYPE_OF_SIGN[s] for s in diag]
     scale = [math.sqrt(abs(c[i][i] * det)) if s else 1.0

@@ -387,14 +387,19 @@ def _schlafli(theta: AngleSixTuple, mu, h: float
     """(residuals, edge lengths l_k) of `schlafli_residual`: the base
     lengths come with the residuals, since its twelve stepped tuples
     evict the base Gram matrix from the one-entry memos."""
-    G = gram_from_angles(theta)
-    if signature(G).as_pair() != (3, 1):
+    def stratum(th: AngleSixTuple):
+        """(signature pair, signs of the diagonal cofactors) of th."""
+        G = gram_from_angles(th)
+        cof = cofactor_matrix(G.mat)
+        return (signature(G).as_pair(),
+                tuple(tol_sign(cof[i, i]) for i in range(4)))
+
+    base = stratum(theta)
+    if base[0] != (3, 1):
         raise ValueError("not a generalized hyperbolic tetrahedron")
-    cof = cofactor_matrix(G.mat)
-    base_types = tuple(tol_sign(cof[i, i]) for i in range(4))
-    if any(t == 0 for t in base_types):
+    if 0 in base[1]:
         raise ValueError("Schlafli residual requires non-ideal vertices")
-    lengths = edge_length_tuple(G)
+    lengths = edge_length_tuple(gram_from_angles(theta))
     out = []
     for k in range(6):
         vols = []
@@ -404,11 +409,7 @@ def _schlafli(theta: AngleSixTuple, mu, h: float
             if not 0.0 <= th[k] <= math.pi:
                 raise ValueError("step crosses stratum: angle leaves [0, pi]")
             t2 = AngleSixTuple(tuple(th))
-            g2 = gram_from_angles(t2)
-            if signature(g2).as_pair() != (3, 1):
-                raise ValueError("step crosses stratum")
-            c2 = cofactor_matrix(g2.mat)
-            if tuple(tol_sign(c2[i, i]) for i in range(4)) != base_types:
+            if stratum(t2) != base:
                 raise ValueError("step crosses stratum")
             vols.append(volume(t2, mu))
         deriv = (vols[0] - vols[1]) / (2.0 * h)

@@ -12,7 +12,7 @@ from conftest import (THETA_TRIPLE_AT_VERTEX, batch_admissible_alpha,
                       batch_cofactors, hyperideal_by_bonahon_bao,
                       sample_admissible_alpha_np)
 from sixjvol import gram
-from sixjvol.sixj import FACE_TRIPLES
+from sixjvol.sixj import FACE_TRIPLES, VERTEX_TRIPLES
 
 PI = math.pi
 
@@ -31,6 +31,30 @@ def test_angle_tuple_validation():
         alpha_of((7.0, PI, PI, PI, PI, PI))
     with pytest.raises(ValueError, match="branch signs"):
         sv.AlphaSixTuple((PI,) * 6, (0,) * 6)
+
+
+@pytest.mark.parametrize("m", [1.5, "1", -1.9, 0, 2])
+def test_branch_signs_are_refused_not_truncated(m):
+    theta = sv.AngleSixTuple((PI / 6,) * 6)
+    msg = r"^branch signs must be six values in \{-1,\+1\}$"
+    with pytest.raises(ValueError, match=msg):
+        sv.AlphaSixTuple((PI,) * 6, (m,) * 6)
+    with pytest.raises(ValueError, match=msg):
+        sv.AlphaSixTuple.from_theta(theta, (m,) * 6)
+    with pytest.raises(ValueError, match=msg):
+        sv.volume(theta, (m,) * 6)
+
+
+def test_integral_branch_signs_give_the_same_tuple():
+    theta = sv.AngleSixTuple((0.6, 0.7, 0.8, 0.9, 1.0, 1.1))
+    mu = (1, -1, 1, 1, -1, -1)
+    want = sv.AlphaSixTuple.from_theta(theta, mu)
+    for same in (tuple(float(m) for m in mu), tuple(np.int64(m) for m in mu),
+                 np.array(mu), np.array(mu, dtype=float)):
+        got = sv.AlphaSixTuple.from_theta(theta, same)
+        assert got.mu is want.mu
+        assert got._packed == want._packed
+        assert sv.AlphaSixTuple(want.alpha, same).mu is want.mu
 
 
 def test_alpha_tuple_is_compact_and_immutable():
@@ -70,6 +94,50 @@ def test_strictly_admissible_examples():
     assert not sv.strictly_admissible(alpha_of((PI,) * 6))
     assert sv.strictly_admissible(alpha_of((PI - 0.3,) * 6))
     assert not sv.strictly_admissible(alpha_of((4 * PI / 3,) * 6))
+
+
+def _strict_written_out(al) -> bool:
+    """Strict admissibility as open inequalities: each angle in (0, pi)
+    or (pi, 2 pi), and at each vertex a sum below 4 pi and each angle
+    below the sum of the other two."""
+    if not all(0.0 < a < 2 * PI and a != PI for a in al):
+        return False
+    for i, j, k in VERTEX_TRIPLES:
+        a, b, c = al[i], al[j], al[k]
+        if not (a + b + c < 4 * PI and a < b + c and b < a + c
+                and c < a + b):
+            return False
+    return True
+
+
+# Closed admissible rows on the exact boundary of the strict region,
+# most next to a row just inside it.  The base rows (2,)*6 and
+# (5, 5, x, 3, 3, 3) hold every other inequality strictly; 4 pi - 10 is
+# exact, so the first vertex of the sum row adds up to 4 pi exactly.  An
+# angle 0 or 2 pi forces a triangle tie at both of its vertices.
+_SUM_TIE = (5.0, 5.0, 4 * PI - 10.0, 3.0, 3.0, 3.0)
+STRICT_BOUNDARY_ROWS = [
+    ((2.0,) * 6, True),
+    ((PI, 2.0, 2.0, 2.0, 2.0, 2.0), False),                # an angle pi
+    ((math.nextafter(PI, 0.0),) + (2.0,) * 5, True),
+    ((math.nextafter(PI, 4.0),) + (2.0,) * 5, True),
+    ((0.0, 2.0, 2.0, 2.0, 2.0, 2.0), False),               # an angle 0
+    ((2 * PI, 2 * PI - 2.0, 2.0, 3.0, 2 * PI - 2.0, 2.0), False),  # 2 pi
+    (_SUM_TIE, False),                                     # a sum of 4 pi
+    (_SUM_TIE[:2] + (4 * PI - 10.0 - 1e-9,) + _SUM_TIE[3:], True),
+    ((1.0, 2.0, 3.0, 2.0, 2.0, 2.0), False),               # 1 + 2 = 3
+    ((1.0, 2.0, 2.9, 2.0, 2.0, 2.0), True),
+    ((PI / 2, PI / 2, PI, 2.0, 2.0, 2.0), False),          # pi/2 + pi/2
+]
+
+
+@pytest.mark.parametrize("row, strict", STRICT_BOUNDARY_ROWS)
+def test_strictly_admissible_on_exact_boundaries(row, strict):
+    assert (5.0 + 5.0) + (4 * PI - 10.0) == 4 * PI
+    assert _strict_written_out(row) is strict
+    a = sv.AlphaSixTuple.from_alpha(row)
+    assert sv.strictly_admissible(a) is strict
+    assert sv.admissible(a)
 
 
 def test_gram_matrix_examples():

@@ -63,6 +63,16 @@ def test_record_refuses_bad_edge_ids(tet):
         sv.BlowUpGraph(6, ((0, 1, 2, 3, 4, 5), tet))
 
 
+@pytest.mark.parametrize("n", [2.5, -3, 2.0, "2", True, None])
+def test_record_refuses_bad_edge_counts(n):
+    # ids follow the same rule: an int, never a float or a string
+    with pytest.raises(ValueError,
+                       match=r"^need a non-negative integer edge count, "
+                       r"got " + re.escape(repr(n)) + r"$"):
+        sv.BlowUpGraph(n, ((0, 1, 0, 0, 1, 1),))
+    assert sv.BlowUpGraph(0, ()).n_edges == 0
+
+
 def test_two_edge_classes_bracket_is_a_square():
     # the two-tetrahedron ideal triangulation of the figure-eight knot
     # complement: both tetrahedra coloured (a, b, a, a, b, b)

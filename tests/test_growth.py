@@ -36,6 +36,19 @@ def test_colors_for_r_clamps_to_top_even_color():
     assert sv.colors_for_r(al, 101).colors == (98, 50, 50, 50, 50, 50)
 
 
+def test_even_colors_refuse_a_non_integral_level():
+    sym = sv.PrismSpec((PI / 6,) * 3, (PI / 6,) * 3, (PI / 6,) * 3)
+    for r in (101.5, float("nan")):
+        with pytest.raises(ValueError, match="^level must be an odd integer "
+                                             ">= 5$"):
+            growth.even_colors((6.2,) * 6, r)
+        with pytest.raises(ValueError, match="odd integer"):
+            sv.prism_colors_for_r(sym, r)
+    for r in (101, 101.0, np.int64(101)):
+        assert growth.even_colors((6.2,) * 6, r) == (98,) * 6
+        assert sv.prism_colors_for_r(sym, r) == (42,) * 9
+
+
 # Exact ties at r = 101: r*a/(2 pi) is exactly the odd integer k, and
 # pi - (pi - a) == a, so a prism's bases can carry them too.
 TIE_1, TIE_7 = 0.062209755516629564, 0.43546828861640696
