@@ -509,7 +509,7 @@ def sample_admissible_alpha(n: int, rng=None,
     return _sample_alpha(n, rng, margin)
 
 
-def sample_hyperbolic_alpha(n: int, rng=None,
-                            margin: float = 1e-6) -> np.ndarray:
-    """`sample_admissible_alpha` rows whose Gram signature is (3,1)."""
-    return _sample_alpha(n, rng, margin, _hyperbolic_rows)
+def sample_hyperbolic_alpha(n: int, rng=None) -> np.ndarray:
+    """`sample_admissible_alpha` rows with margin 1e-6 whose Gram
+    signature is (3,1)."""
+    return _sample_alpha(n, rng, 1e-6, _hyperbolic_rows)

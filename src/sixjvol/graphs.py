@@ -30,8 +30,9 @@ from typing import NamedTuple
 from .gram import AngleSixTuple
 from .growth import (GrowthFit, GrowthSample, _int_levels, even_colors,
                      fit_growth, scan_levels)
-from .qnum import QuarterPhaseLog, _odd_level, _ValueRecord, _level
-from .sixj import _color, _valid_tuple, sixj_log
+from .qnum import (QuarterPhaseLog, _index, _level, _odd_level,
+                   _ValueRecord)
+from .sixj import _valid_tuple, sixj_log
 from .volfun import volume
 
 
@@ -67,7 +68,7 @@ def bracket_blowup(graph: BlowUpGraph, coloring, level) -> QuarterPhaseLog:
     """
     lv = _level(level)
     # the colors of a level scan are ints and skip the call
-    col = [c if type(c) is int else _color(c) for c in coloring]
+    col = [c if type(c) is int else _index(c, "color") for c in coloring]
     if len(col) != graph.n_edges:
         raise ValueError(f"need {graph.n_edges} colors, got {len(col)}")
     out = None
@@ -159,14 +160,18 @@ class PrismCheck(NamedTuple):
     samples: tuple[GrowthSample, ...]
 
 
-def _prism_samples(p: PrismSpec, r_list) -> list[GrowthSample]:
-    """The bracket samples of `prism_conjecture_check`, without the fit."""
+def _prism_bracket(p: PrismSpec):
+    """The evaluator r -> <prism, col_r> that the prism scans pass to
+    `scan_levels`, for levels `_int_levels` has checked."""
     graph = prism_graph()
     alpha = _prism_alpha(p)  # prism_colors_for_r, with the angles once
-    return scan_levels(
-        _int_levels(r_list),
-        lambda r: bracket_blowup(graph, even_colors(alpha, r),
-                                 _odd_level(r)))
+    return lambda r: bracket_blowup(graph, even_colors(alpha, r),
+                                    _odd_level(r))
+
+
+def _prism_samples(p: PrismSpec, r_list) -> list[GrowthSample]:
+    """The bracket samples of `prism_conjecture_check`, without the fit."""
+    return scan_levels(_int_levels(r_list), _prism_bracket(p))
 
 
 def prism_conjecture_check(p: PrismSpec, r_list) -> PrismCheck:
@@ -174,9 +179,10 @@ def prism_conjecture_check(p: PrismSpec, r_list) -> PrismCheck:
 
     Fits c0 + c1 log(r)/r + c2/r to (2 pi / r) ln|<prism, col_r>| and
     reports the gap |c0 - Vol(P)|.  Levels are checked as in a GrowthPlan;
-    failing levels are skipped with a LevelSkipped warning.
+    failing levels are skipped with a LevelSkipped warning attributed to
+    the caller, so this calls `scan_levels` itself.
     """
-    samples = _prism_samples(p, r_list)
+    samples = scan_levels(_int_levels(r_list), _prism_bracket(p))
     fit = fit_growth(samples)
     vol = prism_volume(p)
     return PrismCheck(fit, vol, abs(fit.c0 - vol), tuple(samples))

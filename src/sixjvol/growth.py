@@ -85,7 +85,7 @@ class GrowthFit(NamedTuple):
 def even_colors(angles, r: int) -> tuple[int, ...]:
     """Even rounding of r*a/(2*pi) for each limit angle a: the nearest
     even integer, ties broken downward, clamped to the even colors of
-    level r.
+    level r.  Every color is an int, whatever the type of r.
 
     The nearest even integer to x with ties down is 2*ceil((x - 1)/2).
     For x in [1/2, 2^53) the subtraction and the halving are exact, so
@@ -94,7 +94,7 @@ def even_colors(angles, r: int) -> tuple[int, ...]:
     """
     if r < 5 or r % 2 != 1:  # refuses a non-integral r too
         raise ValueError("level must be an odd integer >= 5")
-    top = r - 3  # largest even value in the color range [0, r-2]
+    top = int(r) - 3  # largest even value in the color range [0, r-2]
     out = []
     for a in angles:
         c = 2 * ceil((r * a / TWO_PI - 1.0) / 2.0)

@@ -16,7 +16,12 @@ i^{-sum(a)} prefactor and square roots of negative reals compose
 exactly, with floating point confined to magnitudes.  A 6j-symbol is
 real or purely imaginary and is returned either way; the one rule that
 a value must be real is `QuarterPhaseLog.real_sign`, read where a real
-record is built.
+record is built, and the one rule for zero is `QuarterPhaseLog.__new__`.
+
+Every integer argument (a level, a color, a 1-based index, the n of
+the accessors below) is read by one rule, `_integral_level`: an int, a
+numpy integer or a float with no fractional part, never truncated.
+`_index` refuses anything else with TypeError, naming the argument.
 """
 
 from __future__ import annotations
@@ -115,28 +120,23 @@ def _integral_level(x) -> int | None:
     return None
 
 
-def _index(x) -> int:
-    """A 1-based index argument as an int, by the rule for levels
-    (`_integral_level`): never truncated, refused with TypeError."""
+def _index(x, what: str = "index") -> int:
+    """An integer argument as an int, by `_integral_level`; anything
+    else raises TypeError("<what> must be an integer, got <x!r>").  The
+    one integer refusal: levels, colors, 1-based indices and the n of
+    the accessors all come through here."""
     i = _integral_level(x)
     if i is None:
-        raise TypeError(f"index must be an integer, got {x!r}")
+        raise TypeError(f"{what} must be an integer, got {x!r}")
     return i
 
 
 def _level(level) -> OddLevel:
-    """Coerce a level to OddLevel.
-
-    An OddLevel is returned as it is; anything else becomes
-    OddLevel(_integral_level(level)), and raises TypeError where that
-    is None.
-    """
+    """Coerce a level to OddLevel: an OddLevel is returned as it is,
+    anything else is read by `_index`."""
     if isinstance(level, OddLevel):
         return level
-    r = _integral_level(level)
-    if r is None:
-        raise TypeError(f"level must be an integer, got {level!r}")
-    return OddLevel(r)
+    return OddLevel(_index(level, "level"))
 
 
 class QuarterPhaseLog(tuple):
@@ -144,9 +144,10 @@ class QuarterPhaseLog(tuple):
 
     The tuple (log_mag, phase): it unpacks, compares and hashes as that
     pair, and the constructor reduces the phase mod 4.  log_mag = -inf
-    encodes exactly zero, whose phase is 0.  Multiplication adds
-    log-magnitudes and adds phases mod 4; the other tuple operations
-    are those of a plain tuple.
+    encodes exactly zero, and `__new__` holds the zero rule: it gives
+    zero the phase 0.  Multiplication adds log-magnitudes and phases,
+    so a zero factor gives zero through that rule; the other tuple
+    operations are those of a plain tuple.
     """
 
     __slots__ = ()
@@ -179,19 +180,16 @@ class QuarterPhaseLog(tuple):
         return QuarterPhaseLog(math.log(abs(x)), 0 if x > 0 else 2)
 
     def __mul__(self, other: "QuarterPhaseLog") -> "QuarterPhaseLog":
-        if self[0] == _NEG_INF or other.log_mag == _NEG_INF:
-            return QuarterPhaseLog.zero()
-        return QuarterPhaseLog(self[0] + other.log_mag, self[1] + other.phase)
+        return QuarterPhaseLog(self[0] + other[0], self[1] + other[1])
 
     @property
     def is_zero(self) -> bool:
         return self[0] == _NEG_INF
 
     def value(self) -> complex:
-        """The represented complex number (overflows for large log_mag)."""
-        if self.is_zero:
-            return 0.0 + 0.0j
-        return math.exp(self.log_mag) * (1j ** self.phase)
+        """The represented complex number (overflows for large log_mag);
+        0j for zero, as exp(-inf) is 0.0."""
+        return math.exp(self[0]) * (1j ** self[1])
 
     def real_sign(self) -> int:
         """+1/-1/0 for a real-phased value; ValueError if the phase is
@@ -328,6 +326,7 @@ def level_tables(level) -> LevelTables:
 def quantum_integer(level, n: int) -> float:
     """[n] = sin(2 pi n / r) / sin(2 pi / r), any integer n."""
     r = _level(level).r
+    n = _index(n, "n")
     m = n % r  # range-reduce before sin; [n] is r-periodic in n
     return math.sin(TWO_PI * m / r) / math.sin(TWO_PI / r)
 
@@ -339,6 +338,7 @@ def log_quantum_factorial(level, n: int) -> QuarterPhaseLog:
     parity of their count into quarter turns.
     """
     lv = _level(level)
+    n = _index(n, "n")
     if not 0 <= n <= lv.r - 2:
         raise ValueError(f"color out of range: n={n} not in [0, {lv.r - 2}]")
     tab = level_tables(lv)
@@ -349,6 +349,7 @@ def log_quantum_factorial(level, n: int) -> QuarterPhaseLog:
 def log_brace_factorial(level, n: int) -> float:
     """log|{n}!| where {k} = q^k - q^{-k}; equals sum log|2 sin(2 pi k/r)|."""
     lv = _level(level)
+    n = _index(n, "n")
     if not 0 < n < lv.r:
         raise ValueError(f"brace factorial argument out of range: n={n}"
                          f" not in (0, {lv.r})")

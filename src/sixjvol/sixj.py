@@ -82,15 +82,6 @@ def is_admissible_triple(a1: int, a2: int, a3: int, level) -> bool:
     return None not in a and _triple_ok(*a, r)
 
 
-def _color(x) -> int:
-    """A color as an int, by the rule for levels (`qnum._integral_level`):
-    never truncated, and refused with the TypeError a level gets."""
-    a = _integral_level(x)
-    if a is None:
-        raise TypeError(f"color must be an integer, got {x!r}")
-    return a
-
-
 def _triple_ok(a1: int, a2: int, a3: int, r: int) -> bool:
     """The triple rule by half-sums.  With s = a1+a2+a3 even, the
     triangle inequalities say a1, a2, a3 <= s/2, and they imply
@@ -136,7 +127,7 @@ class ColorTriple(_ValueRecord):
     __slots__ = ("a1", "a2", "a3", "level")
 
     def __init__(self, a1: int, a2: int, a3: int, level) -> None:
-        a1, a2, a3 = _color(a1), _color(a2), _color(a3)
+        a1, a2, a3 = [_index(a, "color") for a in (a1, a2, a3)]
         level = _level(level)
         if not _triple_ok(a1, a2, a3, level.r):
             raise ValueError(f"inadmissible triple ({a1},{a2},{a3})"
@@ -159,7 +150,7 @@ class ColorSixTuple(_ValueRecord):
     __slots__ = ("colors", "level")
 
     def __init__(self, colors, level) -> None:
-        colors = tuple(map(_color, colors))
+        colors = tuple([_index(a, "color") for a in colors])
         if len(colors) != 6:
             raise ValueError("need exactly six colors")
         level = _level(level)

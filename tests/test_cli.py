@@ -329,6 +329,17 @@ def test_growth_json_fit_and_determinism(capsys):
     assert out2 == out  # byte-identical reruns
 
 
+def test_growth_json_without_a_hyperbolic_volume(capsys):
+    # pi/2 x6 has no hyperbolic volume: the samples and fit are reported,
+    # vol and gap are null, and the command succeeds
+    code, out, _ = run(capsys, ["growth", "--r-start", "101", "--r-end",
+                                "121"] + ["pi/2"] * 6)
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["samples"]) == 11 and set(doc["fit"]) == FIT_KEYS
+    assert doc["vol"] is None and doc["gap"] is None
+
+
 def test_growth_range_validation(capsys):
     code, _, err = run(capsys, ["growth", "--r-start", "301",
                                 "--r-end", "101"] + PI6)

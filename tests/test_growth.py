@@ -49,6 +49,18 @@ def test_even_colors_refuse_a_non_integral_level():
         assert sv.prism_colors_for_r(sym, r) == (42,) * 9
 
 
+def test_colors_for_r_holds_int_colors_at_any_level_type():
+    # the clamped colors 98 come from the int value of r, so a float or
+    # numpy level gives the record, and the symbol, of the int level
+    al = sv.AlphaSixTuple.from_alpha((6.2, 3.1, 3.1, 6.2, 3.1, 3.1))
+    want = growth.colors_for_r(al, 101)
+    for r in (101.0, np.int64(101)):
+        t = growth.colors_for_r(al, r)
+        assert t.colors == (98, 50, 50, 98, 50, 50)
+        assert all(type(c) is int for c in t.colors)
+        assert t == want and sv.sixj_log(t) == sv.sixj_log(want)
+
+
 # Exact ties at r = 101: r*a/(2 pi) is exactly the odd integer k, and
 # pi - (pi - a) == a, so a prism's bases can carry them too.
 TIE_1, TIE_7 = 0.062209755516629564, 0.43546828861640696
@@ -180,6 +192,24 @@ def test_growth_series_skips_bad_levels_with_warning():
     skipped = [w for w in caught if issubclass(w.category, sv.LevelSkipped)]
     assert len(skipped) == 3
     assert [s.r for s in out] == [101, 105, 109]
+
+
+def test_skipped_level_warnings_point_at_the_caller():
+    # growth_series and prism_conjecture_check both warn from
+    # scan_levels, attributed to the line that called the scan
+    plan = sv.GrowthPlan(sv.AlphaSixTuple.from_alpha((6.2, PI, PI, PI, PI,
+                                                      PI)),
+                         (7, 101, 103, 105, 107, 109))
+    spec = sv.PrismSpec((0.5,) * 3, (1.5,) * 3, (0.5,) * 3)
+    for scan in (lambda: sv.growth_series(plan),
+                 lambda: sv.prism_conjecture_check(spec, range(101, 122, 2))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scan()
+        skipped = [w for w in caught
+                   if issubclass(w.category, sv.LevelSkipped)]
+        assert len(skipped) in (3, 4)
+        assert {w.filename for w in skipped} == {__file__}
 
 
 def test_growth_series_logs_skipped_levels(caplog):
@@ -331,6 +361,15 @@ def test_fit_growth_needs_five_samples():
     plan = sv.GrowthPlan(alpha_of((PI / 6,) * 6), (101, 103, 105))
     with pytest.raises(ValueError, match="at least 5 finite samples"):
         sv.fit_growth(sv.growth_series(plan))
+
+
+def test_fit_growth_refuses_a_rank_deficient_design():
+    # five finite samples on two distinct levels span only two columns
+    samples = [growth.GrowthSample(r, -50.0, 2 * PI * -50.0 / r, 1)
+               for r in (101, 103, 101, 103, 101)]
+    with pytest.raises(ValueError, match="^rank-deficient design: need "
+                                         "more distinct levels$"):
+        sv.fit_growth(samples)
 
 
 def test_fit_growth_converges_to_volume():

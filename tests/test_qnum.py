@@ -88,6 +88,29 @@ def test_quarter_phase_log_arithmetic():
     z = sv.QuarterPhaseLog.zero()
     assert z.is_zero and z.phase == 0
     assert (z * a).is_zero
+    # a zero factor on either side gives exactly the pair (-inf, 0),
+    # whose value is +0j
+    for x in (b, sv.QuarterPhaseLog(-2.0, 1), z):
+        assert tuple(z * x) == tuple(x * z) == (float("-inf"), 0)
+    v = z.value()
+    assert v == 0j and type(v) is complex
+    assert math.copysign(1.0, v.real) == math.copysign(1.0, v.imag) == 1.0
+
+
+@pytest.mark.parametrize("fn", [sv.quantum_integer, sv.log_quantum_factorial,
+                                sv.log_brace_factorial])
+def test_accessors_read_n_by_the_index_rule(fn):
+    # n is read as every integer argument is (`qnum._index`): an integral
+    # float or a numpy integer gives the int answer; anything else is a
+    # TypeError naming n, never truncated
+    want = fn(101, 2)
+    for n in (2.0, np.int64(2), np.float64(2.0)):
+        got = fn(101, n)
+        assert got == want and type(got) is type(want)
+    for bad in (2.5, "2", float("nan")):
+        with pytest.raises(TypeError) as exc:
+            fn(101, bad)
+        assert str(exc.value) == f"n must be an integer, got {bad!r}"
 
 
 def test_value_records_normalise_compare_and_refuse_assignment():
