@@ -11,11 +11,11 @@ Each command returns its JSON document, which `main` writes, or writes
 its CSV rows itself and returns None; a command reports an error by
 raising (see the exit codes).
 
-Exit codes: 0 success, 1 domain errors (inadmissible colors, no
-hyperbolic geometry, ...), 2 parse/usage errors, 141 when the reader
-closes stdout before the output is written (`sixjvol ... | head`), with
-nothing on stderr: 141 is what a shell reports for a process that
-SIGPIPE ends.
+Exit codes: 0 success, 1 domain errors (inadmissible colors, a level
+the library refuses, no hyperbolic geometry, ...), 2 parse/usage
+errors, 141 when the reader closes stdout before the output is written
+(`sixjvol ... | head`), with nothing on stderr: 141 is what a shell
+reports for a process that SIGPIPE ends.
 
 Each command loads only the library modules it runs.  Importing this
 module loads `qnum` and `sixj`, all that parsing and the sixj command
@@ -32,8 +32,7 @@ import os
 import re
 import sys
 
-from .qnum import OddLevel
-from .sixj import tuple_of
+from .sixj import ColorSixTuple
 from .sixj import sixj_log as _sixj_log
 
 # A temporary shim: library functions that stay attributes of this
@@ -95,21 +94,6 @@ def mu_literal(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"bad mu {text!r}: need six characters from +-")
     return tuple(1 if c == "+" else -1 for c in s)
-
-
-def odd_level(text: str) -> int:
-    r = int(text)
-    if r < 3 or r % 2 == 0:
-        raise argparse.ArgumentTypeError(f"level must be odd and >= 3: {text}")
-    return r
-
-
-def odd_start(text: str) -> int:
-    r = int(text)
-    if r < 5 or r % 2 == 0:
-        raise argparse.ArgumentTypeError(
-            f"--r-start must be odd and >= 5: {text}")
-    return r
 
 
 def even_step(text: str) -> int:
@@ -174,13 +158,13 @@ def _emit_csv(header, rows) -> None:
 
 
 def _angle_head(args):
-    """(theta, alpha, echo) for the six angles and --mu: echo holds the
-    theta, alpha and mu fields that every angle command writes."""
+    """(alpha, echo) for the six angles and --mu: echo holds the theta,
+    alpha and mu fields that every angle command writes."""
     from .gram import AlphaSixTuple, AngleSixTuple
     theta = AngleSixTuple(tuple(args.angles))
     alpha = AlphaSixTuple.from_theta(theta, args.mu)
-    return theta, alpha, {"theta": list(theta.theta),
-                          "alpha": list(alpha.alpha), "mu": list(args.mu)}
+    return alpha, {"theta": list(theta.theta), "alpha": list(alpha.alpha),
+                   "mu": list(args.mu)}
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +174,7 @@ def _angle_head(args):
 def cmd_classify(args) -> dict:
     from .gram import (admissible, classify, cofactor_matrix, gram_from_alpha,
                        signature, strictly_admissible, tol_sign)
-    _, alpha, out = _angle_head(args)
+    alpha, out = _angle_head(args)
     G = gram_from_alpha(alpha)
     cof = cofactor_matrix(G.mat)
     adm = admissible(alpha)
@@ -211,7 +195,7 @@ def cmd_classify(args) -> dict:
 def cmd_tetra(args) -> dict:
     from .gram import gram_from_alpha
     from .tetra import reconstruct
-    _, alpha, out = _angle_head(args)
+    alpha, out = _angle_head(args)
     G = gram_from_alpha(alpha)
     t = reconstruct(G)
     out.update({
@@ -233,7 +217,7 @@ def cmd_volume(args) -> dict:
     from .gram import admissible, gram_from_alpha, signature
     from .tetra import edge_length_tuple
     from .volfun import big_V, critical_xi
-    _, alpha, out = _angle_head(args)
+    alpha, out = _angle_head(args)
     data = critical_xi(alpha)
     vol = big_V(alpha, data.xi)
     G = gram_from_alpha(alpha)
@@ -246,8 +230,7 @@ def cmd_volume(args) -> dict:
 
 
 def cmd_sixj(args) -> dict:
-    t = tuple_of(tuple(args.colors), OddLevel(args.r))
-    val = _sixj_log(t)
+    val = _sixj_log(ColorSixTuple(args.colors, args.r))
     log_abs, phase = val
     try:
         sign = val.real_sign()
@@ -282,15 +265,15 @@ def _emit_series(args, samples, summary) -> dict | None:
 
 def cmd_growth(args) -> dict | None:
     from .growth import GrowthPlan, fit_growth, growth_series
-    from .volfun import volume
-    theta, alpha, head = _angle_head(args)
+    from .volfun import big_V, critical_xi
+    alpha, head = _angle_head(args)
     plan = GrowthPlan(alpha, tuple(_r_list(args)))
     samples = growth_series(plan)
 
     def summary():
         fit = fit_growth(samples)
         try:
-            vol = volume(theta, args.mu)
+            vol = big_V(alpha, critical_xi(alpha).xi)
             gap = abs(fit.c0 - vol)
         except ValueError:
             vol = None
@@ -421,12 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sixj", help="evaluate one quantum 6j-symbol")
     p.add_argument("colors", nargs=6, type=int, metavar="COLOR")
-    p.add_argument("--r", type=odd_level, required=True,
+    p.add_argument("--r", type=int, required=True,
                    help="odd level r of the root of unity")
     p.set_defaults(func=cmd_sixj)
 
     def rrange(p):
-        p.add_argument("--r-start", type=odd_start, default=101)
+        p.add_argument("--r-start", type=int, default=101)
         p.add_argument("--r-end", type=int, default=1001)
         p.add_argument("--r-step", type=even_step, default=2)
 

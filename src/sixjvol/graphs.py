@@ -28,8 +28,8 @@ import math
 from typing import NamedTuple
 
 from .gram import AngleSixTuple
-from .growth import (GrowthFit, GrowthSample, _int_levels, even_colors,
-                     fit_growth, scan_levels)
+from .growth import (GrowthFit, GrowthSample, _even_round, _int_levels,
+                     even_colors, fit_growth, scan_levels)
 from .qnum import (QuarterPhaseLog, _index, _level, _odd_level,
                    _ValueRecord)
 from .sixj import _valid_tuple, sixj_log
@@ -162,10 +162,10 @@ class PrismCheck(NamedTuple):
 
 def _prism_bracket(p: PrismSpec):
     """The evaluator r -> <prism, col_r> that the prism scans pass to
-    `scan_levels`, for levels `_int_levels` has checked."""
+    `scan_levels`, for the levels of `_int_levels`, read once there."""
     graph = prism_graph()
     alpha = _prism_alpha(p)  # prism_colors_for_r, with the angles once
-    return lambda r: bracket_blowup(graph, even_colors(alpha, r),
+    return lambda r: bracket_blowup(graph, _even_round(alpha, r),
                                     _odd_level(r))
 
 

@@ -29,8 +29,7 @@ import numpy as np
 
 from .gram import (AlphaSixTuple, AngleSixTuple, _det_from_rows,
                    cofactor_matrix, gram_from_angles, signature, tol_sign)
-from .qnum import (TWO_PI, _integral_level, _level, _odd_level,
-                   _ValueRecord)
+from .qnum import TWO_PI, _index, _odd_level, _ValueRecord
 from .sixj import ColorSixTuple, _valid_tuple, sixj_log
 from .tetra import edge_length_tuple
 from .volfun import volume
@@ -41,25 +40,31 @@ class LevelSkipped(UserWarning):
     and was dropped from the series."""
 
 
+def _scan_level(x) -> int:
+    """A level of a scan as an int: the one scan rule.  x is read by
+    `qnum._index` (TypeError for a non-integral level, never
+    truncated), and must be odd and >= 5, or ValueError; a single
+    symbol asks only r >= 3 (`qnum.OddLevel`)."""
+    r = _index(x, "level")
+    if r < 5 or r % 2 == 0:
+        raise ValueError(f"levels must be odd integers >= 5, got {x!r}")
+    return r
+
+
 def _int_levels(r_list) -> tuple[int, ...]:
-    """The levels as ints, odd, >= 5 and strictly increasing, or
-    ValueError; a level `qnum._integral_level` refuses is not truncated."""
-    levels = []
-    for x in r_list:
-        r = _integral_level(x)
-        if r is None:
-            raise ValueError(f"levels must be integers, got {x!r}")
-        levels.append(r)
-    if any(r < 5 or r % 2 == 0 for r in levels):
-        raise ValueError("levels must be odd integers >= 5")
+    """The levels as ints, each read by `_scan_level`, and strictly
+    increasing, or ValueError."""
+    levels = tuple(map(_scan_level, r_list))
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
-    return tuple(levels)
+    return levels
 
 
 class GrowthPlan(_ValueRecord):
-    """Limit angles and the levels at which to evaluate them, as
-    `_int_levels` requires them; an immutable record."""
+    """Limit angles and the levels at which to evaluate them; an
+    immutable record.  The levels are stored as ints, each odd and >= 5
+    by `_scan_level` (TypeError for a non-integral level), and strictly
+    increasing, or ValueError."""
 
     __slots__ = ("alpha", "r_list")
 
@@ -85,16 +90,20 @@ class GrowthFit(NamedTuple):
 def even_colors(angles, r: int) -> tuple[int, ...]:
     """Even rounding of r*a/(2*pi) for each limit angle a: the nearest
     even integer, ties broken downward, clamped to the even colors of
-    level r.  Every color is an int, whatever the type of r.
+    level r.  r is read by `_scan_level` (an integral r of any type, odd
+    and >= 5), so every color is an int.
 
     The nearest even integer to x with ties down is 2*ceil((x - 1)/2).
     For x in [1/2, 2^53) the subtraction and the halving are exact, so
     this is the rounding of x itself.  Below 1/2 it gives 0 and from
     2^53 up it is clamped to r - 3, as the exact rounding is.
     """
-    if r < 5 or r % 2 != 1:  # refuses a non-integral r too
-        raise ValueError("level must be an odd integer >= 5")
-    top = int(r) - 3  # largest even value in the color range [0, r-2]
+    return _even_round(angles, _scan_level(r))
+
+
+def _even_round(angles, r: int) -> tuple[int, ...]:
+    """`even_colors` at a level `_scan_level` has read."""
+    top = r - 3  # largest even value in the color range [0, r-2]
     out = []
     for a in angles:
         c = 2 * ceil((r * a / TWO_PI - 1.0) / 2.0)
@@ -109,12 +118,10 @@ def colors_for_r(alpha: AlphaSixTuple, r: int) -> ColorSixTuple:
     triangle-type inequalities can still break near the admissibility
     boundary at small r, which is reported rather than repaired.
     """
-    colors = even_colors(alpha.alpha, r)
-    # even_colors has checked r odd and >= 5; _level coerces (or refuses)
-    # a level of another type as ColorSixTuple would
-    level = _odd_level(r) if type(r) is int else _level(r)
+    r = _scan_level(r)
+    colors = _even_round(alpha.alpha, r)
     try:
-        return _valid_tuple(colors, level)
+        return _valid_tuple(colors, _odd_level(r))
     except ValueError as exc:
         raise ValueError(f"no admissible rounding at this level: r={r}, "
                          f"colors={colors}") from exc
@@ -126,14 +133,14 @@ _new_sample = tuple.__new__  # GrowthSample(...) without its Python frame
 def scan_levels(r_list, evaluate) -> list[GrowthSample]:
     """Growth samples of evaluate(r) -> QuarterPhaseLog, in r_list order.
 
-    Both callers pass levels `_int_levels` has checked to be strictly
-    increasing, so the samples are ordered by r with no sort.  A level
-    whose evaluation or `real_sign` raises ValueError (an inadmissible
-    rounding, or an imaginary value, which a sample's sign cannot hold)
-    is skipped with a LevelSkipped warning attributed to the scan's
-    caller, and a debug event on the "sixjvol" logger whose arguments
-    are r and the reason.  Any other exception is a defect and
-    propagates.
+    Both callers pass the ints of `_int_levels`, each odd and >= 5 and
+    strictly increasing, so the samples are ordered by r with no sort.
+    A level whose evaluation or `real_sign` raises ValueError (an
+    inadmissible rounding, or an imaginary value, which a sample's sign
+    cannot hold) is skipped with a LevelSkipped warning attributed to
+    the scan's caller, and a debug event on the "sixjvol" logger whose
+    arguments are r and the reason.  Any other exception is a defect
+    and propagates.
     """
     out: list[GrowthSample] = []
     for r in r_list:

@@ -22,6 +22,10 @@ Every integer argument (a level, a color, a 1-based index, the n of
 the accessors below) is read by one rule, `_integral_level`: an int, a
 numpy integer or a float with no fractional part, never truncated.
 `_index` refuses anything else with TypeError, naming the argument.
+A level is then an odd r >= 3, a rule that `OddLevel` alone states;
+every entry that takes a level reads it through `_level`, so a
+non-integral level raises TypeError everywhere and a level stored in a
+record is an int.
 """
 
 from __future__ import annotations
@@ -84,15 +88,16 @@ class _ValueRecord(_FrozenRecord):
 class OddLevel(_ValueRecord):
     """The level r of the root of unity q = e^{2*pi*i/r}; r odd, r >= 3.
 
-    An immutable record of r as given (an int or a numpy integer),
-    equal to another OddLevel of the same r.
+    An immutable record of r as an int, equal to another OddLevel of the
+    same r.  The one rule for a level: r is read by `_index` (TypeError
+    for a non-integral r), and anything but an odd r >= 3 raises
+    ValueError.  A level scan asks more, r >= 5 (`growth._scan_level`).
     """
 
     __slots__ = ("r",)
 
-    def __init__(self, r: int) -> None:
-        if not isinstance(r, (int, np.integer)):
-            raise TypeError(f"level must be an integer, got {r!r}")
+    def __init__(self, r) -> None:
+        r = _index(r, "level")
         if r < 3 or r % 2 == 0:
             raise ValueError(f"level must be odd and >= 3, got {r}")
         object.__setattr__(self, "r", r)
@@ -133,10 +138,8 @@ def _index(x, what: str = "index") -> int:
 
 def _level(level) -> OddLevel:
     """Coerce a level to OddLevel: an OddLevel is returned as it is,
-    anything else is read by `_index`."""
-    if isinstance(level, OddLevel):
-        return level
-    return OddLevel(_index(level, "level"))
+    anything else goes through the OddLevel constructor."""
+    return level if isinstance(level, OddLevel) else OddLevel(level)
 
 
 class QuarterPhaseLog(tuple):

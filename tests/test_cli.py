@@ -96,6 +96,17 @@ def test_sixj_imaginary_symbol_has_phase_and_no_real_value(capsys):
         z, rel=1e-12)
 
 
+def test_sixj_at_the_lowest_level(capsys):
+    code, out, err = run(capsys, ["sixj", "0", "0", "0", "1", "1", "1",
+                                  "--r", "3"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["r"] == 3 and doc["colors"] == [0, 0, 0, 1, 1, 1]
+    z = sixjvol.sixj_exact_small(sixjvol.tuple_of((0, 0, 0, 1, 1, 1), 3))
+    assert math.exp(doc["log_abs"]) * 1j ** doc["phase"] == pytest.approx(
+        z, abs=1e-14)
+
+
 def test_sixj_inadmissible_colors(capsys):
     code, _, err = run(capsys, ["sixj", "2", "2", "2", "2", "2", "3",
                                 "--r", "31"])
@@ -106,7 +117,7 @@ def test_sixj_inadmissible_colors(capsys):
 def test_sixj_rejects_even_level(capsys):
     code, _, err = run(capsys, ["sixj", "0", "0", "0", "0", "0", "0",
                                 "--r", "8"])
-    assert code == 2
+    assert code == 1  # the library refuses the level: a domain error
     assert "level must be odd" in err
 
 
@@ -347,8 +358,8 @@ def test_growth_range_validation(capsys):
     assert "--r-end must be >= --r-start" in err
     code, _, err = run(capsys, ["growth", "--r-start", "100",
                                 "--r-end", "109"] + PI6)
-    assert code == 2
-    assert "--r-start must be odd" in err
+    assert code == 1  # the library refuses the level: a domain error
+    assert "levels must be odd integers >= 5, got 100" in err
     code, _, err = run(capsys, ["growth", "--r-step", "3"] + PI6)
     assert code == 2
     assert "--r-step must be even" in err

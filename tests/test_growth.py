@@ -39,10 +39,10 @@ def test_colors_for_r_clamps_to_top_even_color():
 def test_even_colors_refuse_a_non_integral_level():
     sym = sv.PrismSpec((PI / 6,) * 3, (PI / 6,) * 3, (PI / 6,) * 3)
     for r in (101.5, float("nan")):
-        with pytest.raises(ValueError, match="^level must be an odd integer "
-                                             ">= 5$"):
+        with pytest.raises(TypeError, match="^level must be an integer, "
+                                            f"got {r!r}$"):
             growth.even_colors((6.2,) * 6, r)
-        with pytest.raises(ValueError, match="odd integer"):
+        with pytest.raises(TypeError, match="level must be an integer"):
             sv.prism_colors_for_r(sym, r)
     for r in (101, 101.0, np.int64(101)):
         assert growth.even_colors((6.2,) * 6, r) == (98,) * 6
@@ -135,10 +135,10 @@ def test_growth_plan_validation():
 
 def test_non_integral_levels_are_refused_not_truncated():
     al = alpha_of((PI / 6,) * 6)
-    with pytest.raises(ValueError, match="levels must be integers"):
+    with pytest.raises(TypeError, match="level must be an integer, got 101.9"):
         sv.GrowthPlan(al, (101.9, 103.2, 105.7))
     sym = sv.PrismSpec((PI / 6,) * 3, (PI / 6,) * 3, (PI / 6,) * 3)
-    with pytest.raises(ValueError, match="levels must be integers"):
+    with pytest.raises(TypeError, match="level must be an integer, got 101.9"):
         sv.prism_conjecture_check(sym, [101.9, 103.5, 105, 107, 109])
     # numpy integers and integral floats stay accepted, stored as ints
     for levels in (np.arange(101, 110, 2), (101.0, 103.0, 105, 107, 109)):
@@ -170,12 +170,12 @@ def test_growth_plans_and_prism_checks_refuse_the_same_level_lists(
                                    Fraction(101), float("nan"), None])
 def test_growth_plans_and_color_tuples_accept_the_same_levels(level):
     # one integral-level test serves both: a growth plan refuses with
-    # ValueError exactly the levels a color tuple refuses with TypeError
+    # TypeError exactly the levels a color tuple refuses with TypeError
     al = alpha_of((PI / 6,) * 6)
     try:
         lv = sv.ColorSixTuple((42,) * 6, level).level.r
     except TypeError:
-        with pytest.raises(ValueError, match="levels must be integers"):
+        with pytest.raises(TypeError, match="level must be an integer"):
             sv.GrowthPlan(al, (level, 103, 105))
     else:
         assert sv.GrowthPlan(al, (level, 103, 105)).r_list[0] == lv == 101

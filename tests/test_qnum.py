@@ -1,6 +1,7 @@
 """Quantum integers, factorial tables, and brace-factorial asymptotics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,55 @@ def test_level_validation():
         sv.OddLevel(4)
     with pytest.raises(ValueError, match="odd"):
         sv.OddLevel(1)
+    # an integral float is read as its int, as at every level entry
+    assert sv.OddLevel(7.0) == sv.OddLevel(7)
+    assert type(sv.OddLevel(7.0).r) is int
     with pytest.raises(TypeError, match="integer"):
-        sv.OddLevel(7.0)
+        sv.OddLevel(7.5)
+
+
+_PI6 = sv.AlphaSixTuple.from_alpha((5 * math.pi / 6,) * 6)
+_PRISM = sv.PrismSpec((math.pi / 6,) * 3, (math.pi / 6,) * 3,
+                      (math.pi / 6,) * 3)
+
+# Every entry that takes a level, as level -> what it keeps of it; the
+# scan entries ask r >= 5, the others r >= 3.
+LEVEL_ENTRIES = {
+    "OddLevel": lambda r: sv.OddLevel(r).r,
+    "ColorSixTuple": lambda r: sv.ColorSixTuple((42,) * 6, r).level.r,
+    "level_tables": lambda r: sv.level_tables(r).level.r,
+    "quantum_integer": lambda r: sv.quantum_integer(r, 2),
+    "is_admissible_tuple": lambda r: sv.is_admissible_tuple((42,) * 6, r),
+}
+SCAN_ENTRIES = {
+    "GrowthPlan": lambda r: sv.GrowthPlan(_PI6, (r, 103, 105)).r_list,
+    "prism_conjecture_check": lambda r: [s.r for s in (
+        sv.prism_conjecture_check(_PRISM, (r, 103, 105, 107, 109)).samples)],
+    "even_colors": lambda r: growth.even_colors((6.2,) * 6, r),
+    "colors_for_r": lambda r: sv.colors_for_r(_PI6, r),
+    "prism_colors_for_r": lambda r: sv.prism_colors_for_r(_PRISM, r),
+}
+
+
+@pytest.mark.parametrize("name", [*LEVEL_ENTRIES, *SCAN_ENTRIES])
+def test_one_level_rule_at_every_entry(name):
+    entry = {**LEVEL_ENTRIES, **SCAN_ENTRIES}[name]
+    for bad in (101.5, float("nan"), "101"):
+        with pytest.raises(TypeError, match="^level must be an integer, got "
+                                            + re.escape(repr(bad)) + "$"):
+            entry(bad)
+    # an integral level of any type is read as its int: the repr tells
+    # an int from a numpy integer, inside a record or a tuple too
+    want = repr(entry(101))
+    assert "np." not in want
+    for good in (101.0, np.int64(101)):
+        assert repr(entry(good)) == want
+    with pytest.raises(ValueError):
+        entry(8)
+    if name in SCAN_ENTRIES:
+        with pytest.raises(ValueError, match="^levels must be odd integers "
+                                             ">= 5, got 3$"):
+            entry(3)
 
 
 def test_quantum_integer_small_values():

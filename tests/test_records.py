@@ -114,9 +114,9 @@ def test_record_validation_messages_and_order():
         (lambda: sv.GramMatrix(2 * np.eye(4)),
          "Gram matrix must have unit diagonal"),
         (lambda: sv.GrowthPlan(al, (8, 6)),
-         "levels must be odd integers >= 5"),
+         "levels must be odd integers >= 5, got 8"),
         (lambda: sv.GrowthPlan(al, (3, 101)),
-         "levels must be odd integers >= 5"),
+         "levels must be odd integers >= 5, got 3"),
         (lambda: sv.GrowthPlan(al, (103, 101)),
          "levels must be strictly increasing"),
         (lambda: sv.PrismSpec((PI,) * 2, (0.3,) * 3, (0.3,) * 3),

@@ -211,6 +211,17 @@ def test_sixj_all_zero_is_one():
     assert z == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
 
+def test_lowest_level_matches_oracle():
+    # r = 3, the lowest level: colors 0 and 1, and eight admissible tuples
+    lv = sv.OddLevel(3)
+    tuples = [sv.tuple_of(c, lv) for c in itertools.product((0, 1), repeat=6)
+              if sv.is_admissible_tuple(c, lv)]
+    assert len(tuples) == 8
+    for t in tuples:
+        assert sv.sixj_log(t).value() == pytest.approx(
+            sv.sixj_exact_small(t), abs=1e-14)
+
+
 def test_sixj_symmetric_tuple_matches_oracle():
     lv = sv.OddLevel(7)
     t = sv.tuple_of((2,) * 6, lv)
