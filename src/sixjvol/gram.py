@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qnum import TWO_PI, _FrozenRecord, _index, _integral_level
+from .qnum import TWO_PI, _FrozenRecord, _integral_level, _one_based
 from .sixj import FACE_TRIPLES, VERTEX_TRIPLES
 
 FOUR_PI = 4.0 * math.pi
@@ -111,7 +111,7 @@ _CHECKERBOARD = np.array([[(-1.0) ** (i + j) for j in range(4)]
 
 # How far an angle may lie outside its range ([0, pi] for theta,
 # [0, 2 pi] for alpha) and still be accepted, so that an angle rounded
-# just past an end passes.  The CLI's angle parser reads it too.
+# just past an end passes.
 _ANGLE_SLACK = 1e-12
 
 # The lowest accepted alpha: pi minus the largest accepted theta, so
@@ -396,9 +396,7 @@ def gram_cache_info() -> dict:
 
 def cofactor(G: GramMatrix, i: int, j: int) -> float:
     """Signed (i,j) cofactor, indices 1..4."""
-    i, j = _index(i), _index(j)
-    if not (1 <= i <= 4 and 1 <= j <= 4):
-        raise ValueError("cofactor indices must be in 1..4")
+    i, j = (_one_based(x, 4, "cofactor index") for x in (i, j))
     return float(cofactor_matrix(G.mat)[i - 1, j - 1])
 
 
@@ -419,9 +417,7 @@ def change_angles_opposite_vertex(theta: AngleSixTuple, i: int) -> AngleSixTuple
     unchanged.  Applying the move at i and then j flips exactly the four
     edges separating {i,j} from the complementary pair.
     """
-    i = _index(i)
-    if i not in (1, 2, 3, 4):
-        raise ValueError(f"vertex index must be 1..4, got {i}")
+    i = _one_based(i, 4, "vertex index")
     th = list(theta.theta)
     # Gram index i is the face opposite colour vertex 5 - i: its three
     # edges, the ones whose face pair contains i, are FACE_TRIPLES[4 - i].

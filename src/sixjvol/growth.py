@@ -196,10 +196,8 @@ def asymp2_log_prediction(theta: AngleSixTuple, mu, r: int) -> float:
     and the exponential of (r/2pi) times the volume, all in log space.
     """
     t = colors_for_r(AlphaSixTuple.from_theta(theta, mu), r)
-    alpha_r = [TWO_PI * a / r for a in t.colors]
-    mu_r = tuple(1 if a > math.pi else (-1 if a < math.pi else m)
-                 for a, m in zip(alpha_r, mu))
-    theta_r = AngleSixTuple(tuple(abs(a - math.pi) for a in alpha_r))
+    alpha_r = AlphaSixTuple.from_alpha([TWO_PI * a / r for a in t.colors])
+    theta_r, mu_r = alpha_r.to_theta(), alpha_r.mu
     G = gram_from_angles(theta_r)
     if signature(G).as_pair() != (3, 1):
         raise ValueError(f"no hyperbolic geometry at level r={r}")

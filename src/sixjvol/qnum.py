@@ -21,7 +21,8 @@ record is built, and the one rule for zero is `QuarterPhaseLog.__new__`.
 Every integer argument (a level, a color, a 1-based index, the n of
 the accessors below) is read by one rule, `_integral_level`: an int, a
 numpy integer or a float with no fractional part, never truncated.
-`_index` refuses anything else with TypeError, naming the argument.
+`_index` refuses anything else with TypeError, naming the argument,
+and `_one_based` alone states the range of a 1-based index.
 A level is then an odd r >= 3, a rule that `OddLevel` alone states;
 every entry that takes a level reads it through `_level`, so a
 non-integral level raises TypeError everywhere and a level stored in a
@@ -133,6 +134,17 @@ def _index(x, what: str = "index") -> int:
     i = _integral_level(x)
     if i is None:
         raise TypeError(f"{what} must be an integer, got {x!r}")
+    return i
+
+
+def _one_based(x, n: int, what: str) -> int:
+    """A 1-based index in 1..n as an int: read by `_index` (TypeError
+    "index must be an integer, got <x!r>"), then ValueError("<what>
+    must be in 1..<n>, got <i>") outside the range.  The one range rule
+    of the vertex, face, quad and cofactor indices."""
+    i = _index(x)
+    if not 1 <= i <= n:
+        raise ValueError(f"{what} must be in 1..{n}, got {i}")
     return i
 
 

@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qnum import (OddLevel, QuarterPhaseLog, _index, _integral_level,
-                   _ValueRecord, _level, level_tables)
+                   _one_based, _ValueRecord, _level, level_tables)
 
 # Index sets (0-based).  Vertex triples are the edges meeting at each
 # vertex of the tetrahedral graph; face triples are their complements
@@ -432,10 +432,7 @@ def change_colors_face(t: ColorSixTuple, face: int) -> ColorSixTuple:
     symbol can change (square-root branch choices in the triangle
     factors), so only `sixj_log(...).log_mag` is move-invariant.
     """
-    face = _index(face)
-    if face not in (1, 2, 3, 4):
-        raise ValueError(f"face must be 1..4, got {face}")
-    return t.replaced(FACE_TRIPLES[face - 1])
+    return t.replaced(FACE_TRIPLES[_one_based(face, 4, "face") - 1])
 
 
 def change_colors_quad(t: ColorSixTuple, quad: int) -> ColorSixTuple:
@@ -445,10 +442,7 @@ def change_colors_quad(t: ColorSixTuple, quad: int) -> ColorSixTuple:
     preserves admissibility and |6j| (the phase can change; see
     `change_colors_face`).
     """
-    quad = _index(quad)
-    if quad not in (1, 2, 3):
-        raise ValueError(f"quad must be 1..3, got {quad}")
-    return t.replaced(QUAD_MOVES[quad - 1])
+    return t.replaced(QUAD_MOVES[_one_based(quad, 3, "quad") - 1])
 
 
 def big_colors(t: ColorSixTuple) -> tuple[int, ...]:

@@ -1,10 +1,13 @@
 """Generalized hyperbolic tetrahedra from Gram matrices.
 
-A Gram matrix of signature (3,1) factors as G = U^T I_{3,1} U in the
-Minkowski inner product <x,y> = x1 y1 + x2 y2 + x3 y3 - x4 y4.  The
-columns u_i of U are the outward unit normals of the four faces; the
-(possibly truncated) vertices are obtained from the cofactor
-combinations w_i = sum_j cof_ij u_j, which satisfy
+The domain is the Gram matrices of signature (3,1): every question
+below (vertex types, distances, edge lengths, segment sides, the case
+and the reconstruction) refuses any other signature with one
+ValueError, stated once in `_cofactors`.  Such a matrix factors as
+G = U^T I_{3,1} U in the Minkowski inner product <x,y> = x1 y1 + x2 y2
++ x3 y3 - x4 y4.  The columns u_i of U are the outward unit normals of
+the four faces; the (possibly truncated) vertices are obtained from the
+cofactor combinations w_i = sum_j cof_ij u_j, which satisfy
 
     <w_i, w_j> = det(G) * cof_ij,      <u_j, w_i> = det(G) * delta_ij,
 
@@ -38,7 +41,7 @@ import numpy as np
 
 from .gram import (DEFAULT_TOL, EDGE_COMPLEMENT, GramMatrix, _det_from_rows,
                    cofactor_matrix, signature, tol_sign)
-from .qnum import _index
+from .qnum import _one_based
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 
@@ -137,7 +140,13 @@ def _cofactors(G: GramMatrix) -> tuple[np.ndarray, list, list, list]:
     floats, and the signs (tol_sign) of cof_11..cof_44 and of cof_ij in
     _PAIRS order.  Every question below reads G's cofactors through
     this one call: vertex types, distances, signed lengths, segment
-    sides and the case."""
+    sides, the case and the reconstruction.  It is the one (3,1) rule:
+    a G of any other signature (memoized `signature`) raises
+    ValueError, so every question refuses it with one message."""
+    sig = signature(G)
+    if sig.as_pair() != (3, 1):
+        raise ValueError("not a generalized hyperbolic tetrahedron: "
+                         f"signature {tuple(sig)}")
     cof = cofactor_matrix(G.mat)
     c = cof.tolist()
     return (cof, c, [tol_sign(c[i][i]) for i in range(4)],
@@ -150,9 +159,7 @@ def vertex_type(G: GramMatrix, i: int) -> VertexType:
     Gram entries are cosines, so cofactors are O(1) and "ideal" is an
     absolute threshold.
     """
-    i = _index(i)
-    if i not in (1, 2, 3, 4):
-        raise ValueError("vertex index must be 1..4")
+    i = _one_based(i, 4, "vertex index")
     _, _, diag, _ = _cofactors(G)
     return _VERTEX_TYPE_OF_SIGN[diag[i - 1]]
 
@@ -183,11 +190,11 @@ def _distance_of(c: list, diag: list, i: int, j: int) -> EdgeDistance:
 
 
 def _check_pair(i, j) -> tuple[int, int]:
-    """The indices i and j as ints (`qnum._index`), or ValueError
-    unless they are two distinct indices in 1..4."""
-    i, j = _index(i), _index(j)
-    if i == j or i not in (1, 2, 3, 4) or j not in (1, 2, 3, 4):
-        raise ValueError("need two distinct indices in 1..4")
+    """The indices i and j as ints in 1..4 (`qnum._one_based`), or
+    ValueError unless they are distinct."""
+    i, j = _one_based(i, 4, "index"), _one_based(j, 4, "index")
+    if i == j:
+        raise ValueError(f"need two distinct indices, got {i} and {j}")
     return i, j
 
 
@@ -238,21 +245,18 @@ def edge_length_tuple(G: GramMatrix) -> tuple[float, ...]:
 def segment_side(G: GramMatrix, i: int, j: int) -> SegmentSide:
     """For two hyperideal endpoints: which side of the edge line meets H^3.
 
-    SegmentMeets when cof_ij >= sqrt(cof_ii cof_jj), ComplementMeets for
-    the opposite sign; anything strictly in between means the line
-    avoids the ball entirely (deep truncation, unsupported here).
+    SegmentMeets when cof_ij > 0, ComplementMeets otherwise.  The line
+    always meets the ball at signature (3,1): Jacobi's identity gives
+    cof_ii cof_jj - cof_ij^2 = det G sin^2(theta_kl) <= 0 as det G < 0,
+    so |cof_ij| >= sqrt(cof_ii cof_jj) > 0 and the side is the sign of
+    cof_ij.
     """
     i, j = _check_pair(i, j)
     _, c, diag, _ = _cofactors(G)
-    cii, cjj, cij = c[i - 1][i - 1], c[j - 1][j - 1], c[i - 1][j - 1]
     if not (diag[i - 1] < 0 and diag[j - 1] < 0):
         raise ValueError("segment side is defined for hyperideal endpoints")
-    root = math.sqrt(cii * cjj)
-    if cij >= root - DEFAULT_TOL:
-        return SegmentSide.SEGMENT_MEETS
-    if cij <= -root + DEFAULT_TOL:
-        return SegmentSide.COMPLEMENT_MEETS
-    raise ValueError("line misses the ball")
+    return (SegmentSide.SEGMENT_MEETS if c[i - 1][j - 1] > 0
+            else SegmentSide.COMPLEMENT_MEETS)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +355,10 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     (normalizing <v,v> to +-1) and left lightlike at them.  det G is the
     expansion of G along the first row of its cofactor matrix
     (`gram._det_from_rows`).  The cofactor matrix and its ten signs are
-    read once (`_cofactors`): the vertex types, the edge lengths and the
-    case all come from that one sign pass, through the helpers behind
-    `edge_length_tuple` and `case_label`.  Each coordinate row is
+    read once (`_cofactors`, which refuses a G not of signature (3,1)
+    before the eigendecomposition): the vertex types, the edge lengths
+    and the case all come from that one sign pass, through the helpers
+    behind `edge_length_tuple` and `case_label`.  Each coordinate row is
     a tuple of four Python floats, read off its array in one `tolist`.
 
     The coordinates are fixed only up to an O(3,1) isometry.  `eigh`
@@ -362,16 +367,10 @@ def reconstruct(G: GramMatrix) -> GeneralizedTetrahedron:
     and vertices by O(1).  Only the Minkowski inner products, the
     vertex types, the edge lengths and the case are invariant.
     """
-    sig = signature(G)
-    if sig.as_pair() != (3, 1):
-        raise ValueError(
-            f"not a generalized hyperbolic tetrahedron: signature "
-            f"{(sig.pos, sig.neg, sig.zero)}")
+    cof, c, diag, off = _cofactors(G)
     lam, q = np.linalg.eigh(G.mat)  # ascending; lam[0] < 0 < lam[1..3]
     # Row i is the normal u_i, column i of U.
     normals = (q * np.sqrt(np.abs(lam)))[:, _TIMELIKE_LAST]
-
-    cof, c, diag, off = _cofactors(G)
     det = _det_from_rows(G.mat[0].tolist(), c[0])
     types = [_VERTEX_TYPE_OF_SIGN[s] for s in diag]
     scale = [math.sqrt(abs(c[i][i] * det)) if s else 1.0

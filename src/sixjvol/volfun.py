@@ -375,9 +375,10 @@ def schlafli_residual(theta: AngleSixTuple, mu=(-1, -1, -1, -1, -1, -1),
     """Central-difference check of dVol/dtheta_k = -l_k/2.
 
     Returns the six residuals (dVol/dtheta_k + l_k/2); requires a
-    tetrahedron with no ideal vertex, and each step theta_k +- h must
-    stay inside the same classification stratum (same signature, same
-    vertex-type signs).
+    step h that is positive and finite (ValueError otherwise, 0, NaN
+    and infinity included), a tetrahedron with no ideal vertex, and
+    each step theta_k +- h must stay inside the same classification
+    stratum (same signature, same vertex-type signs).
     """
     return _schlafli(theta, mu, h)[0]
 
@@ -387,6 +388,9 @@ def _schlafli(theta: AngleSixTuple, mu, h: float
     """(residuals, edge lengths l_k) of `schlafli_residual`: the base
     lengths come with the residuals, since its twelve stepped tuples
     evict the base Gram matrix from the one-entry memos."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
+
     def stratum(th: AngleSixTuple):
         """(signature pair, signs of the diagonal cofactors) of th."""
         G = gram_from_angles(th)
@@ -394,12 +398,11 @@ def _schlafli(theta: AngleSixTuple, mu, h: float
         return (signature(G).as_pair(),
                 tuple(tol_sign(cof[i, i]) for i in range(4)))
 
+    # edge_length_tuple refuses a signature other than (3,1)
+    lengths = edge_length_tuple(gram_from_angles(theta))
     base = stratum(theta)
-    if base[0] != (3, 1):
-        raise ValueError("not a generalized hyperbolic tetrahedron")
     if 0 in base[1]:
         raise ValueError("Schlafli residual requires non-ideal vertices")
-    lengths = edge_length_tuple(gram_from_angles(theta))
     out = []
     for k in range(6):
         vols = []

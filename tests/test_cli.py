@@ -193,18 +193,27 @@ def test_mu_flag_validation(capsys):
 
 
 def test_angle_range_validation(capsys):
+    # the parser reads 7.0; AngleSixTuple refuses it, a domain error
     code, _, err = run(capsys, ["classify", "7.0", "0", "0", "0", "0", "0"])
-    assert code == 2
-    assert "outside [0, pi]" in err
+    assert code == 1
+    assert "dihedral angle 7.0 outside [0, pi]" in err
 
 
-# Every angle above pi + 1e-12, the range AngleSixTuple accepts, is a
-# usage error of the parser, up to 2 pi as well as beyond it.
+def test_angle_text_that_does_not_parse_is_a_usage_error(capsys):
+    for text, message in (("pi/0", "zero denominator in 'pi/0'"),
+                          ("abc", "bad angle 'abc'")):
+        code, out, err = run(capsys, ["classify", text] + ["0"] * 5)
+        assert code == 2 and out == "" and message in err
+
+
+# Every angle above pi + 1e-12, the range AngleSixTuple accepts, is
+# refused by the library (exit 1), up to 2 pi as well as beyond it; the
+# parser reads any number.
 @pytest.mark.parametrize("command", ["classify", "tetra", "volume"])
 @pytest.mark.parametrize("angle", ["3.1415926536", "4", "pi*3/2", "pi*2"])
 def test_angles_above_pi_are_usage_errors(capsys, command, angle):
     code, out, err = run(capsys, [command, angle] + PI6[1:])
-    assert code == 2 and out == ""
+    assert code == 1 and out == ""
     assert "outside [0, pi]" in err
 
 
@@ -360,9 +369,14 @@ def test_growth_range_validation(capsys):
                                 "--r-end", "109"] + PI6)
     assert code == 1  # the library refuses the level: a domain error
     assert "levels must be odd integers >= 5, got 100" in err
+    # an odd step gives an even level, which the scan rule refuses
     code, _, err = run(capsys, ["growth", "--r-step", "3"] + PI6)
-    assert code == 2
-    assert "--r-step must be even" in err
+    assert code == 1
+    assert "levels must be odd integers >= 5, got 104" in err
+    for step in ("0", "-2"):
+        code, _, err = run(capsys, ["growth", "--r-step", step] + PI6)
+        assert code == 2
+        assert "--r-step must be >= 1" in err
 
 
 # ---------------------------------------------------------------------- prism
@@ -443,36 +457,43 @@ def test_prism_spec_not_utf8_is_usage_error(capsys, tmp_path):
     assert "cannot read prism spec" in err and "utf-8" in err
 
 
-# A spec that is not an object of three three-angle lists, or holds an
-# angle outside [0, pi], is a usage error like a missing key; numbers
-# get the range check of angle strings.
+# A spec that is not an object of angle lists, or holds an entry that
+# does not parse as an angle, is a usage error like a missing key.  The
+# count of three angles and the range [0, pi] are PrismSpec's rules: a
+# spec that breaks one is refused by the library, a domain error.
 _GOOD_SPEC = {"vertical": [0.5] * 3, "base_b": [0.6] * 3, "base_c": [0.7] * 3}
 
 
-@pytest.mark.parametrize("doc, message", [
-    (5, "must be a JSON object"),
-    (dict(_GOOD_SPEC, base_b=0.6), "'base_b' needs three angles"),
-    (dict(_GOOD_SPEC, base_b={"a": 0.6}), "'base_b' needs three angles"),
-    (dict(_GOOD_SPEC, base_c=[0.7, 0.7]), "'base_c' needs three angles"),
-    (dict(_GOOD_SPEC, base_c=[0.7] * 4), "'base_c' needs three angles"),
-    (dict(_GOOD_SPEC, base_b=[0.6, 0.6, 4.0]), "outside [0, pi]"),
-    (dict(_GOOD_SPEC, base_b=[0.6, -0.5, 0.6]), "outside [0, pi]"),
-    (dict(_GOOD_SPEC, base_c=["pi*3/2", 0.7, 0.7]), "outside [0, pi]"),
-    (dict(_GOOD_SPEC, vertical=[None, 0.5, 0.5]), "bad angle 'None'"),
-    (dict(_GOOD_SPEC, vertical=[True, 0.5, 0.5]), "bad angle 'True'"),
+@pytest.mark.parametrize("doc, code, message", [
+    (5, 2, "must be a JSON object"),
+    (dict(_GOOD_SPEC, base_b=0.6), 2, "'base_b' needs a list of angles"),
+    (dict(_GOOD_SPEC, base_b={"a": 0.6}), 2,
+     "'base_b' needs a list of angles"),
+    (dict(_GOOD_SPEC, base_c=[0.7, 0.7]), 1,
+     "base_c needs exactly three angles"),
+    (dict(_GOOD_SPEC, base_c=[0.7] * 4), 1,
+     "base_c needs exactly three angles"),
+    (dict(_GOOD_SPEC, base_b=[0.6, 0.6, 4.0]), 1,
+     "dihedral angle 4.0 outside [0, pi]"),
+    (dict(_GOOD_SPEC, base_b=[0.6, -0.5, 0.6]), 1,
+     "dihedral angle -0.5 outside [0, pi]"),
+    (dict(_GOOD_SPEC, base_c=["pi*3/2", 0.7, 0.7]), 1, "outside [0, pi]"),
+    (dict(_GOOD_SPEC, vertical=[None, 0.5, 0.5]), 2, "bad angle 'None'"),
+    (dict(_GOOD_SPEC, vertical=[True, 0.5, 0.5]), 2, "bad angle 'True'"),
 ], ids=["not-object", "entry-number", "entry-object", "two-angles",
         "four-angles", "number-above-pi", "negative-number",
         "string-above-pi", "null-angle", "bool-angle"])
-def test_malformed_prism_spec_is_usage_error(capsys, tmp_path, doc, message):
-    code, out, err = run(capsys, ["prism", write_spec(tmp_path, doc),
-                                  "--r-end", "111"])
-    assert code == 2 and out == ""
-    assert "cannot read prism spec" in err and message in err
+def test_malformed_prism_spec_is_usage_error(capsys, tmp_path, doc, code,
+                                             message):
+    got, out, err = run(capsys, ["prism", write_spec(tmp_path, doc),
+                                 "--r-end", "111"])
+    assert got == code and out == "" and message in err
+    assert ("cannot read prism spec" in err) == (code == 2)
 
 
-# The parser accepts exactly the angles AngleSixTuple accepts, in angle
+# The CLI accepts exactly the angles AngleSixTuple accepts, in angle
 # arguments and prism spec entries: [0, pi] with 1e-12 of slack at
-# each end.
+# each end.  The parser reads every one; the library refuses the rest.
 @pytest.mark.parametrize("angle, ok", [
     (-1e-12, True), (PI + 1e-12, True), (-2e-12, False), (PI + 2e-12, False),
 ], ids=["low-1e-12", "high+1e-12", "low-2e-12", "high+2e-12"])
@@ -486,10 +507,11 @@ def test_angle_bounds_are_those_of_the_library(capsys, tmp_path, angle, ok):
         return
     with pytest.raises(ValueError, match=r"outside \[0, pi\]"):
         sixjvol.AngleSixTuple((angle,) * 6)
+    assert cli.angle_literal(text) == angle
     for argv in (["classify", "--", text] + PI6[1:],
                  ["prism", spec, "--r-end", "111"]):
         code, out, err = run(capsys, argv)
-        assert code == 2 and out == "" and "outside [0, pi]" in err
+        assert code == 1 and out == "" and "outside [0, pi]" in err
 
 
 def test_tiny_negative_angle_is_accepted(capsys):
@@ -625,11 +647,12 @@ def test_lobachevsky_table_finite_width_points_unchanged(capsys):
         lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
+# The parser reads any float; schlafli_residual refuses the step.
 @pytest.mark.parametrize("h", ["0", "-1e-4", "nan", "inf", "-inf"])
 def test_schlafli_step_validation(capsys, h):
     code, out, err = run(capsys, ["schlafli", *PI6, f"--h={h}"])
-    assert code == 2 and out == ""
-    assert "--h must be positive and finite" in err
+    assert code == 1 and out == ""
+    assert f"h must be positive and finite, got {float(h)}" in err
 
 
 # ------------------------------------------------------------ entry points

@@ -134,7 +134,7 @@ def test_quarter_phase_log_arithmetic():
     one = sv.QuarterPhaseLog.one()
     assert (one * a).value() == pytest.approx(a.value())
     z = sv.QuarterPhaseLog.zero()
-    assert z.is_zero and z.phase == 0
+    assert z.is_zero and z.phase == 0 and z.real_sign() == 0
     assert (z * a).is_zero
     # a zero factor on either side gives exactly the pair (-inf, 0),
     # whose value is +0j

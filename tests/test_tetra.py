@@ -214,7 +214,7 @@ def test_distance_equilateral_and_errors():
             assert sv.distance(G, i, j).d == pytest.approx(d0.d, rel=1e-12)
     with pytest.raises(ValueError, match="two distinct indices"):
         sv.distance(G, 2, 2)
-    with pytest.raises(ValueError, match="two distinct indices"):
+    with pytest.raises(ValueError, match=r"index must be in 1\.\.4, got 0"):
         sv.distance(G, 0, 3)
 
 
@@ -246,8 +246,6 @@ def test_distance_round_trip_random(rng):
                 if abs(cii) < 1e-6 or abs(cjj) < 1e-6:
                     continue
                 ratio = abs(cij) / math.sqrt(abs(cii * cjj))
-                if cii < 0 and cjj < 0 and ratio < 1.0:
-                    continue  # line misses the ball; excluded by contract
                 d = sv.distance(G, i, j)
                 if cii > 0 and cjj > 0:
                     assert d.kind is sv.DistanceKind.VERTEX_VERTEX
@@ -357,12 +355,14 @@ def test_case_of_signs_digest():
 
 
 def test_case_label_refusal_names_the_pattern():
-    # every cofactor pair of pi/2 x6 is zero, and a like pair at zero
-    # has no letter under any move
-    msg = ("unclassified pattern: diag=[1, 1, 1, 1] off={(0, 1): 0, "
-           "(0, 2): 0, (0, 3): 0, (1, 2): 0, (1, 3): 0, (2, 3): 0}")
+    # a (3,1) tuple with an ideal vertex 2 and three hyperideal ones
+    # whose bad pairs have no letter under any move
+    th = (0.0, 0.0, 0.0, PI / 6, PI / 4, 5 * PI / 6)
+    assert sv.signature(gram(th)).as_pair() == (3, 1)
+    msg = ("unclassified pattern: diag=[-1, 0, -1, -1] off={(0, 1): 1, "
+           "(0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 0, (2, 3): -1}")
     with pytest.raises(ValueError) as exc:
-        sv.case_label(gram((PI / 2,) * 6))
+        sv.case_label(gram(th))
     assert str(exc.value) == msg
 
 
@@ -382,10 +382,32 @@ def test_segment_side():
 
 
 def test_segment_side_deep_truncation_rejected():
+    # a line that misses the ball needs cof_ii cof_jj > cof_ij^2, which
+    # Jacobi's identity rules out at signature (3,1); this tuple has
+    # signature (2,2) and is refused as such
     th = (2.1154302348219067, 0.6352803873370101, 2.8319292545242996,
           0.6821913702458734, 0.10390719488470904, 0.6307342714617925)
-    with pytest.raises(ValueError, match="line misses the ball"):
+    with pytest.raises(ValueError) as exc:
         sv.segment_side(gram(th), 1, 2)
+    assert str(exc.value) == ("not a generalized hyperbolic tetrahedron: "
+                              "signature (2, 2, 0)")
+
+
+def test_every_tetra_question_refuses_a_spherical_gram_matrix():
+    # pi/2 x6 gives the identity up to rounding, signature (4,0,0): all
+    # seven questions refuse it with the one message of `tetra._cofactors`
+    G = gram((PI / 2,) * 6)
+    assert np.allclose(G.mat, np.eye(4), rtol=0.0, atol=1e-15)
+    questions = [sv.reconstruct, sv.case_label, sv.edge_length_tuple,
+                 lambda G: sv.vertex_type(G, 1),
+                 lambda G: sv.distance(G, 1, 2),
+                 lambda G: sv.edge_length(G, 1, 2),
+                 lambda G: sv.segment_side(G, 1, 2)]
+    for question in questions:
+        with pytest.raises(ValueError) as exc:
+            question(G)
+        assert str(exc.value) == ("not a generalized hyperbolic "
+                                  "tetrahedron: signature (4, 0, 0)")
 
 
 # reconstruct takes the ten cofactor signs once and derives the vertex
@@ -438,11 +460,14 @@ def test_reconstruct_fields_are_the_scalar_functions():
 def test_index_arguments_follow_the_colour_rule():
     # A 1-based index is taken as an int when it is an int, a numpy
     # integer or an integral float; anything else is a TypeError, never
-    # truncated.  The range check and its message come after.
+    # truncated.  The range check and its message come after, both from
+    # `qnum._one_based`.
     G = gram((PI / 6,) * 6)
     theta = sv.AngleSixTuple((PI / 6,) * 6)
     colors = sv.tuple_of((2, 4, 4, 2, 4, 4), 31)
-    pair = "need two distinct indices in 1..4"
+    pair = "index must be in 1..4, got {}"
+    cof = "cofactor index must be in 1..4, got {}"
+    vertex = "vertex index must be in 1..4, got {}"
     calls = [
         (lambda i: sv.edge_length(G, i, 2), pair),
         (lambda i: sv.edge_length(G, 2, i), pair),
@@ -450,15 +475,14 @@ def test_index_arguments_follow_the_colour_rule():
         (lambda i: sv.distance(G, 2, i), pair),
         (lambda i: sv.segment_side(G, i, 2), pair),
         (lambda i: sv.segment_side(G, 2, i), pair),
-        (lambda i: sv.cofactor(G, i, 2), "cofactor indices must be in 1..4"),
-        (lambda i: sv.cofactor(G, 2, i), "cofactor indices must be in 1..4"),
-        (lambda i: sv.vertex_type(G, i), "vertex index must be 1..4"),
-        (lambda i: sv.change_angles_opposite_vertex(theta, i).theta,
-         "vertex index must be 1..4, got {}"),
+        (lambda i: sv.cofactor(G, i, 2), cof),
+        (lambda i: sv.cofactor(G, 2, i), cof),
+        (lambda i: sv.vertex_type(G, i), vertex),
+        (lambda i: sv.change_angles_opposite_vertex(theta, i).theta, vertex),
         (lambda i: sv.change_colors_face(colors, i).colors,
-         "face must be 1..4, got {}"),
+         "face must be in 1..4, got {}"),
         (lambda i: sv.change_colors_quad(colors, i).colors,
-         "quad must be 1..3, got {}"),
+         "quad must be in 1..3, got {}"),
     ]
     for call, message in calls:
         want = call(1)

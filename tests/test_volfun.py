@@ -648,6 +648,14 @@ def test_schlafli_residual_small_on_stable_samples(rng):
         assert max(abs(x) for x in res) < 1e-5
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+def test_schlafli_residual_refuses_a_step_not_positive_and_finite(h):
+    theta = sv.AngleSixTuple((PI / 6,) * 6)
+    with pytest.raises(ValueError) as exc:
+        sv.schlafli_residual(theta, h=h)
+    assert str(exc.value) == f"h must be positive and finite, got {h}"
+
+
 def test_schlafli_residual_error_paths():
     with pytest.raises(ValueError, match="not a generalized hyperbolic"):
         sv.schlafli_residual(sv.AngleSixTuple((PI / 2,) * 6))
